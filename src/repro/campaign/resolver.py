@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import inspect
 import json
 import os
 import re
@@ -176,6 +177,24 @@ def resolve_system_config(
         raise SpecError(f"invalid configuration: {exc}")
 
 
+def bind_workload_kwargs(factory: Any, name: str,
+                         kwargs: Dict[str, Any]) -> None:
+    """Reject ``kwargs`` the workload factory's signature cannot take.
+
+    Run keys are computed from the factory spec without calling the
+    factory, so a misspelled kwarg would otherwise surface only when a
+    worker builds the dataset.
+    """
+    signature = inspect.signature(factory)
+    try:
+        signature.bind(**kwargs)
+    except TypeError as exc:
+        raise SpecError(
+            f"workload_kwargs for {name!r}: {exc}; expected a subset "
+            f"of {sorted(signature.parameters)}"
+        )
+
+
 def validate_point(data: Any) -> Dict[str, Any]:
     """Parse and validate one experiment-point payload.
 
@@ -210,6 +229,7 @@ def validate_point(data: Any) -> Dict[str, Any]:
     kwargs = data.get("workload_kwargs") or {}
     if not isinstance(kwargs, dict):
         raise SpecError("workload_kwargs must be an object")
+    bind_workload_kwargs(WORKLOAD_FACTORIES[workload], workload, kwargs)
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise SpecError(f"seed must be an integer, got {seed!r}")

@@ -5,9 +5,10 @@ Two execution paths, one result shape:
 * :func:`run_campaign` — local: every expanded point becomes a
   :class:`~repro.sweep.runner.SweepPoint` and the existing sweep
   engine does what it always does (parent-side cache hits, process
-  fan-out, one retry, typed progress events).  Workloads with factory
-  kwargs are materialized *before* the sweep so the runner's
-  parent-side key matches :meth:`ExperimentSpec.run_key` exactly.
+  fan-out, one retry, typed progress events).  Points carry the
+  workload name plus factory kwargs, so the runner's parent-side key
+  matches :meth:`ExperimentSpec.run_key` exactly without generating
+  a dataset; the warm runtime then builds each distinct dataset once.
 * :func:`run_campaign_via_server` — remote: the raw campaign document
   goes to ``POST /v1/campaign``, the server expands it worker-side and
   dedupes per point by run key; completion is then long-polled point
@@ -235,7 +236,8 @@ def run_campaign(
         spec = point.spec
         sweep_points.append(SweepPoint(
             design=spec.design,
-            workload=spec.workload_for_key(),
+            workload=spec.workload,
+            workload_kwargs=dict(spec.workload_kwargs),
             config=spec.resolved_config(),
             label=point.label,
             fault_schedule=spec.fault_schedule(),

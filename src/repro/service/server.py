@@ -403,8 +403,9 @@ class ExperimentServer:
         loop = asyncio.get_running_loop()
         try:
             spec = ExperimentSpec.from_dict(req.json())
-            # key/config resolution builds dataclasses and may
-            # materialize a workload factory — off the loop thread.
+            # key/config resolution builds and hashes config
+            # dataclasses — off the loop thread.  The key comes from
+            # the factory spec: intake never generates a dataset.
             config = await loop.run_in_executor(
                 None, spec.resolved_config)
             key = await loop.run_in_executor(None, spec.run_key)

@@ -39,7 +39,7 @@ campaign.  The names re-exported here (``SpecError``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.campaign.resolver import (  # noqa: F401 (re-exports)
     CONFIG_SECTIONS,
@@ -124,23 +124,15 @@ class ExperimentSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"invalid fault schedule: {exc}")
 
-    def workload_for_key(self) -> Union[str, Any]:
-        """What the run key hashes: the bare name when there are no
-        kwargs (matching :func:`~repro.sweep.runner.cached_simulate`),
-        the materialized factory instance otherwise."""
-        if not self.workload_kwargs:
-            return self.workload
-        from repro.workloads.base import make_workload
-
-        return make_workload(self.workload, **self.workload_kwargs)
-
     def run_key(self) -> str:
         """The content-addressed key of this spec — byte-identical to
-        the key the local sweep engine computes for the same point."""
+        the key the local sweep engine computes for the same point.
+        Keyed from the factory spec: no dataset is generated."""
         schedule = self.fault_schedule()
         extra = {"faults": schedule} if schedule else None
         try:
-            return run_key(self.design, self.workload_for_key(),
-                           self.resolved_config(), extra=extra)
+            return run_key(self.design, self.workload,
+                           self.resolved_config(), extra=extra,
+                           workload_kwargs=self.workload_kwargs)
         except UncacheableError as exc:
             raise SpecError(f"spec is uncacheable: {exc}")

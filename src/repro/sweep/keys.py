@@ -7,7 +7,8 @@ the outcome of one simulation:
   its canonical serialization),
 * the design string ("B", "Sm", ..., "O"),
 * the workload identity — either its factory spec (name + explicit
-  keyword arguments) when it was built through
+  keyword arguments), given directly as a name plus kwargs or recorded
+  on an instance built through
   :func:`repro.workloads.base.make_workload`, or a structural hash of
   the instance's public attributes (datasets included) otherwise,
 * a simulator version salt (:data:`SIMULATOR_VERSION`).
@@ -105,17 +106,25 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def workload_token(workload: Union[str, Any]) -> Dict[str, Any]:
+def workload_token(
+    workload: Union[str, Any],
+    kwargs: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
     """The workload part of a run key.
 
-    A bare name keys the default factory product; an instance built by
-    :func:`~repro.workloads.base.make_workload` keys its factory spec
-    (so the instance and the equivalent name+kwargs call share cache
-    entries); any other instance is keyed structurally — its public
-    attributes, datasets and all, are hashed.
+    A name plus factory ``kwargs`` keys the factory spec without
+    building anything (no kwargs: the default factory product); an
+    instance built by :func:`~repro.workloads.base.make_workload` keys
+    the spec it recorded, so the instance and the equivalent
+    name+kwargs call share cache entries; any other instance is keyed
+    structurally — its public attributes, datasets and all, are hashed.
+    ``kwargs`` only qualify a name: an instance already carries them.
     """
     if isinstance(workload, str):
-        return {"factory": workload, "kwargs": {}}
+        return {"factory": workload, "kwargs": canonicalize(kwargs or {})}
+    if kwargs:
+        raise TypeError("workload kwargs qualify a workload name, "
+                        f"not a {type(workload).__name__} instance")
     spec = getattr(workload, "_factory_spec", None)
     if spec is not None:
         name, kwargs = spec
@@ -134,8 +143,15 @@ def run_key(
     workload: Union[str, Any],
     config: SystemConfig,
     extra: Optional[Dict[str, Any]] = None,
+    workload_kwargs: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The content-addressed key of one (design, workload, config) run.
+
+    ``workload`` is a factory name (qualified by ``workload_kwargs``)
+    or an instance — see :func:`workload_token`; a name and the
+    :func:`~repro.workloads.base.make_workload` product of the same
+    spec get byte-identical keys, so keying a name never needs the
+    dataset.
 
     Raises :class:`UncacheableError` when the workload cannot be
     identified deterministically (e.g. it holds a non-hashable custom
@@ -145,7 +161,7 @@ def run_key(
         "schema": KEY_SCHEMA,
         "sim": SIMULATOR_VERSION,
         "design": design,
-        "workload": workload_token(workload),
+        "workload": workload_token(workload, workload_kwargs),
         "config": config.canonical_dict(),
         "extra": canonicalize(extra) if extra else None,
     }

@@ -14,11 +14,12 @@ Three layers, each usable on its own:
   are bit-identical to the serial path (every simulation is seeded and
   independent).
 
-Workers re-materialize workloads from their factory spec when
-available (cheap, deterministic) and receive pickled instances
-otherwise; results travel back as the JSON dicts of
-:mod:`repro.sweep.serialize`, the exact representation the cache
-stores.
+Run keys of named points come from the factory spec (name + kwargs)
+alone, so resolving cache hits never generates a dataset.  Workers
+re-materialize workloads from their factory spec when available
+(deterministic) and receive pickled instances otherwise; results
+travel back as the JSON dicts of :mod:`repro.sweep.serialize`, the
+exact representation the cache stores.
 """
 
 from __future__ import annotations
@@ -82,18 +83,22 @@ def _point_key(
     design: str, workload, config: SystemConfig,
     cache: Optional[ResultCache],
     fault_schedule=None,
+    workload_kwargs: Optional[Dict[str, Any]] = None,
 ) -> Optional[str]:
     """Run key for one point, or None when uncacheable.
 
-    A non-empty fault schedule joins the key through the generic
-    ``extra`` payload; fault-free points keep the exact key they had
-    before the fault subsystem existed.
+    A workload name is keyed with its factory kwargs, straight from
+    the spec — no dataset is generated to name it.  A non-empty fault
+    schedule joins the key through the generic ``extra`` payload;
+    fault-free points keep the exact key they had before the fault
+    subsystem existed.
     """
     if cache is None:
         return None
     extra = {"faults": fault_schedule} if fault_schedule else None
     try:
-        return run_key(design, workload, config, extra=extra)
+        return run_key(design, workload, config, extra=extra,
+                       workload_kwargs=workload_kwargs)
     except UncacheableError:
         cache.stats.uncacheable += 1
         return None
@@ -111,8 +116,10 @@ def cached_simulate(
     """Simulate one point through the result cache.
 
     Same contract as :func:`repro.simulate.simulate`; on a cache hit
-    the stored result is returned without building a machine.  Pass
-    ``cache=False`` (or set ``REPRO_NO_CACHE``) to force a live run.
+    the stored result is returned without building a machine — or a
+    dataset: a name plus ``workload_kwargs`` is keyed from the factory
+    spec and materialized only on a miss.  Pass ``cache=False`` (or
+    set ``REPRO_NO_CACHE``) to force a live run.
 
     A live :class:`~repro.telemetry.Telemetry` forces a live run (the
     cache stores aggregates, not timelines) but still feeds the cache:
@@ -128,13 +135,14 @@ def cached_simulate(
     """
     if config is None:
         config = experiment_config()
-    if workload_kwargs and isinstance(workload, str):
-        workload = make_workload(workload, **workload_kwargs)
+    if not isinstance(workload, str):
+        workload_kwargs = {}  # kwargs qualify names, not instances
     live_tel = telemetry if telemetry is not None and telemetry.enabled \
         else None
     store = resolve_cache(cache)
     key = _point_key(design, workload, config, store,
-                     fault_schedule=fault_schedule)
+                     fault_schedule=fault_schedule,
+                     workload_kwargs=workload_kwargs)
     if key is not None and live_tel is None:
         t0 = time.perf_counter()
         hit = store.load(key)
@@ -142,6 +150,8 @@ def cached_simulate(
             _record_history(hit, workload, config, key,
                             time.perf_counter() - t0)
             return hit
+    if workload_kwargs:
+        workload = make_workload(workload, **workload_kwargs)
     if live_tel is not None or fault_schedule:
         result = _live_simulate(design, workload, config, telemetry=live_tel,
                                 fault_schedule=fault_schedule)
@@ -188,6 +198,17 @@ class SweepPoint:
         if isinstance(self.workload, str):
             return make_workload(self.workload, **self.workload_kwargs)
         return self.workload
+
+    def key(self, cache: Optional[ResultCache]) -> Optional[str]:
+        """This point's run key (None without a cache or when the
+        workload is uncacheable) — from the spec for a named workload:
+        its kwargs are part of the key, and nothing is materialized."""
+        kwargs = self.workload_kwargs if isinstance(self.workload, str) \
+            else None
+        return _point_key(self.design, self.workload,
+                          self.resolved_config(), cache,
+                          fault_schedule=self.fault_schedule,
+                          workload_kwargs=kwargs)
 
 
 @dataclass
@@ -394,10 +415,7 @@ class SweepRunner:
         pending: List[int] = []
         done = 0
         for i, (point, outcome) in enumerate(zip(points, outcomes)):
-            outcome.key = _point_key(
-                point.design, point.workload, point.resolved_config(),
-                self.cache, fault_schedule=point.fault_schedule,
-            )
+            outcome.key = point.key(self.cache)
             t0 = time.time()
             hit = self.cache.load(outcome.key) if outcome.key else None
             if hit is not None:

@@ -52,12 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sweep.keys import (
-    UncacheableError,
-    canonicalize,
-    stable_hash,
-    workload_token,
-)
+from repro.sweep.keys import UncacheableError, stable_hash, workload_token
 from repro.workloads.base import make_workload
 
 #: name prefix of every shared-memory segment this runtime creates;
@@ -191,8 +186,7 @@ class ProcessMemos:
     def workload_from_factory(self, name: str, kwargs: Dict[str, Any]):
         """A materialized workload for a factory spec, memoized."""
         try:
-            token = stable_hash({"factory": name,
-                                 "kwargs": canonicalize(kwargs)})
+            token = stable_hash(workload_token(name, kwargs))
         except UncacheableError:
             self.stats.workload_misses += 1
             return make_workload(name, **kwargs)
@@ -632,11 +626,7 @@ class WorkerRuntime:
         else:
             base = ("object", point.workload)
         try:
-            if base[0] == "factory":
-                token_src: Any = {"factory": base[1], "kwargs": base[2]}
-            else:
-                token_src = workload_token(point.workload)
-            token = stable_hash(token_src)
+            token = stable_hash(workload_token(*base[1:]))
         except UncacheableError:
             return base
         desc = self.store.descriptor(token)

@@ -1,6 +1,8 @@
 """Shared fixtures: small machines and datasets that keep tests fast."""
 
+import collections
 import dataclasses
+import functools
 
 import pytest
 
@@ -33,3 +35,41 @@ def tiny_cacheless_config() -> SystemConfig:
     return cfg.with_(
         cache=dataclasses.replace(cfg.cache, style=CacheStyle.NONE)
     ).validate()
+
+
+def _wrap_factories(monkeypatch, make_wrapper):
+    import repro  # noqa: F401  (registers every workload)
+    from repro.workloads.base import WORKLOAD_FACTORIES
+
+    for name, factory in list(WORKLOAD_FACTORIES.items()):
+        # functools.wraps keeps the signature spec validation binds to
+        monkeypatch.setitem(WORKLOAD_FACTORIES, name, functools.wraps(
+            factory)(make_wrapper(name, factory)))
+
+
+@pytest.fixture
+def factory_calls(monkeypatch):
+    """Counts every workload-factory call (dataset generation) in this
+    process, as ``{name: calls}``."""
+    calls = collections.Counter()
+
+    def counting(name, factory):
+        def call(**kwargs):
+            calls[name] += 1
+            return factory(**kwargs)
+        return call
+
+    _wrap_factories(monkeypatch, counting)
+    return calls
+
+
+@pytest.fixture
+def no_factories(monkeypatch):
+    """Every workload factory raises: the code under test must never
+    generate a dataset."""
+    def raising(name, factory):
+        def call(**kwargs):
+            raise AssertionError(f"workload factory {name!r} called")
+        return call
+
+    _wrap_factories(monkeypatch, raising)

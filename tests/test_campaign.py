@@ -182,6 +182,15 @@ class TestValidationMessages:
                                     "axes": {"design": ["B"]},
                                     "matrix": {"design": ["O"]}})
 
+    def test_unbindable_workload_kwargs_fail_expansion(self):
+        campaign = CampaignSpec.from_dict(
+            {"name": "t", "base": {"workload": "pr",
+                                   "workload_kwargs": {"bogus": 1}},
+             "axes": {"design": ["B"]}})
+        with pytest.raises(SpecError, match=r"point 'B/pr': "
+                           r"workload_kwargs for 'pr': .*'bogus'"):
+            campaign.expand()
+
     def test_spec_error_is_one_class(self):
         # service.spec re-exports the resolver's class: isinstance
         # checks hold across both import paths.
@@ -368,6 +377,31 @@ class TestKeyParity:
             ours = campaign_cache.path_for(outcome.key).read_bytes()
             theirs = sweep_cache.path_for(outcome.key).read_bytes()
             assert ours == theirs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_dataset_is_generated_once(self, tmp_path, monkeypatch,
+                                            factory_calls, jobs):
+        """A seeded campaign keys its points without generating, and
+        builds each distinct dataset once in the parent: 2 workloads x
+        2 seeds x 2 designs = 8 points, 4 datasets."""
+        import repro.sweep.runtime as runtime_mod
+
+        monkeypatch.setattr(runtime_mod, "_MEMOS", None)  # cold memos
+        campaign = CampaignSpec.from_dict({
+            "name": "seeded", "base": {"mesh": "2x2"},
+            "axes": {"workload": ["kmeans", "knn"],
+                     "workload_kwargs": [{"num_points": 64, "seed": 1},
+                                         {"num_points": 64, "seed": 2}],
+                     "design": ["B", "O"]}})
+        expansion = campaign.expand()
+        assert len(expansion.points) == 8
+        report = run_campaign(campaign, expansion, jobs=jobs,
+                              cache=ResultCache(root=tmp_path / "c"))
+        assert not report.failures
+        assert {o.source for o in report.outcomes} == {"run"}
+        assert factory_calls == {"kmeans": 2, "knn": 2}
+        assert [o.key for o in report.outcomes] \
+            == [p.spec.run_key() for p in expansion.points]
 
     def test_warm_rerun_is_all_cache_hits(self, tmp_path):
         campaign = load_campaign(CAMPAIGNS / "smoke.json")

@@ -357,6 +357,26 @@ class TestServer:
         assert err.value.status == 400
         assert "unknown design" in str(err.value)
 
+    def test_submit_rejects_unbindable_workload_kwargs_as_400(self, stub):
+        with pytest.raises(ServiceError) as err:
+            stub.client.submit({"design": "O", "workload": "pr",
+                                "workload_kwargs": {"bogus": 1}})
+        assert err.value.status == 400
+        assert "unexpected keyword argument 'bogus'" in str(err.value)
+        assert stub.calls == []
+
+    def test_cached_intake_generates_no_dataset(self, stub, no_factories):
+        """Intake keys a spec from its factory spec: a seeded submit
+        served from the cache calls no workload factory."""
+        spec = {"design": "O", "workload": "knn", "mesh": "2x2",
+                "workload_kwargs": {"seed": 7}}
+        key = ExperimentSpec.from_dict(spec).run_key()
+        ResultCache(root=stub.cache_root).store(
+            key, _fake_result(design="O", workload="knn"))
+        answer = stub.client.submit(spec, wait=True)
+        assert (answer["status"], answer["key"]) == ("cached", key)
+        assert stub.calls == []
+
     def test_history_and_regress_endpoints(self, stub):
         ledger = HistoryLedger(path=stub.cache_root / "history.jsonl")
         for i in range(5):

@@ -24,8 +24,10 @@ from repro.sweep import (
     result_from_dict,
     result_to_dict,
     run_key,
+    run_point,
 )
 from repro.sweep import runner as runner_mod
+from repro.workloads.base import make_workload
 from repro.workloads.pagerank import PageRankWorkload
 
 
@@ -110,6 +112,96 @@ class TestRunKeys:
         d = cfg.canonical_dict()
         assert d["cache"]["style"] == "traveller"
         assert d["topology"]["mesh_rows"] == 4
+
+
+class TestKeysFromSpec:
+    """Run keys of named workloads come from (name, kwargs) alone:
+    byte-identical to the keys of the materialized instances, and
+    computed without generating any dataset."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"seed": 7}])
+    @pytest.mark.parametrize("workload", repro.ALL_WORKLOADS)
+    def test_key_parity_across_entry_points(self, tmp_path, monkeypatch,
+                                            workload, kwargs):
+        """Server spec, campaign sweep point and cached_simulate all
+        key a (name, kwargs) point exactly as the instance
+        ``make_workload`` builds for it."""
+        from repro.service.spec import ExperimentSpec
+
+        cfg = experiment_config().scaled(2, 2).validate()
+        expected = run_key("O", make_workload(workload, **kwargs), cfg)
+        spec = ExperimentSpec.from_dict({
+            "design": "O", "workload": workload, "mesh": "2x2",
+            "workload_kwargs": kwargs})
+        assert spec.run_key() == expected
+        assert run_key("O", workload, cfg, workload_kwargs=kwargs) \
+            == expected
+
+        def no_live_run(*args, **kw):
+            raise AssertionError("the stored entry should have hit")
+
+        monkeypatch.setattr(runner_mod, "_live_simulate", no_live_run)
+        cache = ResultCache(root=tmp_path)
+        cache.store(expected, fake_result(design="O", workload=workload))
+        hit = cached_simulate("O", workload, cfg, cache=cache, **kwargs)
+        assert hit.workload == workload
+        point = SweepPoint("O", workload, cfg, workload_kwargs=kwargs)
+        outcome = SweepRunner(cache=cache, jobs=1).run([point]).outcomes[0]
+        assert (outcome.source, outcome.key) == ("cache", expected)
+        assert cache.stats.hits == 2
+
+    def test_keys_generate_no_dataset(self, no_factories):
+        cfg = experiment_config()
+        for workload in repro.ALL_WORKLOADS:
+            run_key("O", workload, cfg, workload_kwargs={"seed": 7})
+            SweepPoint("O", workload, cfg,
+                       workload_kwargs={"seed": 7}).key(ResultCache())
+
+    def test_kwargs_qualify_names_not_instances(self):
+        wl = make_workload("kmeans", num_points=64, iterations=1)
+        with pytest.raises(TypeError, match="qualify a workload name"):
+            run_key("B", wl, experiment_config(),
+                    workload_kwargs={"seed": 3})
+
+    def test_seeded_point_never_hits_the_default_entry(
+            self, tmp_path, monkeypatch):
+        """Regression: a named point with factory kwargs used to get
+        the key of the bare default dataset, so after the default ran
+        the seeded point was served the default's result."""
+        ran = []
+
+        def counting(design, workload, config):
+            ran.append(workload._factory_spec)
+            return fake_result(design=design, workload="knn",
+                               makespan=100.0 * len(ran))
+
+        monkeypatch.setattr(runner_mod, "_live_simulate", counting)
+        cache = ResultCache(root=tmp_path)
+        cfg = experiment_config()
+        bare = run_point("B", "knn", cfg, cache=cache)
+        seeded = run_point("B", "knn", cfg, cache=cache, seed=3)
+        assert (bare.source, seeded.source) == ("run", "run")
+        assert seeded.key != bare.key
+        assert seeded.key == run_key(
+            "B", make_workload("knn", seed=3), cfg)
+        point = SweepPoint("B", "knn", cfg, workload_kwargs={"seed": 3})
+        again = SweepRunner(cache=cache, jobs=1).run([point]).outcomes[0]
+        assert (again.source, again.key) == ("cache", seeded.key)
+        assert again.result.makespan_cycles == 200.0
+        assert ran == [("knn", {}), ("knn", {"seed": 3})]
+
+    def test_cached_simulate_generates_only_on_a_miss(
+            self, tmp_path, monkeypatch, factory_calls):
+        monkeypatch.setattr(runner_mod, "_live_simulate",
+                            lambda d, w, c: fake_result(design=d))
+        cache = ResultCache(root=tmp_path)
+        cfg = experiment_config()
+        kwargs = {"num_points": 128, "iterations": 1}
+        cached_simulate("B", "kmeans", cfg, cache=cache, **kwargs)
+        assert factory_calls == {"kmeans": 1}
+        cached_simulate("B", "kmeans", cfg, cache=cache, **kwargs)
+        assert factory_calls == {"kmeans": 1}  # the hit built nothing
+        assert cache.stats.hits == 1
 
 
 class TestResultSerialization:
