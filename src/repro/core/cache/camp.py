@@ -65,6 +65,9 @@ _SKEWED_MULTIPLIERS = (
 #: across designs) can never alias a new mapper.
 _mapper_tokens = itertools.count()
 
+#: most cost elements one :meth:`CampMapper.prime_lines` pass gathers.
+_PRIME_ELEMENTS = 1 << 20
+
 
 class CampMapper:
     """Deterministic line -> {camp unit} mapping for every group."""
@@ -269,6 +272,17 @@ class CampMapper:
             for ln in missing:
                 self._nearest_tables(ln, cost_matrix)
             return
+        # Slices of a few thousand lines bound the (groups, lines,
+        # units) temporaries; the tables do not depend on the slicing.
+        step = max(1, _PRIME_ELEMENTS // (self.num_groups
+                                          * cost_matrix.shape[0]))
+        for start in range(0, len(missing), step):
+            self._prime_missing(missing[start:start + step], cost_matrix)
+
+    def _prime_missing(self, missing: List[int],
+                       cost_matrix: np.ndarray) -> None:
+        """Compute and memoize the tables of not-yet-memoized lines."""
+        cache = self._nearest_cache
         arr = np.asarray(missing, dtype=np.int64)
         batch = arr.size
         homes = self.memory_map.homes_of_lines(arr)
@@ -280,26 +294,31 @@ class CampMapper:
             h = (u64 * np.uint64(self._multipliers[g])) >> np.uint64(48)
             locs[:, g] = g * upg + (h % np.uint64(upg)).astype(np.int64)
         # The home's group contributes the home itself, not a camp.
-        rows = np.arange(batch)
-        locs[rows, home_groups] = homes
-        costs = cost_matrix[:, locs]                     # (N, B, G)
-        idx = np.argmin(costs, axis=2)                   # (N, B)
-        nearest = locs[rows[None, :], idx]               # (N, B)
-        dist = np.take_along_axis(
-            costs, idx[:, :, None], axis=2
-        )[:, :, 0]                                       # (N, B)
+        locs[np.arange(batch), home_groups] = homes
+        locs.flags.writeable = False
+        # costs[g, b, u] = cost_matrix[u, locs[b, g]]: one contiguous
+        # (line, requester) plane per group.  The first minimum over
+        # the few groups is unrolled (np.argmin's tie rule: only a
+        # strictly smaller cost moves the pick); argmin along a short
+        # axis would pay per-row overhead.  Gathering many lines is
+        # faster from a contiguous copy of the transpose.
+        by_unit = cost_matrix.T
+        if batch >= 64:
+            by_unit = np.ascontiguousarray(by_unit)
+        costs = by_unit[locs.T]                          # (G, B, N)
+        dist = costs[0].copy()
+        nearest = np.repeat(locs[:, :1], dist.shape[1], axis=1)
+        for g in range(1, self.num_groups):
+            better = costs[g] < dist
+            nearest = np.where(better, locs[:, g:g + 1], nearest)
+            np.minimum(dist, costs[g], out=dist)
+        is_home = nearest == homes[:, None]
         loc_cache = self._loc_cache
-        for b, ln in enumerate(missing):
+        for ln, loc, near, at_home, row in zip(
+                missing, locs, nearest, is_home, dist):
             if ln not in loc_cache:
-                row = locs[b].copy()
-                row.flags.writeable = False
-                loc_cache[ln] = row
-            near = np.ascontiguousarray(nearest[:, b])
-            cache[ln] = (
-                near,
-                near == int(homes[b]),
-                np.ascontiguousarray(dist[:, b]),
-            )
+                loc_cache[ln] = loc
+            cache[ln] = (near, at_home, row)
 
     # ------------------------------------------------------------------
     # metadata sizing (Section 4.3)

@@ -12,14 +12,26 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.arch.memory_map import MemoryMap
 from repro.core.cache.camp import CampMapper
-from repro.runtime.task import Task
+from repro.runtime.task import Task, TaskHint
 from repro.runtime.workload_exchange import WorkloadExchange
+
+
+#: most elements one batched gather materializes: larger batches are
+#: processed in slices, which bounds temporary memory, not results.
+GATHER_ELEMENTS = 1 << 18
+
+
+def gather_slices(count: int, per_item: int) -> Iterator[slice]:
+    """Slices of ``range(count)`` whose items, ``per_item`` elements
+    each, fit :data:`GATHER_ELEMENTS` (one item at least)."""
+    step = max(1, GATHER_ELEMENTS // max(1, per_item))
+    return (slice(i, i + step) for i in range(0, count, step))
 
 
 @dataclass
@@ -143,6 +155,142 @@ class SchedulerContext:
             * (1.0 - self.prefetch_hide_fraction)
         )
         return float(task.compute_cycles) + stall_cycles
+
+    def task_workloads(self, tasks: Sequence[Task],
+                       units: Sequence[int]) -> List[float]:
+        """:meth:`task_workload` of each (task, unit) pair, fast scoring.
+
+        Bit-identical to the per-task calls and sharing their memo.
+        With camps an estimate is one element of the hint's summed row,
+        so it is taken per task.  Home-based misses are bucketed by
+        hint line count, so every home-row sum is still one contiguous
+        length-L reduction (NumPy's pairwise summation depends on L);
+        the stall arithmetic then runs elementwise in the per-task
+        expression order.
+        """
+        if self.camp_mapper is not None:
+            task_workload = self.task_workload
+            return [task_workload(t, u) for t, u in zip(tasks, units)]
+        key = self.cost_epoch
+        out = [0.0] * len(tasks)
+        misses: Dict[int, List[int]] = {}
+        for i, (task, unit) in enumerate(zip(tasks, units)):
+            hint = task.hint
+            if hint.workload is not None:
+                out[i] = float(hint.workload)
+                continue
+            size = self.hint_lines(task).size
+            if size == 0:
+                out[i] = float(task.compute_cycles)
+                continue
+            cached = getattr(hint, "_wsum", None)
+            if cached is None or cached[0] != key:
+                hint._wsum = cached = (key, {})
+            stall_cycles = cached[1].get(unit)
+            if stall_cycles is None:
+                misses.setdefault(size, []).append(i)
+            else:
+                out[i] = float(task.compute_cycles) + stall_cycles
+        for size, idx in misses.items():
+            at = np.array([units[i] for i in idx], dtype=np.int64)
+            homes = np.array([self.hint_homes(tasks[i]) for i in idx])
+            access_ns = np.add.reduce(
+                self.cost_matrix[at[:, None], homes], axis=1
+            ) + self.dram_latency_ns * size
+            stalls = (
+                access_ns * self.frequency_ghz
+                * (1.0 - self.prefetch_hide_fraction)
+            )
+            for i, stall_cycles in zip(idx, stalls.tolist()):
+                task = tasks[i]
+                task.hint._wsum[1][units[i]] = stall_cycles
+                out[i] = float(task.compute_cycles) + stall_cycles
+        return out
+
+    def prepare_hints(self, tasks: Sequence[Task]) -> None:
+        """Memoize a batch's first-touch hint data in a few array passes.
+
+        Fills, for every hint the batch touches for the first time,
+        exactly what :meth:`hint_lines`, :meth:`hint_lines_list` and
+        :meth:`hint_homes` would memoize lazily (sorted distinct lines
+        per hint, as ``MemoryMap.unique_lines`` returns them), then
+        fills the camp tables of the batch in one ``prime_lines`` call
+        and the summed camp rows of :meth:`_camp_access_row`.  Pure
+        memo warming: every value is the one the lazy path computes.
+        """
+        fresh = {}
+        for task in tasks:
+            hint = task.hint
+            if getattr(hint, "_lines", None) is None:
+                fresh[id(hint)] = hint
+        if len(fresh) > 1:
+            self._first_touch(list(fresh.values()))
+        cm = self.camp_mapper
+        if cm is None:
+            return
+        key = (cm.token, cm.epoch)
+        stale: Dict[int, dict] = {}
+        for task in tasks:
+            hint = task.hint
+            cached = getattr(hint, "_crow", None)
+            if cached is None or cached[0] != key:
+                line_list = self.hint_lines_list(task)
+                if line_list:
+                    stale.setdefault(len(line_list), {})[id(hint)] = (
+                        hint, line_list
+                    )
+        if not stale:
+            return
+        lines = set()
+        for bucket in stale.values():
+            for _, line_list in bucket.values():
+                lines.update(line_list)
+        cm.prime_lines(lines, self.cost_matrix)
+        tables = cm._nearest_cache
+        n = self.num_units
+        for size, bucket in stale.items():
+            entries = list(bucket.values())
+            for part in gather_slices(len(entries), size * n):
+                group = entries[part]
+                stacked = np.array([
+                    tables[ln][2] for _, line_list in group
+                    for ln in line_list
+                ]).reshape(len(group), size, n)
+                # Reducing the middle axis accumulates line by line, the
+                # same elementwise order as the per-hint (L, N) reduction.
+                rows = np.add.reduce(stacked, axis=1)
+                for (hint, _), row in zip(group, rows):
+                    hint._crow = (key, row)
+
+    def _first_touch(self, hints: List[TaskHint]) -> None:
+        """Distinct sorted lines and their homes for many hints at once:
+        one sort over (hint, line) keys instead of one per hint."""
+        counts = [hint.addresses.size for hint in hints]
+        addrs = np.concatenate([hint.addresses for hint in hints])
+        lines = self.memory_map.lines(addrs)
+        if lines.size:
+            low = int(lines.min())
+            span = int(lines.max()) - low + 1
+            if span * len(hints) >= 1 << 62:
+                return  # keys would overflow; the lazy path copes
+            seg = np.repeat(np.arange(len(hints), dtype=np.int64), counts)
+            keys = np.sort(seg * span + (lines - low))
+            keep = np.empty(keys.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+            seg = keys // span
+            lines = keys - seg * span + low
+            counts = np.bincount(seg, minlength=len(hints)).tolist()
+        homes = self.memory_map.homes_of_lines(lines)
+        line_list = lines.tolist()
+        start = 0
+        for hint, count in zip(hints, counts):
+            end = start + count
+            hint._lines = lines[start:end]
+            hint._lines_list = line_list[start:end]
+            hint._homes = homes[start:end]
+            start = end
 
     def hint_lines(self, task: Task) -> np.ndarray:
         """Distinct cachelines named by the task's hint (memoized on
@@ -272,6 +420,10 @@ class Scheduler(abc.ABC):
     #: using the policy's own distance-aware cost estimates.
     uses_window_rescheduling: bool = False
 
+    #: placement decisions read the exchange snapshot, so a snapshot
+    #: refresh invalidates batched picks not yet booked.
+    reads_load_snapshot: bool = False
+
     #: short name stamped on telemetry decision records.
     policy_name: str = "scheduler"
 
@@ -286,6 +438,25 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def choose_unit(self, task: Task) -> int:
         """Return the unit id that should execute ``task``."""
+
+    def choose_units_batch(
+            self, tasks: Sequence[Task]) -> Optional[List[int]]:
+        """Units for a whole batch scored against one exchange snapshot.
+
+        Optional: a policy that can batch returns exactly
+        ``[self.choose_unit(t) for t in tasks]`` as long as the snapshot
+        does not change, bit for bit; it returns ``None`` whenever it
+        cannot batch (the scalar engine, an alive mask, telemetry
+        decision records), and the executor then places per task.
+        """
+        return None
+
+    def _can_batch(self) -> bool:
+        """Whether :meth:`choose_units_batch` may run: fast scoring on a
+        healthy machine with no decision records to emit."""
+        ctx = self.context
+        return (ctx.fast_scoring and ctx.alive_mask is None
+                and not self.telemetry.enabled)
 
     def _record_decision(self, task: Task, chosen: int,
                          cost_mem: float = 0.0, cost_load: float = 0.0,

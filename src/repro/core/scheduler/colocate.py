@@ -8,6 +8,8 @@ task's other accesses and to load imbalance.
 
 from __future__ import annotations
 
+from typing import List, Optional, Sequence
+
 from repro.core.scheduler.base import Scheduler
 from repro.runtime.task import Task
 
@@ -30,3 +32,16 @@ class ColocateScheduler(Scheduler):
         if self.telemetry.enabled:
             self._record_decision(task, unit)
         return unit
+
+    def choose_units_batch(
+            self, tasks: Sequence[Task]) -> Optional[List[int]]:
+        """The main elements' homes; hint-less tasks stay at their
+        spawner (every unit is alive whenever the batch path runs)."""
+        if not self._can_batch():
+            return None
+        home_unit = self.context.memory_map.home_unit
+        return [
+            home_unit(int(task.hint.addresses[0]))
+            if task.hint.addresses.size else task.spawner_unit
+            for task in tasks
+        ]

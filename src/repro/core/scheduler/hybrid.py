@@ -21,6 +21,8 @@ For a task ``t`` every unit ``u`` is scored
 
 from __future__ import annotations
 
+from typing import List, Optional, Sequence
+
 import numpy as np
 
 from repro.core.scheduler.base import Scheduler
@@ -43,6 +45,8 @@ class HybridScheduler(Scheduler):
     """
 
     policy_name = "hybrid"
+
+    reads_load_snapshot = True
 
     @property
     def uses_window_rescheduling(self):
@@ -122,83 +126,49 @@ class HybridScheduler(Scheduler):
         ctx = self.context
         mem = ctx.mem_cost_vector(task, use_camps=self.use_camps)
         if ctx.fast_scoring:
-            # B * cost_load is the same product for every task between
-            # exchanges; cache it beside the load vector.
-            cached = self._wload_cache
-            if cached is None or cached[0] != ctx.exchange.generation:
-                wload = ctx.hybrid_weight * self.load_cost_vector(
-                    task.spawner_unit
-                )
-                self._wload_cache = cached = (
-                    ctx.exchange.generation, wload
-                )
-            return mem + cached[1]
+            return mem + self._weighted_load(task.spawner_unit)
         load = self.load_cost_vector(task.spawner_unit)
         return mem + ctx.hybrid_weight * load
 
-    def choose_units_batch(self, tasks) -> "np.ndarray | None":
-        """Place a batch of tasks at once (vector engine's bulk path).
-
-        Scores every task against the *same* exchange snapshot — the
-        per-task scoring between two exchange boundaries does exactly
-        that too, so batching only coarsens when a boundary falls
-        inside a batch (the caller chunks to keep that rare).  The
-        tie-break reproduces :meth:`_pick`: among scores within the
-        tolerance of the minimum, the unit closest to the spawner wins,
-        earlier unit id on equal distance.  Returns None when batching
-        is unavailable (telemetry decision records, fault state, or the
-        scalar engine's reference scoring).
-        """
-        ctx = self.context
-        if (
-            not ctx.fast_scoring
-            or ctx.alive_mask is not None
-            or self.telemetry.enabled
-        ):
-            return None
-        n = len(tasks)
-        scores = np.empty((n, ctx.num_units), dtype=np.float64)
-        # Under fast scoring the load snapshot (and hence B*cost_load)
-        # is the same vector for every task between exchanges, so the
-        # batch gathers only the per-task cost_mem rows and adds the
-        # load term once.  Row j of `scores` ends up elementwise
-        # mem[j] + wload[j] — the exact expression score_vector
-        # evaluates per task.
-        load = self.load_cost_vector(tasks[0].spawner_unit)
+    def _weighted_load(self, spawner_unit: int) -> np.ndarray:
+        """B * cost_load under fast scoring: the same product for every
+        task between exchanges, so it is cached beside the load vector."""
+        generation = self.context.exchange.generation
         cached = self._wload_cache
-        if cached is None or cached[0] != ctx.exchange.generation:
-            self._wload_cache = cached = (
-                ctx.exchange.generation, ctx.hybrid_weight * load
+        if cached is None or cached[0] != generation:
+            wload = self.context.hybrid_weight * self.load_cost_vector(
+                spawner_unit
             )
-        wload = cached[1]
+            self._wload_cache = cached = (generation, wload)
+        return cached[1]
+
+    def choose_units_batch(
+            self, tasks: Sequence[Task]) -> Optional[List[int]]:
+        """:meth:`choose_unit` for a batch, against the current snapshot.
+
+        Under fast scoring B * cost_load is one vector per exchange
+        generation, so the batch stacks the tasks' memoized cost_mem
+        rows (zeros for hint-less tasks) and adds the load term once:
+        row j is the very sum :meth:`score_vector` forms for task j.
+        The tie-break reproduces :meth:`_pick`: among scores within the
+        tolerance of the minimum, the unit closest to the spawner wins,
+        lower unit id on equal distance.
+        """
+        if not self._can_batch():
+            return None
+        ctx = self.context
         mem_cost_vector = ctx.mem_cost_vector
-        use_camps = self.use_camps
-        cm = ctx.camp_mapper
-        if use_camps and cm is not None:
-            memo_attr, memo_key = "_cmean", (cm.token, cm.epoch)
-        else:
-            memo_attr, memo_key = "_hmean", ctx.cost_epoch
-        for i, task in enumerate(tasks):
-            hint = task.hint
-            if hint.num_addresses == 0:
-                # No data preference: cost_mem is identically zero.
-                scores[i] = 0.0
-                continue
-            row = getattr(hint, memo_attr, None)
-            if row is not None and row[0] == memo_key:
-                scores[i] = row[1]
-            else:
-                scores[i] = mem_cost_vector(task, use_camps=use_camps)
-        scores += wload
+        scores = np.array([mem_cost_vector(t, use_camps=self.use_camps)
+                           for t in tasks])
+        scores += self._weighted_load(tasks[0].spawner_unit)
         best = scores.min(axis=1)
         near = scores <= (best + self.tie_tolerance_ns)[:, None]
         spawners = np.fromiter(
-            (t.spawner_unit for t in tasks), dtype=np.int64, count=n
+            (t.spawner_unit for t in tasks), dtype=np.int64,
+            count=len(tasks),
         )
-        from_spawner = np.where(
-            near, ctx.cost_matrix[spawners], np.inf
-        )
-        return np.argmin(from_spawner, axis=1)
+        from_spawner = np.where(near, ctx.cost_matrix[spawners], np.inf)
+        return np.argmin(from_spawner, axis=1).tolist()
 
     def choose_unit(self, task: Task) -> int:
         ctx = self.context

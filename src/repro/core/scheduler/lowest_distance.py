@@ -25,9 +25,11 @@ most of the machine's tasks on the central stacks.
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional, Sequence
+
 import numpy as np
 
-from repro.core.scheduler.base import Scheduler
+from repro.core.scheduler.base import Scheduler, gather_slices
 from repro.runtime.task import Task
 
 
@@ -117,3 +119,71 @@ class LowestDistanceScheduler(Scheduler):
         if self.telemetry.enabled:
             self._record_decision(task, unit, cost_mem=cost, score=cost)
         return unit
+
+    def choose_units_batch(
+            self, tasks: Sequence[Task]) -> Optional[List[int]]:
+        """:meth:`choose_unit`'s fast-scoring decision for a batch:
+        hints without a valid ``_ldpick`` memo are decided together,
+        one line-count bucket at a time (:meth:`_decide`)."""
+        if not self._can_batch():
+            return None
+        ctx = self.context
+        epoch = ctx.cost_epoch
+        out: List[int] = []
+        misses: Dict[int, Dict[int, tuple]] = {}
+        for i, task in enumerate(tasks):
+            hint = task.hint
+            if hint.addresses.size == 0:
+                out.append(task.spawner_unit)
+                continue
+            cached = getattr(hint, "_ldpick", None)
+            if cached is not None and cached[0] == epoch:
+                out.append(cached[1])
+                continue
+            out.append(-1)
+            homes = ctx.hint_homes(task)
+            misses.setdefault(homes.size, {}).setdefault(
+                id(hint), (hint, homes, []))[2].append(i)
+        for size, bucket in misses.items():
+            entries = list(bucket.values())
+            cands = [sorted(set(homes.tolist())) for _, homes, _ in entries]
+            width = max(len(c) for c in cands)
+            for part in gather_slices(len(entries), width * size):
+                self._decide(entries[part], cands[part], width, out)
+        return out
+
+    def _decide(self, entries: list, cands: list, width: int,
+                out: List[int]) -> None:
+        """Decide hints of one line count; fill ``out`` and the memos.
+
+        Each hint's candidate list is padded with its first candidate
+        (a repeat changes neither the minimum nor the tie rule), and
+        every candidate's mean is the same contiguous length-L
+        reduction the per-hint path computes.  The tie rule is the
+        per-hint one: the main element's home when within the
+        tolerance, else the lowest-id candidate at the minimum.
+        """
+        ctx = self.context
+        size = entries[0][1].size
+        homes = np.array([homes for _, homes, _ in entries])
+        cands = np.array([c + c[:1] * (width - len(c)) for c in cands])
+        dists = np.add.reduce(
+            ctx.cost_matrix[cands[:, :, None], homes[:, None, :]], axis=2
+        ) / size
+        best = dists.min(axis=1)
+        home_unit = ctx.memory_map.home_unit
+        main = np.array([home_unit(int(hint.addresses[0]))
+                         for hint, _, _ in entries])
+        main_cost = np.where(
+            cands == main[:, None], dists, np.inf
+        ).min(axis=1)
+        first_best = np.where(
+            dists == best[:, None], cands, ctx.num_units
+        ).min(axis=1)
+        stay = main_cost <= best + self.tie_tolerance_ns
+        units = np.where(stay, main, first_best).tolist()
+        costs = np.where(stay, main_cost, best).tolist()
+        for (hint, _, positions), unit, cost in zip(entries, units, costs):
+            hint._ldpick = (ctx.cost_epoch, unit, cost)
+            for i in positions:
+                out[i] = unit

@@ -41,6 +41,16 @@ from repro.runtime.task import Task, TaskContext
 from repro.runtime.workload_exchange import WorkloadExchange
 
 
+#: smaller batches are placed per task: below about this size the
+#: batch path's fixed NumPy overhead outweighs what it saves per task.
+MIN_BATCH = 8
+
+#: most tasks a clock-advancing batch places ahead of booking: a
+#: snapshot refresh discards the unbooked picks, so the bound keeps the
+#: re-scoring linear in the batch size however often refreshes land.
+PLACEMENT_CHUNK = 64
+
+
 def _interleave_by_spawner(tasks: Sequence[Task]) -> List[Task]:
     """Round-robin the tasks across their spawner units."""
     by_spawner: Dict[int, List[Task]] = {}
@@ -147,15 +157,7 @@ class BulkSyncExecutor:
         # spawners rather than walking them one after another (a
         # sequential walk would make already-booked units look loaded
         # and push their remaining tasks away).
-        # Under the vector engine, placement also goes through the
-        # batch path (falls back to per-task placement whenever the
-        # policy cannot batch).
-        schedule = (
-            self._schedule_tasks_bulk
-            if self.memory_system.vector_engine is not None
-            else self._schedule_tasks
-        )
-        clock = schedule(
+        clock = self._schedule_tasks(
             _interleave_by_spawner(root_tasks), pending, 0.0,
             advance_clock=True,
         )
@@ -212,7 +214,7 @@ class BulkSyncExecutor:
                 # aggregated during the phase).
                 new_tasks = on_barrier(ts, state)
                 if new_tasks:
-                    clock = schedule(
+                    clock = self._schedule_tasks(
                         _interleave_by_spawner(new_tasks), pending, clock,
                         advance_clock=True,
                     )
@@ -238,83 +240,67 @@ class BulkSyncExecutor:
         system-wide service time of the work just placed so exchange
         boundaries fire at a realistic cadence.  Tasks scheduled at
         spawn time use the execution clock of their spawning task.
+
+        Placement runs in batches.  A decision depends only on the
+        hint, the spawner, the cost matrix, the camp tables and the
+        exchange snapshot, and the snapshot changes only when
+        ``advance`` refreshes it: never during a spawn batch, and in a
+        clock-advancing batch only between two booked tasks.  So a
+        batch of at least :data:`MIN_BATCH` tasks is placed by one
+        ``choose_units_batch`` call, except that a policy reading the
+        snapshot places a clock-advancing batch
+        :data:`PLACEMENT_CHUNK` tasks at a time, and a booking that
+        refreshes the snapshot drops the unbooked picks to be scored
+        again.  Booking stays per task and in input order (W counters
+        clamp at zero and float sums depend on order), so every result
+        is bit-identical to the per-task loop, which runs whenever the
+        policy cannot batch.
         """
-        ctx = self.scheduler.context
+        scheduler = self.scheduler
+        ctx = scheduler.context
         if self.telemetry.enabled:
             # Stamp decision records with the clock of this batch.
             self.telemetry.now_ns = self.telemetry.cycles_to_ns(clock)
-        for task in tasks:
-            unit = self.scheduler.choose_unit(task)
+        exchange = self.exchange
+        throughput = self._throughput
+        n = len(tasks)
+        i = 0
+        if n >= MIN_BATCH and ctx.fast_scoring:
+            ctx.prepare_hints(tasks)
+            rescore = advance_clock and scheduler.reads_load_snapshot
+            step = PLACEMENT_CHUNK if rescore else n
+            interval = exchange.interval_cycles
+            while i < n:
+                chunk = tasks[i:i + step]
+                units = scheduler.choose_units_batch(chunk)
+                if units is None:
+                    break
+                workloads = ctx.task_workloads(chunk, units)
+                for task, unit, workload in zip(chunk, units, workloads):
+                    i += 1
+                    task.assigned_unit = unit
+                    task.booked_workload = workload
+                    exchange.on_enqueue(unit, workload)
+                    pending.setdefault(task.timestamp, []).append(task)
+                    if advance_clock:
+                        clock += workload / throughput
+                        # advance()'s own boundary test, hoisted.
+                        if clock - exchange._last_exchange >= interval:
+                            exchange.advance(clock)
+                            if rescore:
+                                break
+        # Per task: small batches, policies that cannot batch, and the
+        # scalar engine's reference placement.
+        for task in tasks[i:]:
+            unit = scheduler.choose_unit(task)
             task.assigned_unit = unit
             workload = ctx.task_workload(task, unit)
             task.booked_workload = workload
-            self.exchange.on_enqueue(unit, workload)
+            exchange.on_enqueue(unit, workload)
             pending.setdefault(task.timestamp, []).append(task)
             if advance_clock:
-                clock += workload / self._throughput
-                self.exchange.advance(clock)
-        return clock
-
-    def _schedule_tasks_bulk(
-        self,
-        tasks: Sequence[Task],
-        pending: Dict[int, List[Task]],
-        clock: float,
-        advance_clock: bool = False,
-    ) -> float:
-        """Batch variant of :meth:`_schedule_tasks` (vector engine).
-
-        Asks the policy to place a whole chunk of tasks at once via
-        ``choose_units_batch``; policies without a batch path (or that
-        temporarily cannot batch — telemetry, fault state) fall back to
-        the per-task loop.  Exchange boundaries are checked once per
-        chunk rather than once per task, so snapshot refreshes land at
-        a slightly coarser cadence — a statistical-tier difference.
-        """
-        ctx = self.scheduler.context
-        if tasks and ctx.camp_mapper is not None and ctx.fast_scoring:
-            # Warm the camp mapper's per-line tables for the whole
-            # batch in one vectorized fill.  prime_lines writes the
-            # same memo dicts the per-task path fills lazily, so this
-            # is pure cache warming — every downstream decision and
-            # float is unchanged on every tier.
-            lines = set()
-            for task in tasks:
-                lines.update(ctx.hint_lines_list(task))
-            ctx.camp_mapper.prime_lines(lines, ctx.cost_matrix)
-        chooser = getattr(self.scheduler, "choose_units_batch", None)
-        if chooser is None or not tasks:
-            return self._schedule_tasks(tasks, pending, clock,
-                                        advance_clock)
-        task_workload = ctx.task_workload
-        on_enqueue = self.exchange.on_enqueue
-        throughput = self._throughput
-        # Root batches advance the clock as they book; chunking keeps
-        # the stale-snapshot feedback loop (later tasks see the load
-        # the earlier ones booked) at near the per-task resolution.
-        step = 32 if advance_clock else len(tasks)
-        i = 0
-        n = len(tasks)
-        while i < n:
-            sub = tasks[i:i + step]
-            picks = chooser(sub)
-            if picks is None:
-                return self._schedule_tasks(tasks[i:], pending, clock,
-                                            advance_clock)
-            exchange = self.exchange
-            advance = exchange.advance
-            interval = exchange.interval_cycles
-            for task, unit in zip(sub, picks.tolist()):
-                task.assigned_unit = unit
-                workload = task_workload(task, unit)
-                task.booked_workload = workload
-                on_enqueue(unit, workload)
-                pending.setdefault(task.timestamp, []).append(task)
-                if advance_clock:
-                    clock += workload / throughput
-                    if clock - exchange._last_exchange >= interval:
-                        advance(clock)
-            i += step
+                clock += workload / throughput
+                exchange.advance(clock)
         return clock
 
     def _reassign_stranded(self, pending: Dict[int, List[Task]],
@@ -654,7 +640,7 @@ class BulkSyncExecutor:
                     advance(global_now)
             spawned = tctx.drain_spawned()
             if spawned:
-                self._schedule_tasks_bulk(spawned, pending, global_now)
+                self._schedule_tasks(spawned, pending, global_now)
             i = j
 
         trace.tasks_executed += n

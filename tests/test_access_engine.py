@@ -6,8 +6,10 @@ probes and installs with their RNG draws, DRAM service clocks, float
 accumulations — runs in the exact per-line order of the scalar
 reference path.  These tests pin that contract: for the same seed the
 two engines must produce **bit-identical** RunResult JSON (makespans,
-latencies, hop counts, hit rates, energy) on every design, on multiple
-workloads, and under an injected fault schedule.
+latencies, hop counts, hit rates, energy) on every design, on every
+workload, and under an injected fault schedule.  The batched engine
+also places tasks in batches while the scalar one places them one by
+one, so the same tests pin batch placement to the per-task loop.
 """
 
 from __future__ import annotations
@@ -38,18 +40,30 @@ def base_config():
     return experiment_config().scaled(2, 2)
 
 
+#: every workload at a size small enough for all six designs under
+#: both engines.  Between them they drive each placement batch shape:
+#: root batches (all), spawn batches (bfs, sssp), barrier batches
+#: (astar), persistent per-vertex hints (pr) and long hints (knn).
+SMALL_WORKLOADS = {
+    "pr": dict(num_vertices=1024, iterations=2),
+    "knn": dict(num_points=1024),
+    "bfs": dict(num_vertices=512),
+    "sssp": dict(num_vertices=256, max_rounds=6),
+    "astar": dict(rows=24, cols=24),
+    "gcn": dict(num_vertices=256, num_layers=1),
+    "kmeans": dict(num_points=512, iterations=2),
+    "spmv": dict(rows=256, iterations=2),
+}
+
+
 @pytest.fixture(scope="module")
 def workloads():
-    """Two access patterns: an iterative graph kernel (power-law reuse,
-    persistent per-vertex hints) and a pointwise query workload."""
-    return {
-        "pr": repro.make_workload("pr", num_vertices=1024, iterations=2),
-        "knn": repro.make_workload("knn", num_points=1024),
-    }
+    return {name: repro.make_workload(name, **kwargs)
+            for name, kwargs in SMALL_WORKLOADS.items()}
 
 
 @pytest.mark.parametrize("design", repro.ALL_DESIGNS)
-@pytest.mark.parametrize("workload_name", ["pr", "knn"])
+@pytest.mark.parametrize("workload_name", sorted(SMALL_WORKLOADS))
 def test_engines_bit_identical(design, workload_name, base_config,
                                workloads):
     payloads = {

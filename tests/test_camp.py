@@ -141,6 +141,24 @@ class TestNearestLocation:
                 assert unit == best
                 assert is_home == (unit == mapper.home_unit(line))
 
+    @pytest.mark.parametrize("mapping", list(CampMapping))
+    def test_prime_lines_matches_scalar_tables(self, mapping):
+        """The batch fill stores exactly the per-line tables, ties
+        included (the NoC cost matrix is full of equal distances)."""
+        primed, scalar = make_mapper(mapping), make_mapper(mapping)
+        cost = Interconnect(primed.topology, NocConfig(),
+                            MemoryConfig()).cost_matrix
+        lines = list(range(0, 20_000, 7)) + [123_456_789, 42]
+        primed.prime_lines(lines, cost)
+        for line in lines:
+            got = primed._nearest_cache[line]
+            want = scalar._nearest_tables(line, cost)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(primed._loc_cache[line],
+                                  scalar.locations(line))
+            assert not primed.locations(line).flags.writeable
+
     def test_requester_in_home_group_gets_home(self, mapper):
         """Within the home's group the only allowed location is the
         home, so nearby requesters usually go straight there."""

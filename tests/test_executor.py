@@ -209,3 +209,74 @@ class TestInterleave:
         assert sorted(t.task_id for t in out) == sorted(
             t.task_id for t in tasks
         )
+
+
+def per_task_schedule(executor, tasks, pending, clock, advance_clock):
+    """The reference placement loop: one decision, one estimate and one
+    booking per task, the exchange clock checked after every booking."""
+    scheduler = executor.scheduler
+    for task in tasks:
+        unit = scheduler.choose_unit(task)
+        task.assigned_unit = unit
+        workload = scheduler.context.task_workload(task, unit)
+        task.booked_workload = workload
+        executor.exchange.on_enqueue(unit, workload)
+        pending.setdefault(task.timestamp, []).append(task)
+        if advance_clock:
+            clock += workload / executor._throughput
+            executor.exchange.advance(clock)
+    return clock
+
+
+class TestBatchPlacement:
+    """Batch placement books exactly what the per-task loop books."""
+
+    @staticmethod
+    def tasks(system, n: int, seed: int = 3):
+        rng = np.random.default_rng(seed)
+        mm = system.memory_map
+        units = system.config.num_units
+        out = []
+        for i in range(n):
+            lines = 0 if i % 9 == 0 else int(rng.integers(1, 16))
+            addrs = (rng.integers(0, units, lines) * mm.unit_capacity
+                     + rng.integers(0, 1 << 10, lines) * mm.line_bytes)
+            out.append(Task(func=lambda c: None, timestamp=int(i % 3),
+                            hint=TaskHint(addresses=addrs),
+                            compute_cycles=float(rng.integers(100, 3000)),
+                            spawner_unit=int(rng.integers(0, units))))
+        return out
+
+    @pytest.mark.parametrize("design", ["B", "Sl", "Sh", "O", "C"])
+    @pytest.mark.parametrize("advance_clock", [True, False])
+    def test_matches_per_task_loop(self, design, advance_clock):
+        ref, new = small_system(design), small_system(design)
+        # Jittered costs do not sum exactly: a reduction taken in another
+        # order than the per-task one changes the result.
+        jitter = np.random.default_rng(5).uniform(
+            0.9, 1.1, ref.scheduler.context.cost_matrix.shape)
+        for system in (ref, new):
+            ctx = system.scheduler.context
+            ctx.cost_matrix = ctx.cost_matrix * jitter
+        ref_tasks, new_tasks = self.tasks(ref, 600), self.tasks(new, 600)
+        ref_pending, new_pending = {}, {}
+        start = 1234.5
+        ref_clock = per_task_schedule(ref.executor, ref_tasks, ref_pending,
+                                      start, advance_clock)
+        new_clock = new.executor._schedule_tasks(
+            new_tasks, new_pending, start, advance_clock=advance_clock)
+        if advance_clock:
+            # the root batch crosses several snapshot refreshes
+            assert ref.exchange.generation >= 3
+        assert new_clock == ref_clock
+        assert ([t.assigned_unit for t in new_tasks]
+                == [t.assigned_unit for t in ref_tasks])
+        assert ([t.booked_workload for t in new_tasks]
+                == [t.booked_workload for t in ref_tasks])
+        assert new.exchange._true == ref.exchange._true
+        assert new.exchange.generation == ref.exchange.generation
+        assert np.array_equal(new.exchange.snapshot, ref.exchange.snapshot)
+        assert ({ts: [t.task_id - new_tasks[0].task_id for t in q]
+                 for ts, q in new_pending.items()}
+                == {ts: [t.task_id - ref_tasks[0].task_id for t in q]
+                    for ts, q in ref_pending.items()})

@@ -13,7 +13,7 @@ from repro.config import (
     TopologyConfig,
 )
 from repro.core.cache.camp import CampMapper
-from repro.core.scheduler.base import SchedulerContext
+from repro.core.scheduler.base import Scheduler, SchedulerContext
 from repro.core.scheduler.colocate import ColocateScheduler
 from repro.core.scheduler.hybrid import HybridScheduler
 from repro.core.scheduler.lowest_distance import LowestDistanceScheduler
@@ -385,3 +385,121 @@ class TestStealingEligibility:
         )
         assert with_mask == without
         assert [len(q) for q in a] == [len(q) for q in b]
+
+
+class TestBatchContract:
+    """``choose_units_batch`` and ``task_workloads`` are the per-task
+    decisions and estimates, computed for a whole batch at one frozen
+    exchange snapshot, bit for bit."""
+
+    POLICIES = {
+        "colocate": (False, lambda ctx: ColocateScheduler(ctx)),
+        "lowest_distance": (False, lambda ctx: LowestDistanceScheduler(ctx)),
+        "lowest_distance_camps": (
+            True, lambda ctx: LowestDistanceScheduler(ctx)),
+        "hybrid": (False, lambda ctx: HybridScheduler(ctx)),
+        "hybrid_camps": (
+            True, lambda ctx: HybridScheduler(ctx, use_camps=True)),
+    }
+
+    @staticmethod
+    def fast_context(with_camps: bool) -> SchedulerContext:
+        ctx = make_context(with_camps)
+        ctx.fast_scoring = True
+        # Thirds do not sum exactly in binary: a reduction taken in
+        # another order than the per-task one changes the result.
+        ctx.cost_matrix = ctx.cost_matrix / 3.0
+        # A skewed snapshot, so the hybrid load term is live.
+        for unit in range(0, ctx.num_units, 5):
+            ctx.exchange.on_enqueue(unit, 4000.0 + 37.0 * unit)
+        ctx.exchange.force_exchange()
+        return ctx
+
+    @staticmethod
+    def tasks(ctx, seed: int = 7, n: int = 48):
+        """Hint-less tasks, one hint object shared by several tasks,
+        and hints of 1-3 and 8-20 distinct lines (NumPy's pairwise
+        summation only departs from a running sum from 8 terms on)."""
+        rng = np.random.default_rng(seed)
+        line = ctx.memory_map.line_bytes
+
+        def hint(lines: int) -> TaskHint:
+            units = rng.integers(0, ctx.num_units, lines)
+            offsets = rng.choice(1 << 12, lines, replace=False) * line
+            return TaskHint(addresses=units * ctx.memory_map.unit_capacity
+                            + offsets)
+
+        shared = hint(9)
+        out = []
+        for i in range(n):
+            kind = i % 4
+            if kind == 0:
+                h = TaskHint.empty()
+            elif kind == 1:
+                h = shared
+            elif kind == 2:
+                h = hint(int(rng.integers(1, 4)))
+            else:
+                h = hint(int(rng.integers(8, 21)))
+            out.append(Task(func=lambda c: None, timestamp=0, hint=h,
+                            spawner_unit=int(rng.integers(0, ctx.num_units)),
+                            compute_cycles=float(rng.integers(50, 500))))
+        return out
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_batch_equals_per_task(self, policy, prepared):
+        camps, make = self.POLICIES[policy]
+        # Separate contexts and task objects: neither side may read a
+        # memo the other one wrote.
+        ctx_a, ctx_b = self.fast_context(camps), self.fast_context(camps)
+        tasks_a, tasks_b = self.tasks(ctx_a), self.tasks(ctx_b)
+        sched_a, sched_b = make(ctx_a), make(ctx_b)
+        if prepared:
+            ctx_b.prepare_hints(tasks_b)
+        batch = sched_b.choose_units_batch(tasks_b)
+        assert batch == [sched_a.choose_unit(t) for t in tasks_a]
+        assert all(type(u) is int for u in batch)
+        per_task = [ctx_a.task_workload(t, u)
+                    for t, u in zip(tasks_a, batch)]
+        assert ctx_b.task_workloads(tasks_b, batch) == per_task
+
+    @pytest.mark.parametrize("camps", [False, True])
+    def test_prepared_memos_match_per_task(self, camps):
+        """prepare_hints fills the hint memos the per-task path fills."""
+        ctx_a, ctx_b = self.fast_context(camps), self.fast_context(camps)
+        tasks_a, tasks_b = self.tasks(ctx_a), self.tasks(ctx_b)
+        ctx_b.prepare_hints(tasks_b)
+        for ta, tb in zip(tasks_a, tasks_b):
+            assert np.array_equal(ctx_a.hint_lines(ta), tb.hint._lines)
+            assert ctx_a.hint_lines_list(ta) == tb.hint._lines_list
+            assert np.array_equal(ctx_a.hint_homes(ta), tb.hint._homes)
+            if camps and ta.hint.num_addresses:
+                assert np.array_equal(ctx_a._camp_access_row(ta),
+                                      tb.hint._crow[1])
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_batch_declines(self, policy):
+        from repro.telemetry import Telemetry
+
+        camps, make = self.POLICIES[policy]
+        ctx = self.fast_context(camps)
+        sched = make(ctx)
+        tasks = self.tasks(ctx, n=8)
+        assert sched.choose_units_batch(tasks) is not None
+        ctx.fast_scoring = False             # the scalar engine
+        assert sched.choose_units_batch(tasks) is None
+        ctx.fast_scoring = True
+        ctx.alive_mask = np.ones(ctx.num_units, dtype=bool)
+        assert sched.choose_units_batch(tasks) is None
+        ctx.alive_mask = None
+        sched.telemetry = Telemetry()
+        assert sched.choose_units_batch(tasks) is None
+
+    def test_base_scheduler_declines(self):
+        class FirstUnit(Scheduler):
+            def choose_unit(self, task):
+                return 0
+
+        ctx = self.fast_context(False)
+        assert FirstUnit(ctx).choose_units_batch(self.tasks(ctx)) is None
