@@ -44,8 +44,7 @@ class DramStats:
         writes: int = 0,
     ) -> None:
         """Fold a batch of pre-aggregated events in at once (the
-        batched engine's single flush per hint batch; the vector phase
-        engine also folds the phase's buffered output writes)."""
+        batched engine's single flush per hint batch)."""
         self.reads += reads
         self.cache_fills += cache_fills
         self.cache_reads += cache_reads

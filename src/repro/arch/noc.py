@@ -210,11 +210,6 @@ class Interconnect:
         self._fast_tables: Optional[
             Tuple[List[List[float]], List[List[int]], List[List[int]]]
         ] = None
-        # Same tables as (N, N) ndarrays for the vector phase engine's
-        # bulk gathers; cached and invalidated alongside _fast_tables.
-        self._fast_arrays: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = None
         #: bumped on every link-fault set/clear so engines holding
         #: derived per-line memos know to drop them.
         self.fault_epoch: int = 0
@@ -282,7 +277,6 @@ class Interconnect:
         self._fault_hops, self._fault_mesh_ns = self._solve_mesh_routes()
         self._fault_routes.clear()
         self._fast_tables = None
-        self._fast_arrays = None
         self.fault_epoch += 1
         self._rebuild_cost_in_place()
         if self.link_meter is not None:
@@ -296,7 +290,6 @@ class Interconnect:
         self._fault_mesh_ns = None
         self._fault_routes.clear()
         self._fast_tables = None
-        self._fast_arrays = None
         self.fault_epoch += 1
         self._rebuild_cost_in_place()
         if self.link_meter is not None:
@@ -499,20 +492,7 @@ class Interconnect:
         cls[same & ~eye] = 1
         cls[eye] = 0
         self._fast_tables = (ow.tolist(), cls.tolist(), eff.tolist())
-        self._fast_arrays = (ow, cls, eff)
         return self._fast_tables
-
-    def fast_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The :meth:`fast_tables` data as (N, N) ndarrays.
-
-        ``(one_way_ns, access_class, hops)`` with the exact same values
-        (the tuple is built from the same arrays in one pass), for the
-        vector phase engine's bulk fancy-indexed gathers.  Cached until
-        the next link-fault transition.
-        """
-        if self._fast_arrays is None:
-            self.fast_tables()
-        return self._fast_arrays
 
     # ------------------------------------------------------------------
     # traffic accounting

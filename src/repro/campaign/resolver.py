@@ -37,7 +37,7 @@ import re
 import typing
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.config import SystemConfig, experiment_config
+from repro.config import ACCESS_ENGINES, SystemConfig, experiment_config
 
 #: config sections a spec may override (every SystemConfig section).
 CONFIG_SECTIONS = ("topology", "core", "memory", "noc", "sram", "cache",
@@ -230,6 +230,12 @@ def validate_point(data: Any) -> Dict[str, Any]:
     if not isinstance(kwargs, dict):
         raise SpecError("workload_kwargs must be an object")
     bind_workload_kwargs(WORKLOAD_FACTORIES[workload], workload, kwargs)
+    engine = data.get("engine")
+    if engine and engine not in ACCESS_ENGINES:
+        raise SpecError(
+            f"unknown engine {engine!r}; expected one of "
+            f"{list(ACCESS_ENGINES)}"
+        )
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise SpecError(f"seed must be an integer, got {seed!r}")
@@ -239,7 +245,7 @@ def validate_point(data: Any) -> Dict[str, Any]:
     return {
         "design": design, "workload": workload,
         "workload_kwargs": dict(kwargs),
-        "mesh": data.get("mesh"), "engine": data.get("engine"),
+        "mesh": data.get("mesh"), "engine": engine,
         "seed": seed, "config": dict(data.get("config") or {}),
         "faults": faults, "label": str(data.get("label") or ""),
         # Non-semantic correlation annotation: accepted and carried,

@@ -60,7 +60,9 @@ from repro.analysis import export
 from repro.analysis.metrics import RunResult
 from repro.analysis.plotting import bar_chart
 from repro.analysis.stats import geomean
-from repro.config import SystemConfig, describe_config, experiment_config
+from repro.config import (
+    ACCESS_ENGINES, SystemConfig, describe_config, experiment_config,
+)
 from repro.sweep import SIMULATOR_VERSION, cached_simulate, run_matrix
 
 
@@ -800,7 +802,7 @@ def cmd_report(args) -> int:
 def cmd_bench(args) -> int:
     """``python -m repro bench``: time the simulator itself (see
     docs/performance.md) and record a ``BENCH_<n>.json`` at the repo
-    root; ``--smoke`` instead cross-checks the three access engines on
+    root; ``--smoke`` instead cross-checks the two access engines on
     one small point (CI's perf gate)."""
     from pathlib import Path
 
@@ -851,17 +853,14 @@ def cmd_bench(args) -> int:
 
 
 def _bench_smoke() -> int:
-    """One small point (O/pr on a 2x2 mesh) under all three engines.
+    """One small point (O/pr on a 2x2 mesh) under both engines.
 
-    Scalar and batched must match bit-for-bit; vector must land inside
-    its statistical-equivalence bands (docs/engines.md); and each tier
-    must not be slower than the one before it (scalar >= batched >=
-    vector wall time).
+    Scalar and batched must match bit-for-bit, and batched must not be
+    slower than scalar.
     """
     import time
 
     from repro.bench import engine_config
-    from repro.core.vector_engine import ENERGY_BAND, MAKESPAN_BAND
     from repro.simulate import simulate
     from repro.sweep.serialize import result_to_dict
     from repro.workloads.base import make_workload
@@ -870,8 +869,7 @@ def _bench_smoke() -> int:
     workload = make_workload("pr")
     best: Dict[str, float] = {}
     payload: Dict[str, str] = {}
-    results: Dict[str, object] = {}
-    for engine in ("scalar", "batched", "vector"):
+    for engine in ACCESS_ENGINES:
         cfg = engine_config(engine, base)
         simulate("O", workload, config=cfg)  # warmup
         best[engine] = float("inf")
@@ -881,37 +879,17 @@ def _bench_smoke() -> int:
             best[engine] = min(best[engine], time.process_time() - t0)
         payload[engine] = _json.dumps(result_to_dict(result),
                                       sort_keys=True)
-        results[engine] = result
     identical = payload["scalar"] == payload["batched"]
-    mk_ratio = (results["vector"].makespan_cycles
-                / results["batched"].makespan_cycles)
-    en_ratio = (results["vector"].energy.total_pj
-                / results["batched"].energy.total_pj)
     ratio = best["scalar"] / best["batched"]
-    vratio = best["batched"] / best["vector"]
     print(f"bench smoke O/pr mesh=2x2: scalar={best['scalar']:.2f}s "
           f"batched={best['batched']:.2f}s ({ratio:.2f}x) "
-          f"vector={best['vector']:.2f}s ({vratio:.2f}x) "
-          f"scalar/batched {'identical' if identical else 'DIFFER'}, "
-          f"vector mk x{mk_ratio:.4f} energy x{en_ratio:.4f}")
+          f"scalar/batched {'identical' if identical else 'DIFFER'}")
     if not identical:
-        print("error: exact engines disagree on the same seeded point",
+        print("error: the engines disagree on the same seeded point",
               file=sys.stderr)
-        return 1
-    if abs(mk_ratio - 1.0) > MAKESPAN_BAND:
-        print(f"error: vector makespan ratio {mk_ratio:.4f} outside "
-              f"the +/-{MAKESPAN_BAND:.0%} band", file=sys.stderr)
-        return 1
-    if abs(en_ratio - 1.0) > ENERGY_BAND:
-        print(f"error: vector energy ratio {en_ratio:.4f} outside "
-              f"the +/-{ENERGY_BAND:.0%} band", file=sys.stderr)
         return 1
     if best["batched"] > best["scalar"]:
         print("error: batched engine slower than scalar on the smoke "
-              "point", file=sys.stderr)
-        return 1
-    if best["vector"] > best["batched"]:
-        print("error: vector engine slower than batched on the smoke "
               "point", file=sys.stderr)
         return 1
     return _bench_smoke_warm_race(base)
@@ -1216,8 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run, design=True)
     add_telemetry(p_run)
     p_run.add_argument("--engine", default=None,
-                       choices=["scalar", "batched", "vector"],
-                       help="access engine tier (default: batched; "
+                       choices=list(ACCESS_ENGINES),
+                       help="access engine (default: batched; "
                             "see docs/engines.md)")
     p_run.add_argument("--verify", action="store_true",
                        help="check the computed answer")
@@ -1283,7 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(--smoke: cross-engine CI gate on one small point)",
     )
     p_bench.add_argument("--engine",
-                         choices=["scalar", "batched", "vector"],
+                         choices=list(ACCESS_ENGINES),
                          default="batched",
                          help="access engine to time (default: batched)")
     p_bench.add_argument("--designs",
@@ -1303,10 +1281,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "BENCH_<n>.json (default: current "
                               "directory; created on demand)")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="run one small point under all three "
+                         help="run one small point under both "
                               "engines; fail on a scalar/batched result "
-                              "mismatch, an out-of-band vector result, "
-                              "an engine-tier slowdown, or a warm-"
+                              "mismatch, a batched slowdown, or a warm-"
                               "runtime mismatch/slowdown")
     p_bench.add_argument("--warm", action="store_true",
                          help="additionally record the warm-runtime "

@@ -148,23 +148,17 @@ class MemoryConfig:
     # Hot home units saturating this rate is the contention that the
     # Traveller Cache's extra caching locations relieve.
     service_ns: float = 3.0
-    # Implementation choice, not a machine parameter.  Three tiers (see
+    # Implementation choice, not a machine parameter.  Two engines (see
     # docs/engines.md):
     #   "scalar"  - the original one-call-per-line reference path (the
     #               parity oracle);
     #   "batched" - resolves a task's whole hint batch per
     #               MemorySystem.access_many call (vectorized stateless
     #               stages + an ordered sequential kernel, bit-identical
-    #               to scalar);
-    #   "vector"  - resolves an entire bulk-synchronous phase's accesses
-    #               with columnar NumPy kernels; statistically equivalent
-    #               to batched (makespan/energy within the tolerance
-    #               bands pinned by tests/test_vector_engine.py), not
-    #               bit-identical.
+    #               to scalar).
     # Non-semantic: the engine is excluded from canonical_dict()/run
-    # keys — "scalar" and "batched" produce the same RunResult, and a
-    # "vector" run may *read* cached exact results but never writes its
-    # own (see repro.sweep.runner).
+    # keys — both engines produce the same RunResult, so either one
+    # replays the other's cached results.
     access_engine: str = field(default="batched",
                                metadata={"semantic": False})
 
@@ -199,26 +193,27 @@ class MemoryConfig:
             raise ValueError("cacheline_bytes must be a power of two")
         if self.capacity_per_unit % self.cacheline_bytes:
             raise ValueError("capacity must be a multiple of the cacheline")
-        if self.access_engine not in ("scalar", "batched", "vector"):
+        if self.access_engine not in ACCESS_ENGINES:
             raise ValueError(
-                "access_engine must be 'scalar', 'batched' or 'vector', "
+                "access_engine must be 'scalar' or 'batched', "
                 f"got {self.access_engine!r}"
             )
 
 
-#: Equivalence tier of each access engine.  "exact" engines are
-#: bit-identical to each other (scalar is the oracle, batched replays
-#: every stateful step in scalar order); the "vector" tier reorders RNG
-#: draws and float accumulations, so it is only *statistically*
-#: equivalent (tolerance bands, see docs/engines.md).  Regression
-#: tooling compares records within a tier: scalar->batched is one
-#: compatibility group, batched->vector is a band comparison.
-ENGINE_TIERS = {"scalar": "exact", "batched": "exact", "vector": "vector"}
+#: The access engines.  Both are bit-identical (scalar is the oracle,
+#: batched replays every stateful step in scalar order).
+ACCESS_ENGINES = ("scalar", "batched")
 
 
 def engine_tier(engine: Optional[str]) -> str:
-    """The equivalence tier of an ``access_engine`` name."""
-    return ENGINE_TIERS.get(engine or "", "exact")
+    """The equivalence tier of a recorded ``engine`` name.
+
+    Both current engines (and records without an engine field) are
+    the ``"exact"`` tier.  Any other name is its own tier: records of
+    the statistical ``"vector"`` engine, since removed, must never
+    read as exact-tier results.
+    """
+    return "exact" if engine in ACCESS_ENGINES or not engine else engine
 
 
 @dataclass(frozen=True)

@@ -125,20 +125,11 @@ class MemorySystem:
         # rng.random() per install attempt, one rng.integers(assoc) per
         # eviction) of TravellerCache.lookup/insert.
         self._inline_cache = (
-            self._engine in ("batched", "vector")
+            self._engine == "batched"
             and self.style is not CacheStyle.NONE
             and not self.caches[0]._dense
             and isinstance(self.caches[0]._victims, RandomReplacement)
         )
-        # Whole-phase columnar kernel (engine "vector"): driven by the
-        # executor when a phase qualifies; access_many stays available
-        # as the per-task fallback (it then runs the batched kernel).
-        self.vector_engine = None
-        if self._engine == "vector":
-            from repro.core.vector_engine import VectorPhaseEngine
-
-            if VectorPhaseEngine.supported(self):
-                self.vector_engine = VectorPhaseEngine(self)
 
     # ------------------------------------------------------------------
     # DRAM channel service model
@@ -281,7 +272,7 @@ class MemorySystem:
         """
         noc = self.interconnect
         if (
-            self._engine not in ("batched", "vector")
+            self._engine != "batched"
             or self._resilience is not None
             or noc.link_meter is not None
             or noc.has_link_faults
@@ -783,7 +774,7 @@ class MemorySystem:
         home = self.memory_map.home_of_line(line)
         noc = self.interconnect
         if (
-            self._engine in ("batched", "vector")
+            self._engine == "batched"
             and self._resilience is None
             and noc.link_meter is None
             and not noc.has_link_faults

@@ -100,8 +100,7 @@ def runtime_metric_families() -> List[MetricFamily]:
         "(this process only; pool workers keep their own memos).")
     for kind in ("workload_hits", "workload_misses", "topology_hits",
                  "topology_misses", "noc_hits", "camp_seeds",
-                 "camp_harvests", "line_seeds", "line_harvests",
-                 "vector_hits", "vector_donations"):
+                 "camp_harvests", "line_seeds", "line_harvests"):
         memo_events.add(snap.get(f"memo_{kind}", 0), kind=kind)
     families = [
         memo_events,

@@ -21,12 +21,11 @@ tests — CI gates must not flake):
 Records compare only within *compatible groups* (same engine *tier*,
 mesh, seed, design/workload sets): scalar and batched are both exact
 tiers and produce identical results, so a scalar→batched switch only
-shows up as a wall-time improvement, while the statistical ``vector``
-tier forms its own group — its makespans are compared through the
-equivalence bands of :mod:`repro.core.vector_engine`, never through
-the near-exact semantic check.  Cross-machine absolute seconds are
-only trusted as far as the caller's tolerance allows (see the
-``regression-gate`` CI step for the documented band).
+shows up as a wall-time improvement, while records of any other engine
+(the removed statistical ``vector`` tier) form their own group and are
+never compared semantically with exact-tier records.  Cross-machine
+absolute seconds are only trusted as far as the caller's tolerance
+allows (see the ``regression-gate`` CI step for the documented band).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import engine_tier
-from repro.core.vector_engine import MAKESPAN_BAND
 from repro.observatory.history import HistoryLedger, default_ledger
 
 #: default relative tolerance for wall/throughput metrics (10%).
@@ -222,9 +220,10 @@ def _group_signature(payload: Dict[str, Any]) -> Tuple:
     """Records compare only within identical signatures.
 
     The engine enters by *tier*, not by name: scalar and batched are
-    bit-identical (one "exact" trajectory), while the statistical
-    vector tier is its own group — comparing its wall times against an
-    exact record would misattribute the engine switch as a perf move.
+    bit-identical (one "exact" trajectory), while a record of any other
+    engine (the removed vector tier) is its own group — comparing its
+    wall times against an exact record would misattribute the engine
+    switch as a perf move.
     """
     return (
         engine_tier(payload.get("engine")), payload.get("mesh"),
@@ -253,14 +252,9 @@ def compare_bench(
     Semantic fields of shared (design, workload) points must match to
     :data:`SEMANTIC_RTOL` when seed and mesh agree; wall/throughput
     fields are held to ``tolerance`` in the bad direction only (a
-    faster candidate is an improvement, never flagged).
-
-    When either record comes from the statistical ``vector`` tier, the
-    ``makespan_cycles`` check relaxes from near-exact to the vector
-    tier's equivalence band (:data:`repro.core.vector_engine.
-    MAKESPAN_BAND`, two-sided): the vector engine is *specified* to
-    drift within that band.  Task and access counts stay near-exact —
-    they are engine-invariant on every tier.
+    faster candidate is an improvement, never flagged).  Records of
+    differing engine tiers are treated like differing seeds or meshes:
+    their semantic fields are not compared.
     """
     report = RegressionReport()
     base_pts = _points_by_cell(baseline)
@@ -273,25 +267,22 @@ def compare_bench(
         )
         return report
 
-    comparable_semantics = (
-        baseline.get("seed") == candidate.get("seed")
-        and baseline.get("mesh") == candidate.get("mesh")
-    )
-    if not comparable_semantics:
+    tiers = (engine_tier(baseline.get("engine")),
+             engine_tier(candidate.get("engine")))
+    comparable_semantics = False
+    if tiers[0] != tiers[1]:
+        report.notes.append(
+            f"engine tiers differ ({tiers[0]} vs {tiers[1]}) — semantic "
+            "equality of makespan/tasks/accesses was not checked"
+        )
+    elif (baseline.get("seed") != candidate.get("seed")
+          or baseline.get("mesh") != candidate.get("mesh")):
         report.notes.append(
             "seed/mesh differ between the records — semantic equality "
             "of makespan/tasks/accesses was not checked"
         )
-    vector_involved = "vector" in (
-        engine_tier(baseline.get("engine")),
-        engine_tier(candidate.get("engine")),
-    )
-    if comparable_semantics and vector_involved:
-        report.notes.append(
-            "a vector-tier record is involved — makespan_cycles was "
-            f"held to the ±{MAKESPAN_BAND:.0%} statistical band "
-            "instead of near-exact equality"
-        )
+    else:
+        comparable_semantics = True
 
     for cell in shared:
         design, workload = cell
@@ -302,26 +293,6 @@ def compare_bench(
                     continue
                 report.checks += 1
                 rel = _rel(float(b[metric]), float(c[metric]))
-                if metric == "makespan_cycles" and vector_involved:
-                    bad = (not math.isfinite(rel)
-                           or abs(rel) > MAKESPAN_BAND)
-                    if bad or abs(rel) > SEMANTIC_RTOL:
-                        report.findings.append(Finding(
-                            metric=f"{design}/{workload}.{metric}",
-                            kind="band",
-                            baseline=float(b[metric]),
-                            candidate=float(c[metric]),
-                            rel_change=rel, regression=bad,
-                            message=(
-                                f"{design}/{workload} {metric}: "
-                                f"{b[metric]:,} -> {c[metric]:,} "
-                                f"({rel:+.1%} vs the vector tier's "
-                                f"±{MAKESPAN_BAND:.0%} band"
-                                + (", out of band)" if bad
-                                   else ", in band)")
-                            ),
-                        ))
-                    continue
                 bad = (not math.isfinite(rel)
                        or abs(rel) > SEMANTIC_RTOL)
                 if bad or abs(rel) > 0:
@@ -483,8 +454,8 @@ def scan_history(
     Runs group by (design, workload, config fingerprint, engine
     *tier*) — the same simulation repeated over time.  Scalar and
     batched share the exact tier (bit-identical work, comparable wall
-    times); the statistical vector tier is its own group, so a
-    batched→vector switch never reads as a wall-time change point.
+    times); records of any other engine (the removed vector tier) are
+    their own group, so they never join an exact-tier series.
     Each group's wall-time series gets the change-point scan plus a
     newest-vs-prior-mean band check.
     """

@@ -30,8 +30,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.arch.ndp_unit import NdpUnit
 from repro.config import SystemConfig
 from repro.core.memory_system import MemorySystem
@@ -418,18 +416,6 @@ class BulkSyncExecutor:
         ctx = self.scheduler.context
         memsys = self.memory_system
 
-        ve = memsys.vector_engine
-        if (
-            ve is not None
-            and self.recorder is None
-            and self.faults is None
-            and not self.telemetry.enabled
-            and ve.available()
-        ):
-            return self._execute_phase_vector(
-                by_unit, ts, state, clock, pending, trace
-            )
-
         for unit in self.units:
             unit.reset_clocks(0.0)
 
@@ -519,130 +505,4 @@ class BulkSyncExecutor:
             if idx + 1 < len(tasks):
                 heappush(heap, (unit.earliest_free(), uid, idx + 1))
 
-        return max((u.busy_until() for u in self.units), default=0.0)
-
-    # ------------------------------------------------------------------
-    # vectorized execution (engine "vector")
-    # ------------------------------------------------------------------
-    def _execute_phase_vector(
-        self,
-        by_unit: List[List[Task]],
-        ts: int,
-        state: Any,
-        clock: float,
-        pending: Dict[int, List[Task]],
-        trace: ExecutionTrace,
-    ) -> float:
-        """Resolve a whole phase's memory accesses in one columnar pass.
-
-        The phase's accesses are flattened into parallel arrays (units
-        interleaved round-robin by queue position — the same global
-        ordering the scalar heap approximates) and handed to the
-        :class:`~repro.core.vector_engine.VectorPhaseEngine`; task
-        bodies then run in chunks with precomputed durations.  Per-unit
-        core schedules (and hence the phase makespan) use the same
-        ``run_task`` accounting as the exact engines.
-        """
-        ve = self.memory_system.vector_engine
-        ctx = self.scheduler.context
-        for unit in self.units:
-            unit.reset_clocks(0.0)
-
-        tasks: List[Task] = []
-        pos = 0
-        busy = True
-        while busy:
-            busy = False
-            for queue in by_unit:
-                if pos < len(queue):
-                    tasks.append(queue[pos])
-                    busy = True
-            pos += 1
-        n = len(tasks)
-        if n == 0:
-            return 0.0
-
-        hint_lines = ctx.hint_lines
-        per_task_lines = [hint_lines(t) for t in tasks]
-        counts = np.fromiter(
-            (a.size for a in per_task_lines), dtype=np.int64, count=n
-        )
-        units_of = np.fromiter(
-            (t.assigned_unit for t in tasks), dtype=np.int64, count=n
-        )
-        if int(counts.sum()):
-            lines = np.concatenate(per_task_lines)
-            task_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-            requesters = np.repeat(units_of, counts)
-            stalls_ns = ve.resolve_phase(
-                requesters, lines, task_ids, n, clock / self._freq
-            )
-        else:
-            stalls_ns = np.zeros(n, dtype=np.float64)
-
-        # Output writes: one line per hinted task, straight to its home.
-        w_sel = np.nonzero(counts > 0)[0]
-        if w_sel.size:
-            line_of = ctx.memory_map.line_of
-            w_lines = np.fromiter(
-                (line_of(int(tasks[i].hint.addresses[0])) for i in w_sel),
-                dtype=np.int64, count=w_sel.size,
-            )
-            ve.book_writes(units_of[w_sel], w_lines)
-
-        compute = np.fromiter(
-            (t.compute_cycles for t in tasks), dtype=np.float64, count=n
-        )
-        durations = compute + stalls_ns * self._freq * (1.0 - self._hide)
-        stolen = np.fromiter(
-            (t.stolen for t in tasks), dtype=bool, count=n
-        )
-        if stolen.any():
-            durations[stolen] += self._steal_overhead
-
-        # Body loop: chunked so spawned children are scheduled (and the
-        # exchange clock advanced) a handful of times per exchange
-        # interval rather than per task.
-        units = self.units
-        exchange = self.exchange
-        on_dequeue = exchange.on_dequeue
-        advance = exchange.advance
-        interval = exchange.interval_cycles
-        throughput = self._throughput
-        dur = durations.tolist()
-        adv = (durations / throughput).tolist()
-        mean_dur = float(durations.mean())
-        chunk = 64
-        if mean_dur > 0.0:
-            chunk = int(
-                self.exchange.interval_cycles * throughput / mean_dur
-            )
-        chunk = max(8, min(chunk, 256))
-        tctx = TaskContext(0, ts, state)
-        global_now = clock
-        i = 0
-        while i < n:
-            j = min(i + chunk, n)
-            for k in range(i, j):
-                task = tasks[k]
-                uid = task.assigned_unit
-                tctx.current_unit = uid
-                task.func(tctx, *task.args)
-                units[uid].run_task(dur[k])
-                on_dequeue(uid, task.booked_workload)
-                # Advance the exchange clock at the per-task cadence of
-                # the exact engines: the hybrid policy's load feedback
-                # is sensitive to when snapshots refresh.  The inline
-                # boundary test is the one advance() applies before
-                # doing any work, hoisted to skip the no-op calls.
-                global_now += adv[k]
-                if global_now - exchange._last_exchange >= interval:
-                    advance(global_now)
-            spawned = tctx.drain_spawned()
-            if spawned:
-                self._schedule_tasks(spawned, pending, global_now)
-            i = j
-
-        trace.tasks_executed += n
-        trace.instructions += float(compute.sum())
         return max((u.busy_until() for u in self.units), default=0.0)

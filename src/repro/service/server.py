@@ -469,7 +469,7 @@ class ExperimentServer:
             job = self.jobs.get(key)
         if job is not None and job.status == "done" and \
                 job.result_bytes is not None:
-            # done but uncacheable (vector tier / cache disabled):
+            # done but uncacheable (cache disabled):
             # serve the finished job from memory.
             self.counters["cache_hits"] += 1
             return "done", False, job
@@ -707,22 +707,18 @@ class ExperimentServer:
             await self._finish(job, "failed")
 
     def _store_result(self, job: Job, rdict: Dict[str, Any]) -> bytes:
-        """Feed the shared cache (exact tiers only) and return the
-        bytes every client of this key will be served."""
-        from repro.config import engine_tier
+        """Feed the shared cache and return the bytes every client of
+        this key will be served."""
         from repro.sweep.serialize import result_from_dict
 
-        result = result_from_dict(rdict)
-        engine = job.config.memory.access_engine
-        if engine_tier(engine) == "exact":
-            self.cache.store(job.key, result, meta={
-                "design": job.spec.design,
-                "workload": job.spec.workload,
-            })
+        self.cache.store(job.key, result_from_dict(rdict), meta={
+            "design": job.spec.design,
+            "workload": job.spec.workload,
+        })
         blob = _read_bytes(self.cache.path_for(job.key))
         if blob is not None:
             return blob
-        # cache disabled or vector tier: serve a cache-shaped payload
+        # cache disabled: serve a cache-shaped payload
         # straight from memory (not byte-stable across servers, but
         # stable for every client of this job).
         return json.dumps({"schema": self.cache.SCHEMA, "key": job.key,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import RunResult
-from repro.config import SystemConfig, engine_tier, experiment_config
+from repro.config import SystemConfig, experiment_config
 from repro.observatory.progress import EventFn, ProgressEvent
 from repro.sweep.cache import ResultCache, resolve_cache
 from repro.sweep.keys import UncacheableError, run_key
@@ -128,10 +128,7 @@ def cached_simulate(
     result schema untouched.
 
     The access engine is non-semantic, so the run key is the same for
-    all three engines and any cached entry satisfies the point — but
-    only *exact*-tier engines (scalar, batched: bit-identical results)
-    may write entries.  The statistical vector tier reads the cache and
-    never feeds it (see docs/engines.md).
+    both engines and either one's cached entry satisfies the point.
     """
     if config is None:
         config = experiment_config()
@@ -158,7 +155,7 @@ def cached_simulate(
     else:
         # positional-only call keeps older _live_simulate stubs working
         result = _live_simulate(design, workload, config)
-    if key is not None and engine_tier(config.memory.access_engine) == "exact":
+    if key is not None:
         store.store(key, result, meta={
             "design": design,
             "workload": getattr(workload, "name", str(workload)),
@@ -529,15 +526,11 @@ class SweepRunner:
             if owns_runtime and runtime is not None:
                 runtime.close()
 
-        # 3. feed the cache (exact-tier runs only: vector results are
-        # statistical and must never serve a later exact-tier hit)
+        # 3. feed the cache
         if self.cache is not None:
             for outcome in outcomes:
                 if (outcome.ok and outcome.key
-                        and outcome.source != "cache"
-                        and engine_tier(
-                            outcome.point.resolved_config()
-                            .memory.access_engine) == "exact"):
+                        and outcome.source != "cache"):
                     self.cache.store(
                         outcome.key, outcome.result,
                         meta={

@@ -10,11 +10,10 @@ changing a single simulated value:
 * :class:`ProcessMemos` — per-process memo caches for materialized
   workloads (keyed by the existing ``workload_token``), shared
   :class:`~repro.arch.topology.Topology` instances, healthy-mesh NoC
-  fast tables, camp home/nearest tables, and vector-engine columnar
-  tables.  Every memoized value is a pure function of the config and
-  the workload spec (no RNG or clock state), so warm results are
-  bit-identical to cold ones; anything touched by a fault epoch is
-  never donated back.
+  fast tables, and camp home/nearest tables.  Every memoized value is
+  a pure function of the config and the workload spec (no RNG or clock
+  state), so warm results are bit-identical to cold ones; anything
+  touched by a fault epoch is never donated back.
 * :class:`SharedWorkloadStore` — parent-side
   ``multiprocessing.shared_memory`` segments holding each workload's
   pickle exactly once; workers attach zero-copy instead of receiving
@@ -63,7 +62,6 @@ SHM_PREFIX = "repro_wl_"
 #: handful of mesh sizes) while keeping a pathological driver from
 #: growing worker memory without bound.
 MAX_WORKLOAD_MEMOS = 16
-MAX_VECTOR_TABLE_MEMOS = 32
 MAX_SHM_SEGMENTS = 32
 #: camp tables beyond this many memoized lines are not harvested (the
 #: per-line tables are the largest memo class by far).
@@ -120,8 +118,6 @@ class MemoStats:
     camp_harvests: int = 0
     line_seeds: int = 0
     line_harvests: int = 0
-    vector_hits: int = 0
-    vector_donations: int = 0
 
     def summary(self) -> str:
         return (
@@ -129,7 +125,7 @@ class MemoStats:
             f"topology {self.topology_hits}h/{self.topology_misses}m, "
             f"noc {self.noc_hits}h, camp {self.camp_seeds}s/"
             f"{self.camp_harvests}w, lines {self.line_seeds}s/"
-            f"{self.line_harvests}w, vector {self.vector_hits}h"
+            f"{self.line_harvests}w"
         )
 
 
@@ -145,8 +141,7 @@ class ProcessMemos:
       materializes the same object.
     * ``topologies`` — immutable :class:`~repro.arch.topology.Topology`
       instances keyed by (topology-config fields, num_groups).
-    * ``noc_tables`` — the healthy-mesh ``fast_tables``/``fast_arrays``
-      pair keyed by (topology key, inter/intra hop latency).  Only
+    * ``noc_tables`` — the healthy-mesh ``fast_tables`` keyed by (topology key, inter/intra hop latency).  Only
       harvested and only seeded at ``fault_epoch == 0``; a fault
       transition nulls the interconnect's own copy and bumps the
       epoch, so faulted tables can never be donated.
@@ -159,18 +154,14 @@ class ProcessMemos:
       ``(home, nearest, is_home)`` memo (the batched read path's
       flattened tables), keyed like ``camp_tables`` and guarded by the
       same epoch rules plus the memory system's own memo-epoch tuple.
-    * ``vector_tables`` — the vector phase engine's per-line columnar
-      tables keyed by (machine key, unique-lines digest).
     """
 
     def __init__(self) -> None:
         self.workloads: "OrderedDict[str, Any]" = OrderedDict()
         self.topologies: Dict[Tuple, Any] = {}
-        self.noc_tables: Dict[Tuple, Tuple[Any, Any]] = {}
+        self.noc_tables: Dict[Tuple, Tuple] = {}
         self.camp_tables: Dict[str, Tuple[dict, dict]] = {}
         self.line_memos: Dict[str, dict] = {}
-        self.vector_tables: "OrderedDict[Tuple[str, str], Tuple]" = \
-            OrderedDict()
         self.stats = MemoStats()
         #: machine-key memo keyed on id() of a config (configs are
         #: frozen; id reuse after GC only costs a recompute).
@@ -254,7 +245,7 @@ class ProcessMemos:
         if icn.fault_epoch == 0 and icn._fast_tables is None:
             hit = self.noc_tables.get(self._noc_key(system))
             if hit is not None:
-                icn._fast_tables, icn._fast_arrays = hit
+                icn._fast_tables = hit
                 self.stats.noc_hits += 1
         mapper = system.camp_mapper
         if (mapper is not None and mapper.epoch == 0
@@ -268,7 +259,7 @@ class ProcessMemos:
                 self.stats.camp_seeds += 1
         ms = system.memory_system
         if (icn.fault_epoch == 0 and not system.telemetry.enabled
-                and ms._engine in ("batched", "vector")
+                and ms._engine == "batched"
                 and (mapper is None or mapper.epoch == 0)
                 and not ms._line_memo):
             hit = self.line_memos.get(self.machine_key(system.config))
@@ -289,10 +280,8 @@ class ProcessMemos:
         on every fault transition, so this check is airtight."""
         icn = system.interconnect
         if icn.fault_epoch == 0 and icn._fast_tables is not None:
-            self.noc_tables.setdefault(
-                self._noc_key(system),
-                (icn._fast_tables, icn._fast_arrays),
-            )
+            self.noc_tables.setdefault(self._noc_key(system),
+                                       icn._fast_tables)
         mapper = system.camp_mapper
         if (mapper is not None and mapper.epoch == 0
                 and mapper._alive is None and icn.fault_epoch == 0
@@ -312,21 +301,6 @@ class ProcessMemos:
             self.line_memos[self.machine_key(system.config)] = \
                 ms._line_memo
             self.stats.line_harvests += 1
-
-    # -- vector-engine tables ------------------------------------------
-    def vector_tables_get(self, key: Tuple[str, str]):
-        hit = self.vector_tables.get(key)
-        if hit is not None:
-            self.vector_tables.move_to_end(key)
-            self.stats.vector_hits += 1
-        return hit
-
-    def vector_tables_put(self, key: Tuple[str, str], tables) -> None:
-        self.vector_tables[key] = tables
-        self.vector_tables.move_to_end(key)
-        self.stats.vector_donations += 1
-        while len(self.vector_tables) > MAX_VECTOR_TABLE_MEMOS:
-            self.vector_tables.popitem(last=False)
 
 
 # ----------------------------------------------------------------------

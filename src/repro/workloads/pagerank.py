@@ -114,7 +114,7 @@ class PageRankWorkload(Workload):
         n = g.num_vertices
         curr = np.full(n, 1.0 / n)
         out_degree = np.maximum(1, g.degrees).astype(np.float64)
-        fast = system.config.memory.access_engine in ("batched", "vector")
+        fast = system.config.memory.access_engine == "batched"
         return PageRankState(
             graph=g,
             addresses=region.addresses,

@@ -10,11 +10,20 @@ latencies, hop counts, hit rates, energy) on every design, on every
 workload, and under an injected fault schedule.  The batched engine
 also places tasks in batches while the scalar one places them one by
 one, so the same tests pin batch placement to the per-task loop.
+
+The same results are also pinned to frozen golden digests
+(``tests/golden/exact_digests.json``: SHA-256 of the sorted-key
+``result_to_dict`` JSON per ``workload/design`` on the batched engine,
+plus ``faults/pr/O``), so an exact-tier change that moves both engines
+together still fails.  Regenerate that file only together with a
+deliberate behaviour change and a ``SIMULATOR_VERSION`` bump.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +36,17 @@ from repro.sweep.serialize import result_to_dict
 
 ENGINES = ("scalar", "batched")
 
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "exact_digests.json").read_text()
+)
+
 
 def _canonical(result) -> str:
     return json.dumps(result_to_dict(result), sort_keys=True)
+
+
+def _digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +93,10 @@ def test_engines_bit_identical(design, workload_name, base_config,
     assert payloads["scalar"] == payloads["batched"], (
         f"engines disagree on {design}/{workload_name}"
     )
+    assert _digest(payloads["batched"]) == \
+        GOLDEN[f"{workload_name}/{design}"], (
+        f"{design}/{workload_name} moved off its golden digest"
+    )
 
 
 def test_engines_bit_identical_under_faults(base_config, workloads):
@@ -99,6 +120,7 @@ def test_engines_bit_identical_under_faults(base_config, workloads):
         assert result.resilience is not None
         payloads[engine] = _canonical(result)
     assert payloads["scalar"] == payloads["batched"]
+    assert _digest(payloads["batched"]) == GOLDEN["faults/pr/O"]
 
 
 def test_cache_keys_and_cached_json_engine_invariant(
@@ -142,8 +164,16 @@ def test_version_salt_not_bumped_by_engine_work():
 
 
 def test_scalar_engine_selectable():
-    """The reference path stays selectable via MemoryConfig."""
+    """The reference path stays selectable via MemoryConfig; any other
+    name — including the removed ``vector`` tier — is rejected by the
+    config and by the CLI."""
+    from repro.cli import main
+
     cfg = engine_config("scalar", experiment_config().scaled(2, 2))
     assert cfg.memory.access_engine == "scalar"
-    with pytest.raises(ValueError):
-        engine_config("vectorised")
+    for bad in ("vectorised", "vector"):
+        with pytest.raises(ValueError, match="'scalar' or 'batched'"):
+            engine_config(bad)
+        for command in ("run", "bench"):
+            with pytest.raises(SystemExit):
+                main([command, "--engine", bad])

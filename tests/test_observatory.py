@@ -413,6 +413,14 @@ class TestBenchRegression:
         report = compare_bench(base, cand)
         assert report.ok
         assert any("seed/mesh differ" in n for n in report.notes)
+        # an old vector-tier record is its own tier: no semantic
+        # check, just a note
+        cross = compare_bench(make_bench(1.0),
+                              make_bench(0.5, engine="vector", tasks=9000))
+        assert cross.ok
+        assert not any(f.kind == "semantic" for f in cross.findings)
+        assert any("engine tiers differ (exact vs vector)" in n
+                   for n in cross.notes)
 
     def test_merge_reports(self):
         a = scan_bench_trajectory(

@@ -108,6 +108,11 @@ class TestSpec:
                 {"design": "B", "workload": "pr", "engine": engine})
             assert spec.run_key() == base
 
+    def test_removed_vector_tier_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="unknown engine 'vector'"):
+            ExperimentSpec.from_dict(
+                {"design": "B", "workload": "pr", "engine": "vector"})
+
     def test_faults_change_the_key(self):
         from repro.faults.schedule import make_random_schedule
 
