@@ -1,51 +1,21 @@
-"""Cross-engine perf smoke (the gate CI's bench job applies).
+"""Shape of the ``repro bench`` record.
 
-One small seeded point under both access engines: the RunResults must
-be bit-identical and the batched engine must not be slower.  Full
-matrix timing goes through ``python -m repro bench`` (see README.md);
-this test keeps the gate runnable as plain pytest.
+Full matrix timing goes through ``python -m repro bench`` (see
+README.md); this test keeps the harness runnable as plain pytest.
 """
 
 from __future__ import annotations
 
-import json
-import time
-
-from repro.bench import bench_points, engine_config
+from repro.bench import bench_points
 from repro.config import experiment_config
-from repro.simulate import simulate
-from repro.sweep.serialize import result_to_dict
-from repro.workloads.base import make_workload
-
-
-def test_engines_identical_and_batched_not_slower():
-    base = experiment_config().scaled(2, 2)
-    workload = make_workload("pr")
-    best = {}
-    payloads = {}
-    for engine in ("scalar", "batched"):
-        cfg = engine_config(engine, base)
-        simulate("O", workload, config=cfg)  # warmup
-        best[engine] = float("inf")
-        for _ in range(3):
-            t0 = time.process_time()
-            result = simulate("O", workload, config=cfg)
-            best[engine] = min(best[engine], time.process_time() - t0)
-        payloads[engine] = json.dumps(result_to_dict(result),
-                                      sort_keys=True)
-    assert payloads["scalar"] == payloads["batched"]
-    assert best["batched"] <= best["scalar"], (
-        f"batched engine slower: {best['batched']:.2f}s vs "
-        f"{best['scalar']:.2f}s scalar"
-    )
 
 
 def test_bench_points_payload_shape():
     payload = bench_points(
-        "batched", ["B"], ["pr"],
+        ["B"], ["pr"],
         config=experiment_config().scaled(2, 2), repeats=1,
     )
-    assert payload["engine"] == "batched"
+    assert "engine" not in payload  # one exact kernel: nothing to name
     (point,) = payload["points"]
     assert point["design"] == "B" and point["workload"] == "pr"
     assert point["wall_s"] > 0 and point["tasks"] > 0

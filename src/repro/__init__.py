@@ -47,7 +47,6 @@ from repro.simulate import (
     DETAIL_WORKLOADS,
     compare_designs,
     simulate,
-    sweep_configs,
 )
 from repro.workloads.base import WORKLOAD_FACTORIES, Workload, make_workload
 
@@ -62,9 +61,7 @@ from repro.faults import (
 )
 
 # The sweep engine: parallel grid runs + the content-addressed result
-# cache.  ``repro.sweep`` is the package (its module object stays
-# callable with the legacy ``sweep(design, workload, configs)``
-# signature — see the package docstring).
+# cache.
 from repro import sweep
 from repro.sweep import (
     ResultCache,
@@ -103,7 +100,6 @@ __all__ = [
     "simulate",
     "compare_designs",
     "sweep",
-    "sweep_configs",
     "cached_simulate",
     "run_point",
     "run_matrix",

@@ -44,7 +44,7 @@ class DramStats:
         writes: int = 0,
     ) -> None:
         """Fold a batch of pre-aggregated events in at once (the
-        batched engine's single flush per hint batch)."""
+        fused access kernel's single flush per hint batch)."""
         self.reads += reads
         self.cache_fills += cache_fills
         self.cache_reads += cache_reads

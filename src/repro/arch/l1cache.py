@@ -83,10 +83,10 @@ class L1Cache:
         return victim
 
     def batch_state(self):
-        """Internal state for the batched access engine's fused probe
-        loop: ``(sets dict, num_sets, associativity, stats)``.
+        """Internal state for the fused access kernel's probe loop:
+        ``(sets dict, num_sets, associativity, stats)``.
 
-        The engine inlines :meth:`lookup`/:meth:`insert` per hint line
+        The kernel inlines :meth:`lookup`/:meth:`insert` per hint line
         (same hash, same LRU updates, same eviction choices) and flushes
         the hit/miss counts into ``stats`` once per batch.
         """

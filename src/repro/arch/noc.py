@@ -76,8 +76,8 @@ class TrafficMeter:
     ) -> None:
         """Fold a batch worth of pre-aggregated traffic into the meter.
 
-        Integer counters are order-insensitive, so the batched access
-        engine accumulates a whole hint batch in Python ints and flushes
+        Integer counters are order-insensitive, so the fused access
+        kernel accumulates a whole hint batch in Python ints and flushes
         once — same totals as per-message :meth:`merge`/``+=`` booking.
         """
         self.messages += messages
@@ -205,7 +205,7 @@ class Interconnect:
         #: unreachable.  Doubles as the scheduling-cost contribution.
         self._fault_mesh_ns: Optional[np.ndarray] = None
         self._fault_routes: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
-        # Dense lookup tables for the batched access engine (see
+        # Dense lookup tables for the fused access kernel (see
         # fast_tables()); rebuilt lazily after any fault transition.
         self._fast_tables: Optional[
             Tuple[List[List[float]], List[List[int]], List[List[int]]]
@@ -459,7 +459,7 @@ class Interconnect:
     def fast_tables(
         self,
     ) -> Tuple[List[List[float]], List[List[int]], List[List[int]]]:
-        """Dense (N, N) lookup tables for the batched access engine.
+        """Dense (N, N) lookup tables for the fused access kernel.
 
         Returns ``(one_way_ns, access_class, hops)`` as nested Python
         lists (list indexing beats ndarray item access in tight Python

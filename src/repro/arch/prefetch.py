@@ -58,8 +58,8 @@ class PrefetchBuffer:
         self.stats.issued += 1
 
     def batch_state(self):
-        """Internal state for the batched access engine's fused probe
-        loop: ``(fifo dict, capacity_lines, stats)``.  Same contract as
+        """Internal state for the fused access kernel's probe loop:
+        ``(fifo dict, capacity_lines, stats)``.  Same contract as
         :meth:`repro.arch.l1cache.L1Cache.batch_state`.
         """
         return self._fifo, self.capacity_lines, self.stats

@@ -64,7 +64,7 @@ class SramStats:
         data_cache_accesses: int = 0,
     ) -> None:
         """Fold a batch of pre-aggregated probe counts in at once (the
-        batched access engine's single flush per hint batch)."""
+        fused access kernel's single flush per hint batch)."""
         self.l1_accesses += l1_accesses
         self.prefetch_accesses += prefetch_accesses
         self.tag_accesses += tag_accesses

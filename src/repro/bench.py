@@ -1,11 +1,11 @@
 """Performance benchmark harness (``python -m repro bench``).
 
-Times seeded (design x workload) simulation points with one engine and
-writes a ``BENCH_<n>.json`` record at the repository root, starting the
-perf trajectory of the simulator itself: ``BENCH_0.json`` is the
-pre-optimization scalar baseline, ``BENCH_1.json`` the batched engine,
-and future PRs append ``BENCH_2.json``... after their own hot-path
-work.  ``docs/performance.md`` explains how to read the records.
+Times seeded (design x workload) simulation points and writes a
+``BENCH_<n>.json`` record at the repository root, the perf trajectory
+of the simulator itself: ``BENCH_0.json`` is the pre-optimization
+per-line baseline, ``BENCH_1.json`` the fused access kernel, and each
+later record follows its own hot-path work.  ``docs/performance.md``
+explains how to read the records.
 
 Methodology
 -----------
@@ -24,7 +24,6 @@ Methodology
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import time
@@ -40,16 +39,6 @@ _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 SCHEMA = "repro-bench-v1"
 
 
-def engine_config(engine: str,
-                  config: Optional[SystemConfig] = None) -> SystemConfig:
-    """``config`` (default: the experiment machine) with the given
-    access engine selected."""
-    cfg = config if config is not None else experiment_config()
-    return dataclasses.replace(
-        cfg, memory=dataclasses.replace(cfg.memory, access_engine=engine)
-    ).validate()
-
-
 def _accesses(result) -> int:
     """Memory accesses resolved by the run: every read entering the
     hierarchy (counted at the L1, the first probe of every access flow)
@@ -58,7 +47,6 @@ def _accesses(result) -> int:
 
 
 def bench_points(
-    engine: str,
     designs: Sequence[str],
     workloads: Sequence[str],
     config: Optional[SystemConfig] = None,
@@ -66,7 +54,7 @@ def bench_points(
     warmup: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Time the (design x workload) matrix under one engine.
+    """Time the (design x workload) matrix.
 
     Returns the ``BENCH_<n>.json`` payload (see module docstring for
     the methodology).  Simulations always run live — a result cache
@@ -75,7 +63,7 @@ def bench_points(
     from repro.simulate import simulate
     from repro.workloads.base import make_workload
 
-    cfg = engine_config(engine, config)
+    cfg = config if config is not None else experiment_config()
     shared = {name: make_workload(name) for name in workloads}
     if warmup:
         simulate(designs[0], shared[workloads[0]], config=cfg)
@@ -120,7 +108,6 @@ def bench_points(
     accesses = sum(p["accesses"] for p in points)
     return {
         "schema": SCHEMA,
-        "engine": engine,
         # trajectory provenance: which commit produced the record, and
         # on which machine (absolute seconds only compare within a host)
         "git_rev": git_revision(),
@@ -142,29 +129,29 @@ def bench_points(
 
 
 def bench_warm_sweep(
-    engine: str,
     designs: Sequence[str] = ("C", "O"),
     workloads: Sequence[str] = ("pr", "knn"),
     config: Optional[SystemConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Time one uncached sweep three ways: legacy cold fork-per-point,
-    a fresh :class:`~repro.sweep.runtime.WorkerRuntime` (first pass —
-    memos filling), and the same runtime again (steady state — memos
-    hot).
+    """Time one uncached sweep twice on one
+    :class:`~repro.sweep.runtime.WorkerRuntime`: a first pass (memos
+    filling) and a second (steady state — memos hot).
 
     Unlike :func:`bench_points` the workloads are *not* pre-shared:
     amortizing workload generation and derived-table construction
     across points is exactly what the warm runtime claims to do, so it
-    stays inside the timed region.  All three passes must agree
-    bit-for-bit (``identical``) — a disagreement means the memo layer
-    broke determinism and the record should never be committed.
+    stays inside the timed region.  Both passes must agree bit-for-bit
+    with plain :func:`~repro.simulate.simulate` of every point
+    (``identical``) — a disagreement means the memo layer broke
+    determinism and the record should never be committed.
     """
+    from repro.simulate import simulate
     from repro.sweep.runner import SweepPoint, SweepRunner
     from repro.sweep.runtime import WorkerRuntime
     from repro.sweep.serialize import result_to_dict
 
-    cfg = engine_config(engine, config)
+    cfg = config if config is not None else experiment_config()
     points = [
         SweepPoint(design=d, workload=w, config=cfg, label=f"{d}/{w}")
         for w in workloads
@@ -189,28 +176,26 @@ def bench_warm_sweep(
                      f"({len(points)} points)")
         return dt, blobs
 
-    cold_s, cold_blobs = one_pass(False, "cold fork-per-point")
     with WorkerRuntime(jobs=1) as rt:
         first_s, first_blobs = one_pass(rt, "warm runtime pass 1")
         steady_s, steady_blobs = one_pass(rt, "warm runtime pass 2")
+    plain_blobs = [
+        json.dumps(result_to_dict(simulate(p.design, p.materialize(),
+                                           config=cfg)), sort_keys=True)
+        for p in points
+    ]
     return {
-        "engine": engine,
         "designs": list(designs),
         "workloads": list(workloads),
         "mesh": f"{cfg.topology.mesh_rows}x{cfg.topology.mesh_cols}",
         "points": len(points),
-        "cold_fork_s": round(cold_s, 4),
         "warm_first_s": round(first_s, 4),
         "warm_steady_s": round(steady_s, 4),
-        "speedup_first": round(cold_s / first_s, 3) if first_s else 0.0,
-        "speedup_steady": round(cold_s / steady_s, 3)
-        if steady_s else 0.0,
-        "identical": cold_blobs == first_blobs == steady_blobs,
+        "identical": plain_blobs == first_blobs == steady_blobs,
     }
 
 
 def bench_mesh_point(
-    engine: str,
     mesh: str = "8x8",
     design: str = "O",
     workload: str = "pr",
@@ -222,7 +207,7 @@ def bench_mesh_point(
     from repro.workloads.base import make_workload
 
     rows, cols = (int(v) for v in mesh.lower().split("x"))
-    cfg = engine_config(engine, experiment_config().scaled(rows, cols))
+    cfg = experiment_config().scaled(rows, cols)
     wl = make_workload(workload)
     w0 = time.perf_counter()
     c0 = time.process_time()
@@ -232,7 +217,6 @@ def bench_mesh_point(
     if progress:
         progress(f"{design:3} {workload:8} mesh={mesh} {wall:7.2f}s")
     return {
-        "engine": engine,
         "mesh": mesh,
         "design": design,
         "workload": workload,

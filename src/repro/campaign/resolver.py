@@ -4,8 +4,8 @@ the DSI-style document machinery campaigns are built from.
 Two layers live here on purpose:
 
 * **Point resolution** — the key-preserving transformation from a spec
-  dict (``design`` / ``workload`` / ``mesh`` / ``engine`` / ``seed`` /
-  config-section overrides) to a validated
+  dict (``design`` / ``workload`` / ``mesh`` / ``seed`` / config-section
+  overrides) to a validated
   :class:`~repro.config.SystemConfig`.  This is the code that used to
   live inside :class:`repro.service.spec.ExperimentSpec`; the spec is
   now a thin wrapper over these functions, so a single experiment spec
@@ -37,7 +37,7 @@ import re
 import typing
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.config import ACCESS_ENGINES, SystemConfig, experiment_config
+from repro.config import SystemConfig, experiment_config
 
 #: config sections a spec may override (every SystemConfig section).
 CONFIG_SECTIONS = ("topology", "core", "memory", "noc", "sram", "cache",
@@ -46,8 +46,8 @@ CONFIG_SECTIONS = ("topology", "core", "memory", "noc", "sram", "cache",
 #: the keys one experiment point understands — in a spec dict, in a
 #: campaign ``base`` / ``overrides`` layer, and as the first segment of
 #: an axis or ``--set`` path.
-POINT_KEYS = ("design", "workload", "workload_kwargs", "mesh", "engine",
-              "seed", "config", "faults", "label", "trace_id")
+POINT_KEYS = ("design", "workload", "workload_kwargs", "mesh", "seed",
+              "config", "faults", "label", "trace_id")
 
 #: environment prefix for ``$RUNTIME_VALUE`` lookups: the placeholder
 #: at document path ``base.seed`` reads ``REPRO_CAMPAIGN_BASE_SEED``.
@@ -153,7 +153,6 @@ def parse_mesh(mesh: str) -> Tuple[int, int]:
 def resolve_system_config(
     mesh: Optional[str] = None,
     config: Optional[Dict[str, Any]] = None,
-    engine: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> SystemConfig:
     """The full :class:`SystemConfig` one experiment point describes.
@@ -166,9 +165,6 @@ def resolve_system_config(
     if mesh:
         cfg = cfg.scaled(*parse_mesh(mesh))
     cfg = apply_sections(cfg, config or {})
-    if engine:
-        cfg = cfg.with_(memory=dataclasses.replace(
-            cfg.memory, access_engine=engine))
     if seed is not None:
         cfg = cfg.with_(seed=seed)
     try:
@@ -230,12 +226,6 @@ def validate_point(data: Any) -> Dict[str, Any]:
     if not isinstance(kwargs, dict):
         raise SpecError("workload_kwargs must be an object")
     bind_workload_kwargs(WORKLOAD_FACTORIES[workload], workload, kwargs)
-    engine = data.get("engine")
-    if engine and engine not in ACCESS_ENGINES:
-        raise SpecError(
-            f"unknown engine {engine!r}; expected one of "
-            f"{list(ACCESS_ENGINES)}"
-        )
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise SpecError(f"seed must be an integer, got {seed!r}")
@@ -245,8 +235,8 @@ def validate_point(data: Any) -> Dict[str, Any]:
     return {
         "design": design, "workload": workload,
         "workload_kwargs": dict(kwargs),
-        "mesh": data.get("mesh"), "engine": engine,
-        "seed": seed, "config": dict(data.get("config") or {}),
+        "mesh": data.get("mesh"), "seed": seed,
+        "config": dict(data.get("config") or {}),
         "faults": faults, "label": str(data.get("label") or ""),
         # Non-semantic correlation annotation: accepted and carried,
         # never hashed into the run key (see repro.insight.trace).

@@ -150,7 +150,7 @@ def _materialize_faults(point: Dict[str, Any], label: str) -> None:
             f"expected a subset of {sorted(RANDOM_FAULT_KEYS)}")
     cfg = resolve_system_config(
         mesh=point.get("mesh"), config=point.get("config"),
-        engine=point.get("engine"), seed=point.get("seed"))
+        seed=point.get("seed"))
     from repro.arch.topology import Topology
     from repro.faults.schedule import make_random_schedule
 

@@ -60,9 +60,7 @@ from repro.analysis import export
 from repro.analysis.metrics import RunResult
 from repro.analysis.plotting import bar_chart
 from repro.analysis.stats import geomean
-from repro.config import (
-    ACCESS_ENGINES, SystemConfig, describe_config, experiment_config,
-)
+from repro.config import SystemConfig, describe_config, experiment_config
 from repro.sweep import SIMULATOR_VERSION, cached_simulate, run_matrix
 
 
@@ -87,11 +85,6 @@ def _config_from_args(args) -> SystemConfig:
         if args.bypass is not None:
             cache_over["bypass_probability"] = args.bypass
         cfg = cfg.with_(cache=dataclasses.replace(cfg.cache, **cache_over))
-    engine = getattr(args, "engine", None)
-    if engine:
-        cfg = cfg.with_(
-            memory=dataclasses.replace(cfg.memory, access_engine=engine)
-        )
     return cfg.validate()
 
 
@@ -128,9 +121,6 @@ def _spec_from_args(args, design: str, workload: str):
         config["cache"] = cache_over
     if config:
         spec["config"] = config
-    engine = getattr(args, "engine", None)
-    if engine:
-        spec["engine"] = engine
     return ExperimentSpec.from_dict(spec)
 
 
@@ -802,8 +792,7 @@ def cmd_report(args) -> int:
 def cmd_bench(args) -> int:
     """``python -m repro bench``: time the simulator itself (see
     docs/performance.md) and record a ``BENCH_<n>.json`` at the repo
-    root; ``--smoke`` instead cross-checks the two access engines on
-    one small point (CI's perf gate)."""
+    root."""
     from pathlib import Path
 
     from repro.bench import (
@@ -814,28 +803,26 @@ def cmd_bench(args) -> int:
         write_bench,
     )
 
-    if args.smoke:
-        return _bench_smoke()
     log = _log_from_args(args)
     designs = (args.designs.split(",") if args.designs
                else list(repro.ALL_DESIGNS))
     workloads = args.workloads.split(",") if args.workloads else ["pr"]
     payload = bench_points(
-        args.engine, designs, workloads, config=_config_from_args(args),
+        designs, workloads, config=_config_from_args(args),
         repeats=args.repeats, progress=log.info,
     )
     if args.warm:
         # warm-runtime trajectory + the first large-mesh point
-        # (docs/performance.md): cold fork-per-point vs a warm
-        # WorkerRuntime filling then steady, plus one live 8x8 run.
+        # (docs/performance.md): a WorkerRuntime filling then steady,
+        # plus one live 8x8 run.
         payload["warm_runtime"] = bench_warm_sweep(
-            args.engine, config=_config_from_args(args),
-            progress=log.info)
+            config=_config_from_args(args), progress=log.info)
         payload["mesh_scaling"] = bench_mesh_point(
-            args.engine, mesh="8x8", progress=log.info)
+            mesh="8x8", progress=log.info)
         if not payload["warm_runtime"]["identical"]:
             print("error: warm-runtime passes were not bit-identical "
-                  "to the cold sweep — refusing to record", file=sys.stderr)
+                  "to plain simulate() — refusing to record",
+                  file=sys.stderr)
             return 1
     if args.output:
         out = Path(args.output)
@@ -846,100 +833,9 @@ def cmd_bench(args) -> int:
 
     record_bench(payload, out)
     t = payload["totals"]
-    print(f"wrote {out} (engine={args.engine}, total {t['wall_s']:.2f}s, "
+    print(f"wrote {out} (total {t['wall_s']:.2f}s, "
           f"{t['tasks_per_s']:,.0f} tasks/s, "
           f"{t['accesses_per_s']:,.0f} accesses/s)")
-    return 0
-
-
-def _bench_smoke() -> int:
-    """One small point (O/pr on a 2x2 mesh) under both engines.
-
-    Scalar and batched must match bit-for-bit, and batched must not be
-    slower than scalar.
-    """
-    import time
-
-    from repro.bench import engine_config
-    from repro.simulate import simulate
-    from repro.sweep.serialize import result_to_dict
-    from repro.workloads.base import make_workload
-
-    base = experiment_config().scaled(2, 2)
-    workload = make_workload("pr")
-    best: Dict[str, float] = {}
-    payload: Dict[str, str] = {}
-    for engine in ACCESS_ENGINES:
-        cfg = engine_config(engine, base)
-        simulate("O", workload, config=cfg)  # warmup
-        best[engine] = float("inf")
-        for _ in range(3):
-            t0 = time.process_time()
-            result = simulate("O", workload, config=cfg)
-            best[engine] = min(best[engine], time.process_time() - t0)
-        payload[engine] = _json.dumps(result_to_dict(result),
-                                      sort_keys=True)
-    identical = payload["scalar"] == payload["batched"]
-    ratio = best["scalar"] / best["batched"]
-    print(f"bench smoke O/pr mesh=2x2: scalar={best['scalar']:.2f}s "
-          f"batched={best['batched']:.2f}s ({ratio:.2f}x) "
-          f"scalar/batched {'identical' if identical else 'DIFFER'}")
-    if not identical:
-        print("error: the engines disagree on the same seeded point",
-              file=sys.stderr)
-        return 1
-    if best["batched"] > best["scalar"]:
-        print("error: batched engine slower than scalar on the smoke "
-              "point", file=sys.stderr)
-        return 1
-    return _bench_smoke_warm_race(base)
-
-
-def _bench_smoke_warm_race(base) -> int:
-    """Race the legacy cold sweep path against the warm runtime on one
-    uncached point (best of two passes each; the warm second pass runs
-    memo-hot).  Fails on a result mismatch — the warm runtime's hard
-    bit-identity contract — or on the warm path losing the race."""
-    import time
-
-    from repro.bench import engine_config
-    from repro.sweep.runner import SweepPoint, SweepRunner
-    from repro.sweep.runtime import WorkerRuntime
-    from repro.sweep.serialize import result_to_dict
-
-    cfg = engine_config("batched", base)
-    points = [SweepPoint(design="O", workload="pr", config=cfg,
-                         label="O/pr")]
-
-    def best_of(runtime, passes: int = 2):
-        best, blob = float("inf"), None
-        for _ in range(passes):
-            t0 = time.perf_counter()
-            report = SweepRunner(cache=False, jobs=1,
-                                 runtime=runtime).run(points)
-            dt = time.perf_counter() - t0
-            if report.failures:
-                raise RuntimeError(report.failures[0].error)
-            best = min(best, dt)
-            blob = _json.dumps(result_to_dict(report.outcomes[0].result),
-                               sort_keys=True)
-        return best, blob
-
-    cold_s, cold_blob = best_of(False)
-    with WorkerRuntime(jobs=1) as rt:
-        warm_s, warm_blob = best_of(rt)
-    identical = warm_blob == cold_blob
-    print(f"bench smoke warm race O/pr: cold={cold_s:.2f}s "
-          f"warm={warm_s:.2f}s "
-          f"({'identical' if identical else 'DIFFER'})")
-    if not identical:
-        print("error: warm runtime result differs from the cold path",
-              file=sys.stderr)
-        return 1
-    if warm_s > cold_s:
-        print("error: warm runtime slower than the cold path on the "
-              "smoke point", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1193,10 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one design/workload")
     add_common(p_run, design=True)
     add_telemetry(p_run)
-    p_run.add_argument("--engine", default=None,
-                       choices=list(ACCESS_ENGINES),
-                       help="access engine (default: batched; "
-                            "see docs/engines.md)")
     p_run.add_argument("--verify", action="store_true",
                        help="check the computed answer")
     p_run.add_argument("--profile", action="store_true",
@@ -1257,13 +1149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="benchmark the simulator itself and record BENCH_<n>.json "
-             "(--smoke: cross-engine CI gate on one small point)",
+        help="benchmark the simulator itself and record BENCH_<n>.json",
     )
-    p_bench.add_argument("--engine",
-                         choices=list(ACCESS_ENGINES),
-                         default="batched",
-                         help="access engine to time (default: batched)")
     p_bench.add_argument("--designs",
                          help="comma-separated design subset "
                               "(default: all six)")
@@ -1280,15 +1167,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for the auto-numbered "
                               "BENCH_<n>.json (default: current "
                               "directory; created on demand)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="run one small point under both "
-                              "engines; fail on a scalar/batched result "
-                              "mismatch, a batched slowdown, or a warm-"
-                              "runtime mismatch/slowdown")
     p_bench.add_argument("--warm", action="store_true",
                          help="additionally record the warm-runtime "
-                              "trajectory (cold fork vs WorkerRuntime "
-                              "filling/steady) and one 8x8 mesh point")
+                              "trajectory (WorkerRuntime filling/steady) "
+                              "and one 8x8 mesh point")
     add_config(p_bench)
     add_verbosity(p_bench)
 

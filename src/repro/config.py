@@ -148,19 +148,6 @@ class MemoryConfig:
     # Hot home units saturating this rate is the contention that the
     # Traveller Cache's extra caching locations relieve.
     service_ns: float = 3.0
-    # Implementation choice, not a machine parameter.  Two engines (see
-    # docs/engines.md):
-    #   "scalar"  - the original one-call-per-line reference path (the
-    #               parity oracle);
-    #   "batched" - resolves a task's whole hint batch per
-    #               MemorySystem.access_many call (vectorized stateless
-    #               stages + an ordered sequential kernel, bit-identical
-    #               to scalar).
-    # Non-semantic: the engine is excluded from canonical_dict()/run
-    # keys — both engines produce the same RunResult, so either one
-    # replays the other's cached results.
-    access_engine: str = field(default="batched",
-                               metadata={"semantic": False})
 
     @property
     def access_latency_ns(self) -> float:
@@ -193,27 +180,23 @@ class MemoryConfig:
             raise ValueError("cacheline_bytes must be a power of two")
         if self.capacity_per_unit % self.cacheline_bytes:
             raise ValueError("capacity must be a multiple of the cacheline")
-        if self.access_engine not in ACCESS_ENGINES:
-            raise ValueError(
-                "access_engine must be 'scalar' or 'batched', "
-                f"got {self.access_engine!r}"
-            )
 
 
-#: The access engines.  Both are bit-identical (scalar is the oracle,
-#: batched replays every stateful step in scalar order).
-ACCESS_ENGINES = ("scalar", "batched")
+#: Engine names that old ledger and bench records may carry: both were
+#: exact access engines, since merged into one kernel.
+_EXACT_ENGINES = ("scalar", "batched")
 
 
 def engine_tier(engine: Optional[str]) -> str:
     """The equivalence tier of a recorded ``engine`` name.
 
-    Both current engines (and records without an engine field) are
-    the ``"exact"`` tier.  Any other name is its own tier: records of
-    the statistical ``"vector"`` engine, since removed, must never
-    read as exact-tier results.
+    Records without an engine field (every new one) and records of
+    the old ``"scalar"``/``"batched"`` engines are the ``"exact"`` tier.
+    Any other name is its own tier: records of the statistical
+    ``"vector"`` engine, since removed, must never read as exact-tier
+    results.
     """
-    return "exact" if engine in ACCESS_ENGINES or not engine else engine
+    return "exact" if engine in _EXACT_ENGINES or not engine else engine
 
 
 @dataclass(frozen=True)
@@ -426,13 +409,9 @@ def _canonical_value(value):
     if isinstance(value, enum.Enum):
         return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Fields tagged semantic=False are implementation selectors that
-        # cannot change results (e.g. MemoryConfig.access_engine); leaving
-        # them out keeps run keys stable across engine choices.
         return {
             f.name: _canonical_value(getattr(value, f.name))
             for f in dataclasses.fields(value)
-            if f.metadata.get("semantic", True)
         }
     if isinstance(value, (list, tuple)):
         return [_canonical_value(v) for v in value]

@@ -235,12 +235,6 @@ class CampMapper:
         nearest, is_home, _ = self._nearest_tables(line, cost_matrix)
         return int(nearest[requester]), bool(is_home[requester])
 
-    def nearest_cost_vector(self, line: int,
-                            cost_matrix: np.ndarray) -> np.ndarray:
-        """Distance from every unit to ``line``'s nearest allowed
-        location (the per-line column of Equation 2's camp-aware cost)."""
-        return self._nearest_tables(line, cost_matrix)[2]
-
     # ------------------------------------------------------------------
     # vectorised interface (scheduler scoring)
     # ------------------------------------------------------------------
@@ -259,10 +253,10 @@ class CampMapper:
         :meth:`_nearest_tables` for every not-yet-memoized line in
         ``lines`` (an iterable of Python ints).  The hash, the argmin
         tie-break (first minimum), and the stored values are exactly
-        those of the scalar path — the tables land in the same memo
-        dicts, so scalar and batched consumers see identical data.
+        those of the per-line path — the tables land in the same memo
+        dicts, so per-line and batch consumers see identical data.
         Under an alive-mask the per-group probing makes vectorization
-        awkward; that rare case falls back to the scalar fill.
+        awkward; that rare case falls back to the per-line fill.
         """
         cache = self._nearest_cache
         missing = [ln for ln in lines if ln not in cache]

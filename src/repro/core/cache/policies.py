@@ -9,7 +9,7 @@ random replacement needs no extra metadata.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import List, Protocol
 
 import numpy as np
 
@@ -35,21 +35,21 @@ class ProbabilisticInsertion:
 class VictimPolicy(Protocol):
     """Chooses which way of a full set to evict."""
 
-    def choose_way(self, use_order: np.ndarray, rng: np.random.Generator) -> int:
+    def choose_way(self, use_order: List[int], rng: np.random.Generator) -> int:
         """``use_order[w]`` is the last-use stamp of way ``w``."""
         ...
 
-    def on_touch(self, use_order: np.ndarray, way: int, stamp: int) -> None:
+    def on_touch(self, use_order: List[int], way: int, stamp: int) -> None:
         ...
 
 
 class RandomReplacement:
     """Uniform random victim; keeps no per-way state."""
 
-    def choose_way(self, use_order: np.ndarray, rng: np.random.Generator) -> int:
+    def choose_way(self, use_order: List[int], rng: np.random.Generator) -> int:
         return int(rng.integers(len(use_order)))
 
-    def on_touch(self, use_order: np.ndarray, way: int, stamp: int) -> None:
+    def on_touch(self, use_order: List[int], way: int, stamp: int) -> None:
         # Random replacement ignores recency; nothing to record.
         return None
 
@@ -57,10 +57,10 @@ class RandomReplacement:
 class LruReplacement:
     """Evict the way with the oldest use stamp."""
 
-    def choose_way(self, use_order: np.ndarray, rng: np.random.Generator) -> int:
+    def choose_way(self, use_order: List[int], rng: np.random.Generator) -> int:
         return int(np.argmin(use_order))
 
-    def on_touch(self, use_order: np.ndarray, way: int, stamp: int) -> None:
+    def on_touch(self, use_order: List[int], way: int, stamp: int) -> None:
         use_order[way] = stamp
 
 

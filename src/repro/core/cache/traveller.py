@@ -68,37 +68,17 @@ class TravellerCache:
         config: CacheConfig,
         memory: MemoryConfig,
         rng: np.random.Generator,
-        dense_layout: bool = False,
     ):
         self.config = config
         self.num_sets = config.num_sets(memory)
         self.associativity = config.associativity
-        # Two storage layouts with identical behavior (same hit/miss,
-        # eviction, and RNG-draw sequences):
-        #
-        # * sparse (default): only sets touched since the last bulk
-        #   invalidation hold a row of Python lists; a missing row means
-        #   all ways invalid (use stamps zero).  Barrier invalidation is
-        #   an O(touched) dict clear instead of an O(capacity) array
-        #   wipe per unit, and probes are plain list operations —
-        #   first-match ``list.index`` has exactly the semantics of
-        #   ``np.nonzero(...)[0][0]``.
-        # * dense: the original preallocated (num_sets, associativity)
-        #   ndarrays.  Kept selectable so the scalar access engine
-        #   remains the unmodified reference implementation end to end
-        #   (MemorySystem picks the layout from the engine choice).
-        self._dense = dense_layout
-        if dense_layout:
-            self._tags = np.full(
-                (self.num_sets, self.associativity), self.INVALID,
-                dtype=np.int64,
-            )
-            self._use_order = np.zeros(
-                (self.num_sets, self.associativity), dtype=np.int64
-            )
-        else:
-            self._tags: Dict[int, List[int]] = {}
-            self._use_order: Dict[int, List[int]] = {}
+        # Sparse storage: only sets touched since the last bulk
+        # invalidation hold a row of Python lists; a missing row means
+        # all ways invalid (use stamps zero).  Barrier invalidation is
+        # an O(touched) dict clear instead of an O(capacity) array wipe
+        # per unit, and probes are plain list operations.
+        self._tags: Dict[int, List[int]] = {}
+        self._use_order: Dict[int, List[int]] = {}
         self._stamp = 0
         self._rng = rng
         self._insertion = ProbabilisticInsertion(config.bypass_probability)
@@ -112,18 +92,6 @@ class TravellerCache:
     def lookup(self, line: int) -> bool:
         """Probe the SRAM tags for ``line``."""
         s = line % self.num_sets
-        if self._dense:
-            ways = self._tags[s]
-            hit = np.nonzero(ways == line)[0]
-            if hit.size:
-                self._stamp += 1
-                self._victims.on_touch(
-                    self._use_order[s], int(hit[0]), self._stamp
-                )
-                self.stats.hits += 1
-                return True
-            self.stats.misses += 1
-            return False
         ways = self._tags.get(s)
         if ways is not None:
             try:
@@ -149,21 +117,6 @@ class TravellerCache:
             self.stats.bypasses += 1
             return False
         s = self._set_of(line)
-        if self._dense:
-            ways = self._tags[s]
-            if line in ways:
-                return False  # racing insert from a concurrent miss
-            empty = np.nonzero(ways == self.INVALID)[0]
-            if empty.size:
-                way = int(empty[0])
-            else:
-                way = self._victims.choose_way(self._use_order[s], self._rng)
-                self.stats.evictions += 1
-            ways[way] = line
-            self._stamp += 1
-            self._victims.on_touch(self._use_order[s], way, self._stamp)
-            self.stats.insertions += 1
-            return True
         ways = self._tags.get(s)
         if ways is None:
             ways = self._tags[s] = [self.INVALID] * self.associativity
@@ -183,24 +136,16 @@ class TravellerCache:
 
     def contains(self, line: int) -> bool:
         """Stat-free membership test."""
-        if self._dense:
-            return bool((self._tags[self._set_of(line)] == line).any())
         ways = self._tags.get(self._set_of(line))
         return ways is not None and line in ways
 
     def bulk_invalidate(self) -> None:
         """Clear all tags at the timestamp barrier (Section 4.4)."""
-        if self._dense:
-            self._tags.fill(self.INVALID)
-            self._use_order.fill(0)
-        else:
-            self._tags.clear()
-            self._use_order.clear()
+        self._tags.clear()
+        self._use_order.clear()
         self.stats.invalidation_rounds += 1
 
     def occupancy(self) -> int:
-        if self._dense:
-            return int((self._tags != self.INVALID).sum())
         return sum(
             self.associativity - row.count(self.INVALID)
             for row in self._tags.values()

@@ -72,11 +72,6 @@ class MemorySystem:
         self.style = config.cache.style
         self._cost = interconnect.cost_matrix
         self._service_ns = config.memory.service_ns
-        #: "batched" resolves whole hint batches through access_many's
-        #: fused kernel; "scalar" keeps the original per-line path.
-        #: Results are bit-identical (see tests/test_access_engine.py).
-        self._engine = config.memory.access_engine
-
         self.traffic = TrafficMeter()
         self.dram_stats = DramStats()
         self.sram_stats = SramStats()
@@ -89,7 +84,7 @@ class MemorySystem:
         self._dram_free_ns = [0.0] * config.num_units
         # Total queuing delay observed (diagnostics / tests).
         self.total_queue_delay_ns = 0.0
-        # Batched-engine per-line memo: line -> (home unit,
+        # Fused-kernel per-line memo: line -> (home unit,
         # per-requester nearest camp list, per-requester is-home list);
         # the camp lists are None for CacheStyle.NONE.  Valid for one
         # (camp-mapping epoch, link-fault epoch) pair.
@@ -110,24 +105,19 @@ class MemorySystem:
                 CacheStyle.DRAM_TAG: DramTagCache,
             }[self.style]
             self.caches = [
-                # The scalar engine keeps the original dense-ndarray
-                # layout so it stays the unmodified reference path.
-                cls(config.cache, config.memory, rng,
-                    dense_layout=self._engine == "scalar")
+                cls(config.cache, config.memory, rng)
                 for _ in range(config.num_units)
             ]
         if self.style is not CacheStyle.NONE and camp_mapper is None:
             raise ValueError("a camp mapper is required when caching is on")
-        # The fused kernel may inline the sparse-layout cache probe and
+        # The fused kernel may inline the cache probe and
         # install when replacement is RANDOM: on_touch is then a no-op
         # and the use-stamps are never read, so the inlined flow keeps
         # the exact hit/miss outcomes and RNG draw order (one
         # rng.random() per install attempt, one rng.integers(assoc) per
         # eviction) of TravellerCache.lookup/insert.
         self._inline_cache = (
-            self._engine == "batched"
-            and self.style is not CacheStyle.NONE
-            and not self.caches[0]._dense
+            self.style is not CacheStyle.NONE
             and isinstance(self.caches[0]._victims, RandomReplacement)
         )
 
@@ -242,7 +232,7 @@ class MemorySystem:
         return latency
 
     # ------------------------------------------------------------------
-    # batched read path
+    # fused read path
     # ------------------------------------------------------------------
     def access_many(
         self,
@@ -255,25 +245,22 @@ class MemorySystem:
         """Resolve a whole hint batch of reads; return the summed latency.
 
         Line ``i`` is issued at ``now_ns + min(i * spacing_ns, cap_ns)``
-        — the executor's issue-spread model.  With the batched engine
-        this fuses the per-line flow of :meth:`access` into one pass:
+        — the executor's issue-spread model.  The fused kernel runs the
+        per-line flow of :meth:`access` in one pass:
         camp resolution and NoC latencies come from vectorized,
         epoch-invalidated tables, stat counters accumulate in locals and
         flush once, while every *stateful* step (L1/prefetch/camp-cache
         probes and inserts with their RNG draws, the per-unit DRAM
         service clocks, and all float additions) runs in the exact
-        per-line order of the scalar path, so results are bit-identical.
+        per-line order of :meth:`access`, so results are bit-identical.
 
         Situations the fused kernel does not model (an attached
         resilience/fault state, link faults, a per-link telemetry meter,
-        vault latency scaling) fall back to the scalar loop — which is
-        also the whole story when ``MemoryConfig.access_engine`` is
-        ``"scalar"``.
+        vault latency scaling) fall back to a loop of :meth:`access`.
         """
         noc = self.interconnect
         if (
-            self._engine != "batched"
-            or self._resilience is not None
+            self._resilience is not None
             or noc.link_meter is not None
             or noc.has_link_faults
             or self.dram._latency_scale is not None
@@ -373,7 +360,7 @@ class MemorySystem:
 
         # Batch-local accumulators, flushed once below.  Counters are
         # order-insensitive ints; the queue-delay float keeps the exact
-        # sequential += order of the scalar path.
+        # sequential += order of the per-line path.
         l1_acc = l1_hits = pf_acc = pf_hits = pf_evicts = 0
         tag_acc = data_acc = 0
         reads = fills = cache_reads = tag_dram = 0
@@ -774,8 +761,7 @@ class MemorySystem:
         home = self.memory_map.home_of_line(line)
         noc = self.interconnect
         if (
-            self._engine == "batched"
-            and self._resilience is None
+            self._resilience is None
             and noc.link_meter is None
             and not noc.has_link_faults
         ):

@@ -57,12 +57,6 @@ class SchedulerContext:
     # Fault state: boolean per-unit liveness, None while every unit is
     # healthy.  Policies must never place a task on a dead unit.
     alive_mask: Optional[np.ndarray] = None
-    # Mirrors MemoryConfig.access_engine == "batched": scoring may then
-    # memoize each hint's summed nearest-distance row on the hint
-    # object (invalidated by the camp mapper's token/epoch pair).  Off
-    # under the scalar engine so that engine stays the original
-    # reference implementation end to end.
-    fast_scoring: bool = False
     # Bumped by the fault controller whenever the shared cost matrix
     # (or the liveness state it reflects) may have changed in place;
     # keys every scoring memo that bakes in cost-matrix values.
@@ -111,54 +105,35 @@ class SchedulerContext:
         lines = self.hint_lines(task)
         if lines.size == 0:
             return float(task.compute_cycles)
-        if self.fast_scoring:
-            # Memoized per (hint, unit): the rebalancing passes probe
-            # the same task at many candidate units, each probe below
-            # re-running the same arithmetic.  The stored value is the
-            # full stall term produced by the original expression
-            # sequence, so nothing changes bit-wise.
-            hint = task.hint
-            if self.camp_mapper is not None:
-                cm = self.camp_mapper
-                key = (cm.token, cm.epoch)
-            else:
-                key = self.cost_epoch
-            cached = getattr(hint, "_wsum", None)
-            if cached is None or cached[0] != key:
-                hint._wsum = cached = (key, {})
-            stall_cycles = cached[1].get(unit)
-            if stall_cycles is None:
-                if self.camp_mapper is not None:
-                    access_ns = float(self._camp_access_row(task)[unit])
-                else:
-                    homes = self.hint_homes(task)
-                    access_ns = float(self.cost_matrix[unit, homes].sum())
-                access_ns += self.dram_latency_ns * len(lines)
-                stall_cycles = (
-                    access_ns * self.frequency_ghz
-                    * (1.0 - self.prefetch_hide_fraction)
-                )
-                cached[1][unit] = stall_cycles
-            return float(task.compute_cycles) + stall_cycles
+        # Memoized per (hint, unit): the rebalancing passes probe the
+        # same task at many candidate units.
+        hint = task.hint
         if self.camp_mapper is not None:
-            access_ns = sum(
-                float(self.camp_mapper.nearest_cost_vector(
-                    int(line), self.cost_matrix)[unit])
-                for line in lines
-            )
+            cm = self.camp_mapper
+            key = (cm.token, cm.epoch)
         else:
-            homes = self.memory_map.homes_of_lines(lines)
-            access_ns = float(self.cost_matrix[unit, homes].sum())
-        access_ns += self.dram_latency_ns * len(lines)
-        stall_cycles = (
-            access_ns * self.frequency_ghz
-            * (1.0 - self.prefetch_hide_fraction)
-        )
+            key = self.cost_epoch
+        cached = getattr(hint, "_wsum", None)
+        if cached is None or cached[0] != key:
+            hint._wsum = cached = (key, {})
+        stall_cycles = cached[1].get(unit)
+        if stall_cycles is None:
+            if self.camp_mapper is not None:
+                access_ns = float(self._camp_access_row(task)[unit])
+            else:
+                homes = self.hint_homes(task)
+                access_ns = float(self.cost_matrix[unit, homes].sum())
+            access_ns += self.dram_latency_ns * len(lines)
+            stall_cycles = (
+                access_ns * self.frequency_ghz
+                * (1.0 - self.prefetch_hide_fraction)
+            )
+            cached[1][unit] = stall_cycles
         return float(task.compute_cycles) + stall_cycles
 
     def task_workloads(self, tasks: Sequence[Task],
                        units: Sequence[int]) -> List[float]:
-        """:meth:`task_workload` of each (task, unit) pair, fast scoring.
+        """:meth:`task_workload` of each (task, unit) pair.
 
         Bit-identical to the per-task calls and sharing their memo.
         With camps an estimate is one element of the hint's summed row,
@@ -339,54 +314,42 @@ class SchedulerContext:
         if lines.size == 0:
             return np.zeros(self.num_units, dtype=np.float64)
         if use_camps and self.camp_mapper is not None:
-            if self.fast_scoring:
-                cm = self.camp_mapper
-                key = (cm.token, cm.epoch)
-                cached = getattr(task.hint, "_cmean", None)
-                if cached is not None and cached[0] == key:
-                    return cached[1]
-                row = self._camp_access_row(task) / len(lines)
-                task.hint._cmean = (key, row)
-                return row
-            # Mean of the memoized per-line nearest-distance columns.
-            acc = np.zeros(self.num_units, dtype=np.float64)
-            for line in lines:
-                acc += self.camp_mapper.nearest_cost_vector(
-                    int(line), self.cost_matrix
-                )
-            return acc / len(lines)
-        if self.fast_scoring:
-            # The window-rescheduling passes re-score the same hint
-            # repeatedly between exchanges; store the original
-            # expression's result row on the hint.
-            hint = task.hint
-            key = self.cost_epoch
-            cached = getattr(hint, "_hmean", None)
+            cm = self.camp_mapper
+            key = (cm.token, cm.epoch)
+            cached = getattr(task.hint, "_cmean", None)
             if cached is not None and cached[0] == key:
                 return cached[1]
-            homes = self.hint_homes(task)
-            # take() gathers the identical (N, L) array `[:, homes]`
-            # builds, and add.reduce/L is _mean without the wrapper.
-            row = np.add.reduce(
-                self.cost_matrix.take(homes, axis=1), axis=1
-            ) / homes.shape[0]
-            hint._hmean = (key, row)
+            row = self._camp_access_row(task) / len(lines)
+            task.hint._cmean = (key, row)
             return row
-        homes = self.memory_map.homes_of_lines(lines)
-        return self.cost_matrix[:, homes].mean(axis=1)
+        # The window-rescheduling passes re-score the same hint
+        # repeatedly between exchanges; store the result row on the hint.
+        hint = task.hint
+        key = self.cost_epoch
+        cached = getattr(hint, "_hmean", None)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        homes = self.hint_homes(task)
+        # take() gathers the (N, L) array `[:, homes]` builds, and
+        # add.reduce/L is the mean without the wrapper.
+        row = np.add.reduce(
+            self.cost_matrix.take(homes, axis=1), axis=1
+        ) / homes.shape[0]
+        hint._hmean = (key, row)
+        return row
 
     def _camp_access_row(self, task: Task) -> np.ndarray:
         """Summed nearest-distance row of a hint over all units.
 
-        ``row[u]`` is exactly ``sum(nearest_cost_vector(line)[u])`` in
-        hint-line order — the quantity both :meth:`task_workload` (one
-        element) and :meth:`mem_cost_vector` (the row / len) need, so
-        the elementwise accumulation is float-identical to the scalar
-        per-unit sums.  Memoized on the hint object, keyed by the camp
-        mapper's (token, epoch): the token is process-unique per mapper,
-        so a hint reused across designs or systems can never see a
-        stale row; the epoch covers fault-driven remappings.  Callers
-        must not mutate the returned array.
+        ``row[u]`` is the sum over the hint lines, in hint-line order, of
+        the distance from ``u`` to each line's nearest allowed location
+        — the quantity both :meth:`task_workload` (one element) and
+        :meth:`mem_cost_vector` (the row / len) need.  Memoized on the
+        hint object, keyed by the camp mapper's (token, epoch): the
+        token is process-unique per mapper, so a hint reused across
+        designs or systems can never see a stale row; the epoch covers
+        fault-driven remappings.  Callers must not mutate the returned
+        array.
         """
         cm = self.camp_mapper
         key = (cm.token, cm.epoch)
@@ -399,9 +362,8 @@ class SchedulerContext:
         tables = cm._nearest_cache
         # One C-level reduction over the stacked per-line distance rows.
         # np.add.reduce along the outer axis accumulates row by row in
-        # order, which is bit-identical to the scalar `acc += row` loop
-        # (verified; all rows are non-negative, so the 0.0 start of the
-        # scalar loop cannot flip a -0.0 either).
+        # order, which is bit-identical to an `acc += row` loop (all
+        # rows are non-negative, so a 0.0 start cannot flip a -0.0).
         row = np.add.reduce(
             np.array([tables[ln][2] for ln in line_list]), axis=0
         )
@@ -446,16 +408,15 @@ class Scheduler(abc.ABC):
         Optional: a policy that can batch returns exactly
         ``[self.choose_unit(t) for t in tasks]`` as long as the snapshot
         does not change, bit for bit; it returns ``None`` whenever it
-        cannot batch (the scalar engine, an alive mask, telemetry
-        decision records), and the executor then places per task.
+        cannot batch (an alive mask, telemetry decision records), and
+        the executor then places per task.
         """
         return None
 
     def _can_batch(self) -> bool:
-        """Whether :meth:`choose_units_batch` may run: fast scoring on a
-        healthy machine with no decision records to emit."""
-        ctx = self.context
-        return (ctx.fast_scoring and ctx.alive_mask is None
+        """Whether :meth:`choose_units_batch` may run: a healthy machine
+        with no decision records to emit."""
+        return (self.context.alive_mask is None
                 and not self.telemetry.enabled)
 
     def _record_decision(self, task: Task, chosen: int,

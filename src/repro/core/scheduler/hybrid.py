@@ -106,11 +106,9 @@ class HybridScheduler(Scheduler):
         (see WorkloadExchange.visible_workloads).
         """
         ctx = self.context
-        fast = ctx.fast_scoring
-        if fast:
-            cached = self._load_cache
-            if cached is not None and cached[0] == ctx.exchange.generation:
-                return cached[1]
+        cached = self._load_cache
+        if cached is not None and cached[0] == ctx.exchange.generation:
+            return cached[1]
         w = ctx.exchange.visible_workloads(spawner_unit)
         mean = w.mean()
         if mean <= self.load_floor_cycles:
@@ -118,21 +116,17 @@ class HybridScheduler(Scheduler):
         else:
             load = w / mean - 1.0
             load[np.abs(load) < self.load_deadband] = 0.0
-        if fast:
-            self._load_cache = (ctx.exchange.generation, load)
+        self._load_cache = (ctx.exchange.generation, load)
         return load
 
     def score_vector(self, task: Task) -> np.ndarray:
         ctx = self.context
         mem = ctx.mem_cost_vector(task, use_camps=self.use_camps)
-        if ctx.fast_scoring:
-            return mem + self._weighted_load(task.spawner_unit)
-        load = self.load_cost_vector(task.spawner_unit)
-        return mem + ctx.hybrid_weight * load
+        return mem + self._weighted_load(task.spawner_unit)
 
     def _weighted_load(self, spawner_unit: int) -> np.ndarray:
-        """B * cost_load under fast scoring: the same product for every
-        task between exchanges, so it is cached beside the load vector."""
+        """B * cost_load: the same product for every task between
+        exchanges, so it is cached beside the load vector."""
         generation = self.context.exchange.generation
         cached = self._wload_cache
         if cached is None or cached[0] != generation:
@@ -146,9 +140,9 @@ class HybridScheduler(Scheduler):
             self, tasks: Sequence[Task]) -> Optional[List[int]]:
         """:meth:`choose_unit` for a batch, against the current snapshot.
 
-        Under fast scoring B * cost_load is one vector per exchange
-        generation, so the batch stacks the tasks' memoized cost_mem
-        rows (zeros for hint-less tasks) and adds the load term once:
+        B * cost_load is one vector per exchange generation, so the
+        batch stacks the tasks' memoized cost_mem rows (zeros for
+        hint-less tasks) and adds the load term once:
         row j is the very sum :meth:`score_vector` forms for task j.
         The tie-break reproduces :meth:`_pick`: among scores within the
         tolerance of the minimum, the unit closest to the spawner wins,

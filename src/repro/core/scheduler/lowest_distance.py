@@ -49,17 +49,17 @@ class LowestDistanceScheduler(Scheduler):
                 self._record_decision(task, unit)
             return unit
         lines = ctx.hint_lines(task)
-        if ctx.fast_scoring and ctx.alive_mask is None:
-            # Same decision arithmetic with fewer numpy dispatches: the
-            # candidate set is built in Python (sorted unique ints ==
-            # np.unique), the gather uses broadcast indexing (the same
-            # array np.ix_ produces), and the min / tie / first-argmin
-            # logic runs on the float list (list.index(min(..)) is the
-            # first minimum, exactly np.argmin's tie-break).  The whole
-            # decision is a pure function of the cost matrix and the
-            # hint, so it is memoized on the hint per cost epoch
-            # (workloads reusing hint objects then place each hint
-            # once per epoch).
+        if ctx.alive_mask is None:
+            # The alive-mask path's decision arithmetic (below) with
+            # fewer numpy dispatches: the candidate set is built in
+            # Python (sorted unique ints == np.unique), the gather uses
+            # broadcast indexing (the same array np.ix_ produces), and
+            # the min / tie / first-argmin logic runs on the float list
+            # (list.index(min(..)) is the first minimum, exactly
+            # np.argmin's tie-break).  The whole decision is a pure
+            # function of the cost matrix and the hint, so it is
+            # memoized on the hint per cost epoch (workloads reusing
+            # hint objects then place each hint once per epoch).
             cached = getattr(task.hint, "_ldpick", None)
             if cached is not None and cached[0] == ctx.cost_epoch:
                 unit = cached[1]
@@ -122,7 +122,7 @@ class LowestDistanceScheduler(Scheduler):
 
     def choose_units_batch(
             self, tasks: Sequence[Task]) -> Optional[List[int]]:
-        """:meth:`choose_unit`'s fast-scoring decision for a batch:
+        """:meth:`choose_unit`'s healthy-machine decision for a batch:
         hints without a valid ``_ldpick`` memo are decided together,
         one line-count bucket at a time (:meth:`_decide`)."""
         if not self._can_batch():

@@ -195,7 +195,6 @@ class NdpSystem:
             tie_tolerance_ns=config.scheduler.tie_tolerance_ns,
             load_deadband=config.scheduler.load_deadband,
             load_floor_cycles=config.scheduler.load_floor_cycles,
-            fast_scoring=config.memory.access_engine == "batched",
         )
         self.scheduler = self._build_scheduler(context, has_cache)
         self.executor = BulkSyncExecutor(

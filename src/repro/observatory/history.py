@@ -148,7 +148,7 @@ class RunRecord:
     design: str = ""
     workload: str = ""
     config_fingerprint: str = ""
-    engine: str = ""            #: access engine (non-semantic)
+    engine: str = ""            #: access engine of old records; "" now
     seed: Optional[int] = None
     mesh: str = ""
     git_rev: str = ""
@@ -450,7 +450,6 @@ def record_run(
         if config is not None:
             record.config_fingerprint = stable_hash(
                 config.canonical_dict())[:16]
-            record.engine = getattr(config.memory, "access_engine", "")
             record.seed = int(config.seed)
             record.mesh = (f"{config.topology.mesh_rows}x"
                            f"{config.topology.mesh_cols}")

@@ -19,11 +19,11 @@ tests — CI gates must not flake):
   the e-divisive method MongoDB's DSI uses for its perf CI.
 
 Records compare only within *compatible groups* (same engine *tier*,
-mesh, seed, design/workload sets): scalar and batched are both exact
-tiers and produce identical results, so a scalar→batched switch only
-shows up as a wall-time improvement, while records of any other engine
-(the removed statistical ``vector`` tier) form their own group and are
-never compared semantically with exact-tier records.  Cross-machine
+mesh, seed, design/workload sets): new records and old scalar/batched
+records are all exact-tier and produce identical results, so an engine
+change among them only shows up as a wall time, while records of any
+other engine (the removed statistical ``vector`` tier) form their own
+group and are never compared semantically with exact-tier records.  Cross-machine
 absolute seconds are only trusted as far as the caller's tolerance
 allows (see the ``regression-gate`` CI step for the documented band).
 """
@@ -219,11 +219,11 @@ def changepoints(
 def _group_signature(payload: Dict[str, Any]) -> Tuple:
     """Records compare only within identical signatures.
 
-    The engine enters by *tier*, not by name: scalar and batched are
-    bit-identical (one "exact" trajectory), while a record of any other
-    engine (the removed vector tier) is its own group — comparing its
-    wall times against an exact record would misattribute the engine
-    switch as a perf move.
+    The engine enters by *tier*, not by name: new records (no engine)
+    and old scalar/batched records are one "exact" trajectory, while a
+    record of any other engine (the removed vector tier) is its own
+    group — comparing its wall times against an exact record would
+    misattribute the engine switch as a perf move.
     """
     return (
         engine_tier(payload.get("engine")), payload.get("mesh"),
@@ -452,10 +452,11 @@ def scan_history(
     """Wall-time regression scan over the run-history ledger.
 
     Runs group by (design, workload, config fingerprint, engine
-    *tier*) — the same simulation repeated over time.  Scalar and
-    batched share the exact tier (bit-identical work, comparable wall
-    times); records of any other engine (the removed vector tier) are
-    their own group, so they never join an exact-tier series.
+    *tier*) — the same simulation repeated over time.  New records and
+    old scalar/batched records share the exact tier (bit-identical
+    work, comparable wall times); records of any other engine (the
+    removed vector tier) are their own group, so they never join an
+    exact-tier series.
     Each group's wall-time series gets the change-point scan plus a
     newest-vs-prior-mean band check.
     """

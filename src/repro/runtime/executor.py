@@ -263,7 +263,7 @@ class BulkSyncExecutor:
         throughput = self._throughput
         n = len(tasks)
         i = 0
-        if n >= MIN_BATCH and ctx.fast_scoring:
+        if n >= MIN_BATCH:
             ctx.prepare_hints(tasks)
             rescore = advance_clock and scheduler.reads_load_snapshot
             step = PLACEMENT_CHUNK if rescore else n
@@ -287,8 +287,7 @@ class BulkSyncExecutor:
                             exchange.advance(clock)
                             if rescore:
                                 break
-        # Per task: small batches, policies that cannot batch, and the
-        # scalar engine's reference placement.
+        # Per task: small batches and policies that cannot batch.
         for task in tasks[i:]:
             unit = scheduler.choose_unit(task)
             task.assigned_unit = unit

@@ -8,7 +8,6 @@ One spec fully describes one simulation point, the same cell a
       "workload": "pr",
       "workload_kwargs": {},              // optional factory kwargs
       "mesh": "4x4",                      // optional, scales topology
-      "engine": "batched",                // optional, non-semantic
       "seed": 2023,                       // optional
       "config": {                         // optional section overrides
         "scheduler": {"hybrid_alpha": 2.0},
@@ -66,7 +65,6 @@ class ExperimentSpec:
     workload: str
     workload_kwargs: Dict[str, Any] = field(default_factory=dict)
     mesh: Optional[str] = None
-    engine: Optional[str] = None
     seed: Optional[int] = None
     config: Dict[str, Any] = field(default_factory=dict)
     faults: Optional[Dict[str, Any]] = None
@@ -93,8 +91,6 @@ class ExperimentSpec:
             out["workload_kwargs"] = self.workload_kwargs
         if self.mesh:
             out["mesh"] = self.mesh
-        if self.engine:
-            out["engine"] = self.engine
         if self.seed is not None:
             out["seed"] = self.seed
         if self.config:
@@ -111,7 +107,7 @@ class ExperimentSpec:
     def resolved_config(self) -> SystemConfig:
         """The full :class:`SystemConfig` this spec describes."""
         return resolve_system_config(mesh=self.mesh, config=self.config,
-                                     engine=self.engine, seed=self.seed)
+                                     seed=self.seed)
 
     def fault_schedule(self):
         """The :class:`~repro.faults.FaultSchedule`, or ``None``."""

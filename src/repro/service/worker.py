@@ -3,7 +3,7 @@
 Runs inside the server's ``ProcessPoolExecutor`` (or, with
 ``workers=0``, a thread), so everything here must be importable at
 module level and the payload picklable.  Mirrors
-:func:`repro.sweep.runner._worker`: simulate live, ship the result
+:func:`repro.sweep.runtime._warm_worker`: simulate live, ship the result
 back as the exact JSON dict the cache stores, report crashes as data
 instead of raising.
 
@@ -90,11 +90,8 @@ def run_job(payload: JobPayload) -> Tuple[str, Optional[Dict],
             from repro.faults.schedule import FaultSchedule
 
             schedule = FaultSchedule.from_dict(faults)
-        if schedule:
-            result = _live_simulate(design, workload, config,
-                                    fault_schedule=schedule)
-        else:
-            result = _live_simulate(design, workload, config)
+        result = _live_simulate(design, workload, config,
+                                fault_schedule=schedule)
         return key, result_to_dict(result), None, time.time() - t0
     except BaseException:
         return key, None, traceback.format_exc(), time.time() - t0

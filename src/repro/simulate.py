@@ -115,29 +115,3 @@ def compare_designs(
 
     wl = _resolve_workload(workload, **workload_kwargs)
     return {d: cached_simulate(d, wl, config, cache=cache) for d in designs}
-
-
-def sweep_configs(
-    design: str,
-    workload: WorkloadLike,
-    configs: Dict[str, SystemConfig],
-    cache: object = "default",
-) -> Dict[str, RunResult]:
-    """Run one design/workload across a dict of named configurations.
-
-    Each configuration routes through the on-disk result cache exactly
-    like :func:`compare_designs` — re-sweeping a grid re-simulates only
-    the points whose configuration actually changed.  ``cache=False``
-    (or the ``REPRO_NO_CACHE`` environment variable) forces live runs.
-
-    (Formerly exported as ``repro.sweep``; that name now hosts the
-    sweep-engine package, whose module object remains callable with
-    this signature for backwards compatibility.)
-    """
-    from repro.sweep.runner import cached_simulate
-
-    wl = _resolve_workload(workload)
-    return {
-        name: cached_simulate(design, wl, cfg, cache=cache)
-        for name, cfg in configs.items()
-    }

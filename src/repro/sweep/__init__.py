@@ -15,19 +15,9 @@ in the repo (``scripts/matrix.py``, ``benchmarks/common.py``):
   and history-informed LPT point ordering.
 
 See ``docs/experiments.md`` for the end-to-end workflow.
-
-Backwards compatibility: before this package existed, ``repro.sweep``
-was a *function* running one design across named configurations.  The
-module object is callable and keeps that behaviour (now also available
-as :func:`repro.simulate.sweep_configs`)::
-
-    repro.sweep("B", workload, {"2x2": cfg_a, "4x4": cfg_b})
 """
 
 from __future__ import annotations
-
-import sys
-import types
 
 from repro.sweep.cache import (
     CacheStats,
@@ -91,16 +81,3 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
 ]
-
-
-class _CallableSweepModule(types.ModuleType):
-    """Keeps the legacy ``repro.sweep(design, workload, configs)`` call
-    working now that ``repro.sweep`` names this package."""
-
-    def __call__(self, design, workload, configs):
-        from repro.simulate import sweep_configs
-
-        return sweep_configs(design, workload, configs)
-
-
-sys.modules[__name__].__class__ = _CallableSweepModule

@@ -24,8 +24,6 @@ exact representation the cache stores.
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 import os
 import time
 import traceback
@@ -43,15 +41,14 @@ from repro.sweep.runtime import (
     lpt_order,
     materialize_point,
 )
-from repro.sweep.serialize import result_from_dict, result_to_dict
+from repro.sweep.serialize import result_from_dict
 from repro.workloads.base import Workload, make_workload
 
 ProgressFn = Callable[[str], None]
 CacheLike = Union[ResultCache, bool, str, None]
-#: ``None`` = a private WorkerRuntime per run (warm, torn down after);
-#: ``False`` = the legacy cold fork-per-point path; a WorkerRuntime =
-#: shared across calls, never closed by the runner.
-RuntimeLike = Union[WorkerRuntime, bool, None]
+#: ``None`` = a private WorkerRuntime per run (torn down after); a
+#: WorkerRuntime = shared across calls, never closed by the runner.
+RuntimeLike = Optional[WorkerRuntime]
 
 
 def _record_history(result: RunResult, workload, config,
@@ -73,10 +70,8 @@ def _live_simulate(design: str, workload, config, telemetry=None,
     with a counting fake and workers can resolve it after a fork)."""
     from repro.simulate import simulate
 
-    if fault_schedule:
-        return simulate(design, workload, config, telemetry=telemetry,
-                        fault_schedule=fault_schedule)
-    return simulate(design, workload, config, telemetry=telemetry)
+    return simulate(design, workload, config, telemetry=telemetry,
+                    fault_schedule=fault_schedule)
 
 
 def _point_key(
@@ -126,9 +121,6 @@ def cached_simulate(
     the result entry is written as usual and the telemetry summary goes
     to a ``<key>.telemetry.json`` sidecar, leaving run keys and the
     result schema untouched.
-
-    The access engine is non-semantic, so the run key is the same for
-    both engines and either one's cached entry satisfies the point.
     """
     if config is None:
         config = experiment_config()
@@ -149,12 +141,8 @@ def cached_simulate(
             return hit
     if workload_kwargs:
         workload = make_workload(workload, **workload_kwargs)
-    if live_tel is not None or fault_schedule:
-        result = _live_simulate(design, workload, config, telemetry=live_tel,
-                                fault_schedule=fault_schedule)
-    else:
-        # positional-only call keeps older _live_simulate stubs working
-        result = _live_simulate(design, workload, config)
+    result = _live_simulate(design, workload, config, telemetry=live_tel,
+                            fault_schedule=fault_schedule)
     if key is not None:
         store.store(key, result, meta={
             "design": design,
@@ -258,39 +246,6 @@ class SweepReport:
 
 
 # ----------------------------------------------------------------------
-# the parallel worker (module-level: must be picklable by Pool)
-# ----------------------------------------------------------------------
-def _worker(payload: Tuple) -> Tuple[int, Optional[Dict], Optional[str], float]:
-    """Simulate one point in a worker process.
-
-    Returns ``(index, result_dict, error_traceback, elapsed_s)`` —
-    exactly one of result/error is set.  Never raises: a crashing
-    point is reported, not fatal.
-    """
-    idx, design, wl_spec, config, fault_schedule = payload
-    t0 = time.time()
-    try:
-        if wl_spec[0] == "factory":
-            workload = make_workload(wl_spec[1], **wl_spec[2])
-        else:
-            workload = wl_spec[1]
-        result = _live_simulate(design, workload, config,
-                                fault_schedule=fault_schedule)
-        return idx, result_to_dict(result), None, time.time() - t0
-    except BaseException:
-        return idx, None, traceback.format_exc(), time.time() - t0
-
-
-def _worker_payload(idx: int, point: SweepPoint) -> Tuple:
-    if isinstance(point.workload, str):
-        spec = ("factory", point.workload, dict(point.workload_kwargs))
-    else:
-        spec = ("object", point.workload)
-    return (idx, point.design, spec, point.resolved_config(),
-            point.fault_schedule)
-
-
-# ----------------------------------------------------------------------
 class SweepRunner:
     """Fans a grid of sweep points out over processes, through the cache.
 
@@ -314,11 +269,11 @@ class SweepRunner:
     :mod:`repro.sweep.runtime`): the default ``None`` builds a private
     warm :class:`~repro.sweep.runtime.WorkerRuntime` for the run
     (persistent pool, per-process memo caches, shared-memory workload
-    store, history-informed LPT dispatch — all bit-identical to cold
-    execution) and closes it afterwards; an injected runtime is shared
-    across calls and left open, so multi-sweep drivers stop paying
-    pool startup and memo warmup per sweep; ``runtime=False`` forces
-    the legacy cold fork-per-point path.
+    store, history-informed LPT dispatch — all bit-identical to plain
+    :func:`~repro.simulate.simulate`) and closes it afterwards; an
+    injected runtime is shared across calls and left open, so
+    multi-sweep drivers stop paying pool startup and memo warmup per
+    sweep.
     """
 
     def __init__(
@@ -337,12 +292,10 @@ class SweepRunner:
         self.events = events
         self.runtime = runtime
 
-    def _resolve_runtime(self) -> Tuple[Optional[WorkerRuntime], bool]:
+    def _resolve_runtime(self) -> Tuple[WorkerRuntime, bool]:
         """(runtime, owned) for one run — see :data:`RuntimeLike`."""
         if self.runtime is None:
             return WorkerRuntime(jobs=self.jobs), True
-        if self.runtime is False:
-            return None, False
         return self.runtime, False
 
     # ------------------------------------------------------------------
@@ -360,16 +313,10 @@ class SweepRunner:
 
     def _run_serial_once(self, point: SweepPoint) -> RunResult:
         # materialize_point memoizes inside a warm scope and is exactly
-        # point.materialize() in a cold one.
-        if point.fault_schedule:
-            return _live_simulate(
-                point.design, materialize_point(point),
-                point.resolved_config(),
-                fault_schedule=point.fault_schedule,
-            )
-        # positional-only call keeps older _live_simulate stubs working
+        # point.materialize() outside one (a retry in the parent).
         return _live_simulate(
-            point.design, materialize_point(point), point.resolved_config()
+            point.design, materialize_point(point), point.resolved_config(),
+            fault_schedule=point.fault_schedule,
         )
 
     def _retry(self, outcome: PointOutcome, done: int, total: int) -> None:
@@ -428,19 +375,16 @@ class SweepRunner:
             else:
                 pending.append(i)
 
-        # 2. simulate the misses (parallel when it pays).  A warm
-        # runtime (the default) adds per-process memo caches, the
-        # shared workload store, a persistent pool, and LPT dispatch
-        # ordering — all result-neutral; ``runtime=False`` keeps the
-        # legacy cold fork-per-point path bit for bit.
+        # 2. simulate the misses (parallel when it pays) on the warm
+        # runtime: per-process memo caches, the shared workload store,
+        # a persistent pool, and LPT dispatch ordering — all
+        # result-neutral.
         jobs = self.jobs if self.jobs is not None else os.cpu_count() or 1
         jobs = max(1, min(jobs, len(pending)))
         runtime, owns_runtime = self._resolve_runtime()
         try:
             if jobs <= 1:
-                scope = runtime.activate() if runtime is not None \
-                    else contextlib.nullcontext()
-                with scope:
+                with runtime.activate():
                     for i in pending:
                         outcome = outcomes[i]
                         self._emit(event="started", label=points[i].label,
@@ -468,62 +412,47 @@ class SweepRunner:
                             )
                             self._retry(outcome, done, total)
             elif pending:
-                order = pending
-                if runtime is not None:
-                    # History-informed LPT: dispatch predicted-slowest
-                    # points first so the pool tail shrinks.  Dispatch
-                    # order only — outcomes stay input-indexed.
-                    by_lpt = lpt_order([points[i] for i in pending])
-                    order = [pending[j] for j in by_lpt]
+                # History-informed LPT: dispatch predicted-slowest
+                # points first so the pool tail shrinks.  Dispatch
+                # order only — outcomes stay input-indexed.
+                by_lpt = lpt_order([points[i] for i in pending])
+                order = [pending[j] for j in by_lpt]
                 for i in pending:
                     self._emit(event="started", label=points[i].label,
                                index=i, done=done, total=total)
                 failed: List[int] = []
-                with contextlib.ExitStack() as stack:
-                    if runtime is not None:
-                        with runtime.activate():
-                            payloads = [
-                                runtime.worker_payload(i, points[i])
-                                for i in order
-                            ]
-                        pool = runtime.pool(jobs)
-                        work = _warm_worker
-                    else:
-                        payloads = [
-                            _worker_payload(i, points[i]) for i in order
-                        ]
-                        pool = stack.enter_context(
-                            multiprocessing.Pool(processes=jobs)
+                with runtime.activate():
+                    payloads = [
+                        runtime.worker_payload(i, points[i]) for i in order
+                    ]
+                for idx, rdict, err, dt in runtime.pool(jobs).imap_unordered(
+                    _warm_worker, payloads
+                ):
+                    outcome = outcomes[idx]
+                    outcome.elapsed_s = dt
+                    done += 1
+                    if rdict is not None:
+                        outcome.result = result_from_dict(rdict)
+                        outcome.source = "run"
+                        self._say(
+                            f"[{done}/{total}] {points[idx].label:16} "
+                            f"ran {dt:.1f}s"
                         )
-                        work = _worker
-                    for idx, rdict, err, dt in pool.imap_unordered(
-                        work, payloads
-                    ):
-                        outcome = outcomes[idx]
-                        outcome.elapsed_s = dt
-                        done += 1
-                        if rdict is not None:
-                            outcome.result = result_from_dict(rdict)
-                            outcome.source = "run"
-                            self._say(
-                                f"[{done}/{total}] {points[idx].label:16} "
-                                f"ran {dt:.1f}s"
-                            )
-                            self._emit(event="done",
-                                       label=points[idx].label,
-                                       index=idx, done=done, total=total,
-                                       source="run", elapsed_s=dt)
-                        else:
-                            outcome.error = err
-                            failed.append(idx)
-                            self._say(
-                                f"[{done}/{total}] {points[idx].label:16} "
-                                f"crashed, will retry"
-                            )
+                        self._emit(event="done",
+                                   label=points[idx].label,
+                                   index=idx, done=done, total=total,
+                                   source="run", elapsed_s=dt)
+                    else:
+                        outcome.error = err
+                        failed.append(idx)
+                        self._say(
+                            f"[{done}/{total}] {points[idx].label:16} "
+                            f"crashed, will retry"
+                        )
                 for idx in failed:
                     self._retry(outcomes[idx], done, total)
         finally:
-            if owns_runtime and runtime is not None:
+            if owns_runtime:
                 runtime.close()
 
         # 3. feed the cache

@@ -259,13 +259,12 @@ class ProcessMemos:
                 self.stats.camp_seeds += 1
         ms = system.memory_system
         if (icn.fault_epoch == 0 and not system.telemetry.enabled
-                and ms._engine == "batched"
                 and (mapper is None or mapper.epoch == 0)
                 and not ms._line_memo):
             hit = self.line_memos.get(self.machine_key(system.config))
             if hit is not None:
                 ms._line_memo = dict(hit)
-                # pin the memo epoch the batched path would compute, or
+                # pin the memo epoch the fused kernel would compute, or
                 # its first access clears the seed as "stale".
                 ms._memo_epoch = (
                     mapper.epoch if mapper is not None else -1,
@@ -512,11 +511,15 @@ def materialize_point(point):
 
 def _warm_worker(payload: Tuple) -> Tuple[int, Optional[Dict],
                                           Optional[str], float]:
-    """Warm-pool sibling of :func:`repro.sweep.runner._worker`.
+    """Simulate one sweep point in a warm pool worker.
 
-    Same payload tuple, same return contract; the only differences are
-    the memoized workload resolution and that ``_live_simulate`` runs
-    inside this process's (permanently enabled) warm scope.
+    ``payload`` is ``(index, design, workload_spec, config,
+    fault_schedule)`` from :meth:`WorkerRuntime.worker_payload`; returns
+    ``(index, result_dict, error_traceback, elapsed_s)`` — exactly one
+    of result/error is set.  Never raises: a crashing point is
+    reported, not fatal.  The workload resolves through the process
+    memos and ``_live_simulate`` runs inside this process's
+    (permanently enabled) warm scope.
     """
     from repro.sweep import runner as _runner
     from repro.sweep.serialize import result_to_dict

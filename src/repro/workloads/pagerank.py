@@ -35,16 +35,14 @@ class PageRankState:
     epsilon: float
     max_iters: int
     home_of: np.ndarray          # vertex -> home unit (spawner metadata)
-    #: Batched-engine accelerators (None under the scalar engine, which
-    #: stays the original reference flow):
     #: ``inv`` is curr / out_degree, refreshed at each barrier — tasks
     #: gather single contributions from it, elementwise-identical to
     #: dividing the gathered operands per task.  ``hints`` holds one
     #: persistent TaskHint per vertex: the hint addresses are identical
     #: every iteration, and reusing the object lets the per-hint memos
     #: (lines, homes, scoring rows) live for the whole run.
-    inv: Optional[np.ndarray] = None
-    hints: Optional[List] = None
+    inv: np.ndarray
+    hints: List
 
 
 def _task_page_rank(ctx, v: int) -> None:
@@ -53,12 +51,7 @@ def _task_page_rank(ctx, v: int) -> None:
     g = st.graph
     neighbors = g.neighbors(v)
     if len(neighbors):
-        if st.inv is not None:
-            contrib = float(st.inv[neighbors].sum())
-        else:
-            contrib = float(
-                (st.curr[neighbors] / st.out_degree[neighbors]).sum()
-            )
+        contrib = float(st.inv[neighbors].sum())
     else:
         contrib = 0.0
     n = g.num_vertices
@@ -72,14 +65,10 @@ def _task_page_rank(ctx, v: int) -> None:
     # the result is then only epsilon-approximate.
     converged = st.epsilon > 0 and abs(new_rank - st.curr[v]) < st.epsilon
     if not converged and ctx.timestamp + 1 < st.max_iters:
-        hint = (
-            st.hints[v] if st.hints is not None
-            else vertex_hint(st.addresses, v, neighbors)
-        )
         ctx.enqueue_task(
             _task_page_rank,
             ctx.timestamp + 1,
-            hint,
+            st.hints[v],
             v,
             compute_cycles=_BASE_CYCLES + _PER_NEIGHBOR_CYCLES * len(neighbors),
         )
@@ -114,7 +103,6 @@ class PageRankWorkload(Workload):
         n = g.num_vertices
         curr = np.full(n, 1.0 / n)
         out_degree = np.maximum(1, g.degrees).astype(np.float64)
-        fast = system.config.memory.access_engine == "batched"
         return PageRankState(
             graph=g,
             addresses=region.addresses,
@@ -125,8 +113,8 @@ class PageRankWorkload(Workload):
             epsilon=self.epsilon,
             max_iters=self.iterations,
             home_of=system.memory_map.home_units(region.addresses),
-            inv=curr / out_degree if fast else None,
-            hints=[] if fast else None,
+            inv=curr / out_degree,
+            hints=[],
         )
 
     def root_tasks(self, state: PageRankState) -> List[Task]:
@@ -135,8 +123,7 @@ class PageRankWorkload(Workload):
         for v in range(g.num_vertices):
             neighbors = g.neighbors(v)
             hint = vertex_hint(state.addresses, v, neighbors)
-            if state.hints is not None:
-                state.hints.append(hint)
+            state.hints.append(hint)
             tasks.append(
                 Task(
                     func=_task_page_rank,
@@ -160,8 +147,7 @@ class PageRankWorkload(Workload):
         """
         state.curr = state.nxt
         state.nxt = state.curr.copy()
-        if state.inv is not None:
-            state.inv = state.curr / state.out_degree
+        state.inv = state.curr / state.out_degree
 
     # ------------------------------------------------------------------
     def reference_ranks(self) -> np.ndarray:

@@ -1,22 +1,21 @@
-"""Cross-engine parity: batched and scalar access engines must agree.
+"""The exact access kernel, pinned to frozen golden digests.
 
-The batched engine reorganizes the hot path (fused kernels, memoized
-camp tables, bulk counter flushes) but every stateful step — cache
+Every result the simulator produces comes from one exact model: the
+per-line :meth:`MemorySystem.access` flow, which ``access_many`` fuses
+into one kernel per hint batch (memoized camp tables, bulk counter
+flushes, batch placement) while running every stateful step — cache
 probes and installs with their RNG draws, DRAM service clocks, float
-accumulations — runs in the exact per-line order of the scalar
-reference path.  These tests pin that contract: for the same seed the
-two engines must produce **bit-identical** RunResult JSON (makespans,
-latencies, hop counts, hit rates, energy) on every design, on every
-workload, and under an injected fault schedule.  The batched engine
-also places tasks in batches while the scalar one places them one by
-one, so the same tests pin batch placement to the per-task loop.
+accumulations — in per-line order.  These tests pin its output: each
+point of the 2x2 matrix (every design on every workload, plus one
+faulted point) must reproduce its SHA-256 digest of the sorted-key
+``result_to_dict`` JSON in ``tests/golden/exact_digests.json``.
+Regenerate that file only together with a deliberate behaviour change
+and a ``SIMULATOR_VERSION`` bump.
 
-The same results are also pinned to frozen golden digests
-(``tests/golden/exact_digests.json``: SHA-256 of the sorted-key
-``result_to_dict`` JSON per ``workload/design`` on the batched engine,
-plus ``faults/pr/O``), so an exact-tier change that moves both engines
-together still fails.  Regenerate that file only together with a
-deliberate behaviour change and a ``SIMULATOR_VERSION`` bump.
+The digest tests keep the names they had when a second, per-line
+engine was run beside the fused one as a parity oracle, so each
+point's test id stays comparable with earlier runs.  The per-line
+reference now lives at kernel scope (``test_memory_system.py``).
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ import pytest
 
 import repro
 from repro.arch.topology import Topology
-from repro.bench import engine_config
 from repro.config import experiment_config
 from repro.faults import make_random_schedule
 from repro.sweep.serialize import result_to_dict
-
-ENGINES = ("scalar", "batched")
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "exact_digests.json").read_text()
@@ -51,16 +47,16 @@ def _digest(payload: str) -> str:
 
 @pytest.fixture(scope="module")
 def base_config():
-    """A 2x2-stack machine: small enough to run every design under
-    both engines, big enough to exercise camps, stealing, and the
-    hybrid scheduler's exchange machinery."""
+    """A 2x2-stack machine: small enough to run every design, big
+    enough to exercise camps, stealing, and the hybrid scheduler's
+    exchange machinery."""
     return experiment_config().scaled(2, 2)
 
 
-#: every workload at a size small enough for all six designs under
-#: both engines.  Between them they drive each placement batch shape:
-#: root batches (all), spawn batches (bfs, sssp), barrier batches
-#: (astar), persistent per-vertex hints (pr) and long hints (knn).
+#: every workload at a size small enough for all six designs.  Between
+#: them they drive each placement batch shape: root batches (all),
+#: spawn batches (bfs, sssp), barrier batches (astar), persistent
+#: per-vertex hints (pr) and long hints (knn).
 SMALL_WORKLOADS = {
     "pr": dict(num_vertices=1024, iterations=2),
     "knn": dict(num_points=1024),
@@ -79,31 +75,37 @@ def workloads():
             for name, kwargs in SMALL_WORKLOADS.items()}
 
 
+def assert_cache_identities(result) -> None:
+    """Traveller Cache accounting: every tag probe hits or misses,
+    every miss installs or bypasses, hits read the DRAM cache region,
+    installs fill it, and home reads serve the home-direct accesses
+    plus the misses."""
+    cache, sram, dram = result.cache, result.sram, result.dram
+    assert sram.tag_accesses == cache.hits + cache.misses
+    assert cache.misses == cache.insertions + cache.bypasses
+    assert dram.cache_reads == cache.hits
+    assert dram.cache_fills == cache.insertions
+    assert dram.reads == cache.home_direct + cache.misses
+
+
 @pytest.mark.parametrize("design", repro.ALL_DESIGNS)
 @pytest.mark.parametrize("workload_name", sorted(SMALL_WORKLOADS))
 def test_engines_bit_identical(design, workload_name, base_config,
                                workloads):
-    payloads = {
-        engine: _canonical(repro.simulate(
-            design, workloads[workload_name],
-            config=engine_config(engine, base_config),
-        ))
-        for engine in ENGINES
-    }
-    assert payloads["scalar"] == payloads["batched"], (
-        f"engines disagree on {design}/{workload_name}"
-    )
-    assert _digest(payloads["batched"]) == \
+    result = repro.simulate(design, workloads[workload_name],
+                            config=base_config)
+    assert _digest(_canonical(result)) == \
         GOLDEN[f"{workload_name}/{design}"], (
         f"{design}/{workload_name} moved off its golden digest"
     )
+    if result.cache.probes:
+        assert_cache_identities(result)
 
 
 def test_engines_bit_identical_under_faults(base_config, workloads):
-    """The batched engine must also match when a fault schedule is
-    active — the kernel falls back to the scalar flow around fault
-    state, and recovery (cache invalidation, re-execution, remaps)
-    must not depend on the engine."""
+    """A faulted point: the kernel falls back to the per-line flow
+    around fault state, and recovery (cache invalidation,
+    re-execution, remaps) must reproduce the golden digest."""
     topo = Topology(base_config.topology,
                     num_groups=base_config.cache.num_groups())
     schedule = make_random_schedule(
@@ -111,69 +113,62 @@ def test_engines_bit_identical_under_faults(base_config, workloads):
         unit_fails=2, link_fails=1, vault_slowdowns=1,
         seed=base_config.seed,
     )
-    payloads = {}
-    for engine in ENGINES:
-        result = repro.simulate(
-            "O", workloads["pr"], config=engine_config(engine, base_config),
-            fault_schedule=schedule,
-        )
-        assert result.resilience is not None
-        payloads[engine] = _canonical(result)
-    assert payloads["scalar"] == payloads["batched"]
-    assert _digest(payloads["batched"]) == GOLDEN["faults/pr/O"]
+    result = repro.simulate("O", workloads["pr"], config=base_config,
+                            fault_schedule=schedule)
+    assert result.resilience is not None
+    assert _digest(_canonical(result)) == GOLDEN["faults/pr/O"]
+
+
+#: run key of O/pr on ``base_config`` with the workload instance of
+#: :data:`SMALL_WORKLOADS` — the key cache entries written under
+#: either of the old ``scalar``/``batched`` engines are stored at.
+PINNED_KEY = ("958ab36b2fad0cadf6797523f525f611"
+              "54b5e8b8f6c24d3982a565b9b67e3814")
 
 
 def test_cache_keys_and_cached_json_engine_invariant(
         tmp_path, monkeypatch, base_config, workloads):
-    """Sweep-cache hygiene: ``access_engine`` is a non-semantic config
-    field, so both engines must address the **same** cache entry and
-    serialize the **same** bytes into it — a cache populated under the
-    scalar engine replays verbatim under the batched default.  (The
-    comparison covers the serialized result; the entry's ``meta`` side
-    carries a wall-clock creation stamp by design.)"""
+    """Sweep-cache hygiene: the engine choice never entered run keys,
+    so entries cached under either old engine are still addressed by
+    the same key and hold the same bytes the kernel produces now.
+    (The comparison covers the serialized result; the entry's ``meta``
+    side carries a wall-clock creation stamp by design.)"""
     from repro.sweep.cache import ResultCache
     from repro.sweep.keys import run_key
 
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     workload = workloads["pr"]
-    keys = {}
-    blobs = {}
-    for engine in ENGINES:
-        cfg = engine_config(engine, base_config)
-        keys[engine] = run_key("O", workload, cfg)
-        cache = ResultCache(root=tmp_path / engine)
-        result = repro.simulate("O", workload, config=cfg)
-        cache.store(keys[engine], result)
-        stored = json.loads(cache.path_for(keys[engine]).read_text())
-        blobs[engine] = json.dumps(
-            stored["result"], sort_keys=True
-        ).encode()
-    assert keys["scalar"] == keys["batched"]
-    assert blobs["scalar"] == blobs["batched"]
+    key = run_key("O", workload, base_config)
+    assert key == PINNED_KEY
+    cache = ResultCache(root=tmp_path)
+    result = repro.simulate("O", workload, config=base_config)
+    cache.store(key, result)
+    stored = json.loads(cache.path_for(key).read_text())
+    blob = json.dumps(stored["result"], sort_keys=True)
+    assert _digest(blob) == GOLDEN["pr/O"]
 
 
 def test_version_salt_not_bumped_by_engine_work():
-    """The batched engine changed no simulation outcome (see the
-    parity tests above), so the global cache-invalidation salt must
-    stay put: every scalar-era cached result remains valid.  Bump the
-    salt — and this pin — only together with a change that alters
-    RunResults."""
+    """Merging the engines changed no simulation outcome (see the
+    digest tests above), so the global cache-invalidation salt must
+    stay put: every cached result remains valid.  Bump the salt — and
+    this pin — only together with a change that alters RunResults."""
     from repro.sweep.keys import SIMULATOR_VERSION
 
     assert SIMULATOR_VERSION == "abndp-sim-1"
 
 
-def test_scalar_engine_selectable():
-    """The reference path stays selectable via MemoryConfig; any other
-    name — including the removed ``vector`` tier — is rejected by the
-    config and by the CLI."""
-    from repro.cli import main
+def test_engine_option_removed():
+    """There is one access kernel and no option to choose another:
+    ``MemoryConfig`` has no ``access_engine`` field, and ``--engine``
+    is an unknown argument to ``run`` and ``bench``."""
+    import dataclasses
 
-    cfg = engine_config("scalar", experiment_config().scaled(2, 2))
-    assert cfg.memory.access_engine == "scalar"
-    for bad in ("vectorised", "vector"):
-        with pytest.raises(ValueError, match="'scalar' or 'batched'"):
-            engine_config(bad)
-        for command in ("run", "bench"):
-            with pytest.raises(SystemExit):
-                main([command, "--engine", bad])
+    from repro.cli import main
+    from repro.config import MemoryConfig
+
+    assert "access_engine" not in {
+        f.name for f in dataclasses.fields(MemoryConfig)}
+    for command in ("run", "bench"):
+        with pytest.raises(SystemExit):
+            main([command, "--engine", "scalar"])

@@ -521,8 +521,7 @@ def stub(tmp_path, monkeypatch):
 
     calls = []
 
-    def fake(design, workload, config, telemetry=None,
-             fault_schedule=None):
+    def fake(design, workload, config, **kwargs):
         calls.append(design)
         time.sleep(0.05)
         from tests.test_service import _fake_result

@@ -362,8 +362,7 @@ def metrics_server(tmp_path, monkeypatch):
     from repro.service.client import ServiceClient
     from repro.service.server import run_in_thread
 
-    def fake(design, workload, config, telemetry=None,
-             fault_schedule=None):
+    def fake(design, workload, config, **kwargs):
         name = getattr(workload, "name", str(workload))
         return fake_result(design=design, workload=name)
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import CacheStyle, MemoryConfig, default_config
+from repro.config import CacheStyle, MemoryConfig, ReplacementPolicy, default_config
 from repro.core.system import NdpSystem, build_system
 
 
@@ -195,3 +195,72 @@ def _find_camp_probe(system):
                 if not is_home:
                     return line, requester, nearest
     raise AssertionError("no camp-probing pair found")
+
+
+class TestFusedKernelOracle:
+    """``access_many`` against a loop of per-line ``access()`` calls.
+
+    Two identical healthy machines with the same seed see the same
+    random hint batches — one through the fused kernel, one line by
+    line with the same issue spread — and must end in the same state:
+    totals, every traffic/DRAM/SRAM/cache counter, the DRAM channel
+    clocks and the RNG.  The per-line flow is the reference the kernel
+    reproduces, so this pins the kernel at unit scope.
+    """
+
+    @staticmethod
+    def machine(design, replacement):
+        cfg = default_config().scaled(2, 2)
+        cfg = cfg.with_(cache=dataclasses.replace(cfg.cache,
+                                                  replacement=replacement))
+        return build_system(design, cfg)
+
+    @staticmethod
+    def state(system):
+        ms = system.memory_system
+        return {
+            "traffic": dataclasses.asdict(ms.traffic),
+            "dram": dataclasses.asdict(ms.dram_stats),
+            "sram": dataclasses.asdict(ms.sram_stats),
+            "cache": dataclasses.asdict(ms.cache_stats()),
+            "queue_delay_ns": ms.total_queue_delay_ns,
+            "dram_free_ns": list(ms._dram_free_ns),
+            "rng": system.rng.bit_generator.state,
+        }
+
+    @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
+    @pytest.mark.parametrize("design", ["C", "O"])
+    def test_access_many_equals_access_loop(self, design, replacement):
+        fused = self.machine(design, replacement)
+        oracle = self.machine(design, replacement)
+        units = fused.config.num_units
+        # A small line pool spread over every unit, so batches repeat
+        # lines (L1, prefetch and camp hits), plus lines that all map
+        # to camp set 0, so full sets evict.
+        sets = fused.memory_system.caches[0].num_sets
+        pool = [line_in_unit(fused, u, i)
+                for u in range(units) for i in range(24)]
+        pool += [line_in_unit(fused, u, i * sets)
+                 for u in range(units) for i in range(1, 4)]
+        rng = np.random.default_rng(11)
+        now = 0.0
+        for step in range(160):
+            requester = int(rng.integers(units))
+            batch = [pool[i] for i in rng.integers(
+                len(pool), size=int(rng.integers(1, 40)))]
+            spacing = float(rng.choice([0.0, 0.5, 2.0]))
+            cap = float(rng.choice([0.0, 8.0, 1e9]))
+            total = fused.memory_system.access_many(
+                requester, batch, now, spacing, cap)
+            expected = 0.0
+            for i, line in enumerate(batch):
+                expected += oracle.memory_system.access(
+                    requester, line, now + min(i * spacing, cap))
+            assert total == expected
+            now += float(rng.integers(1, 200))
+            if step % 40 == 39:
+                fused.memory_system.end_timestamp()
+                oracle.memory_system.end_timestamp()
+        stats = fused.memory_system.cache_stats()
+        assert stats.hits > 0 and stats.evictions > 0
+        assert self.state(fused) == self.state(oracle)

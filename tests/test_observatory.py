@@ -144,7 +144,8 @@ class TestRecordRun:
         assert rec.source == "simulate"
         assert rec.design == "B" and rec.workload == "kmeans"
         assert rec.key and len(rec.key) == 64
-        assert rec.config_fingerprint and rec.engine
+        assert rec.config_fingerprint
+        assert rec.engine == ""  # one exact kernel: no engine to name
         assert rec.mesh == "2x2" and rec.wall_s > 0
         assert rec.tasks_executed > 0
 
@@ -159,7 +160,7 @@ class TestRecordRun:
         """Recording is non-semantic: run keys, cached result payloads
         and the version salt are byte-identical with history on/off."""
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
         cfg = experiment_config()
 
         key_on = run_key("B", "kmeans", cfg)
@@ -181,7 +182,7 @@ class TestRecordRun:
 
     def test_cache_hits_are_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
         cfg = experiment_config()
         cache = ResultCache(root=tmp_path / "cache")
         cached_simulate("B", "kmeans", cfg, cache=cache)
@@ -236,7 +237,7 @@ class TestDiff:
     def test_end_to_end_refs_index_key_and_file(
             self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
         cfg = experiment_config()
         cache = ResultCache(root=tmp_path / "cache")
         # two cache hits -> two ledger lines carrying the run key
@@ -261,7 +262,7 @@ class TestDiff:
 
     def test_diff_refs_cli_entry(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
         cfg = experiment_config()
         cache = ResultCache(root=tmp_path / "cache")
         for _ in range(3):
@@ -286,7 +287,7 @@ class TestDiff:
 
     def test_stale_sidecar_warning(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
         cfg = experiment_config()
         cache = ResultCache(root=tmp_path / "cache")
         cached_simulate("B", "kmeans", cfg, cache=cache)
@@ -466,7 +467,7 @@ class TestProgressEvents:
     def test_two_point_sweep_emits_full_stream(
             self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
         cache = ResultCache(root=tmp_path)
         seen = EventCollector()
         SweepRunner(cache=cache, jobs=1, events=seen).run(self._points())
@@ -486,7 +487,7 @@ class TestProgressEvents:
         assert seen2.kinds() == ["begin", "cached", "cached", "end"]
 
     def test_failed_point_emits_failed_event(self, monkeypatch):
-        def broken(design, workload, config):
+        def broken(design, workload, config, **kwargs):
             raise RuntimeError("kaboom")
 
         monkeypatch.setattr(runner_mod, "_live_simulate", broken)
@@ -499,7 +500,7 @@ class TestProgressEvents:
     def test_broken_consumer_never_fails_the_sweep(
             self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
 
         def explode(ev):
             raise RuntimeError("renderer bug")

@@ -55,6 +55,17 @@ def kmeans_points(designs=("B", "O"), cfg=None):
     ]
 
 
+def plain_blobs(points):
+    """Each point through plain :func:`repro.simulate` — the cold path
+    the warm runtime must reproduce byte for byte."""
+    return [
+        json.dumps(result_to_dict(repro.simulate(
+            p.design, p.materialize(), p.resolved_config(),
+            fault_schedule=p.fault_schedule)), sort_keys=True)
+        for p in points
+    ]
+
+
 def result_blobs(report):
     return [
         json.dumps(result_to_dict(o.result), sort_keys=True)
@@ -176,7 +187,8 @@ class TestSharedWorkloadStore:
 
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    """Warm results and cache entries are byte-identical to cold ones."""
+    """Warm results and cache entries are byte-identical to plain
+    (cold) :func:`repro.simulate` results."""
 
     def _entry_blobs(self, cache, keys):
         out = []
@@ -192,46 +204,39 @@ class TestBitIdentity:
                        workload_kwargs={"rows": 12, "cols": 12})
             for d in ("C", "O")
         ]
-        cold_cache = ResultCache(tmp_path / "cold")
-        cold = SweepRunner(cache=cold_cache, jobs=1, runtime=False) \
-            .run(points)
+        cold = plain_blobs(points)
         warm_cache = ResultCache(tmp_path / "warm")
         with WorkerRuntime(jobs=1) as rt:
             warm = SweepRunner(cache=warm_cache, jobs=1, runtime=rt) \
                 .run(points)
-        assert not cold.failures and not warm.failures
+        assert not warm.failures
         assert all(o.source == "run" for o in warm.outcomes)
-        assert result_blobs(cold) == result_blobs(warm)
-        keys = [o.key for o in cold.outcomes]
+        assert result_blobs(warm) == cold
+        keys = [o.key for o in warm.outcomes]
         assert all(keys)
-        assert self._entry_blobs(cold_cache, keys) == \
-            self._entry_blobs(warm_cache, keys)
+        assert self._entry_blobs(warm_cache, keys) == cold
         # the warm pass actually exercised the memos
         assert rt.closed
 
     def test_pool_warm_equals_cold(self, tmp_path):
         points = kmeans_points(("B", "O"))
-        cold_cache = ResultCache(tmp_path / "cold")
-        cold = SweepRunner(cache=cold_cache, jobs=2, runtime=False) \
-            .run(points)
+        cold = plain_blobs(points)
         warm_cache = ResultCache(tmp_path / "warm")
         with WorkerRuntime(jobs=2) as rt:
             warm = SweepRunner(cache=warm_cache, jobs=2, runtime=rt) \
                 .run(points)
-        assert not cold.failures and not warm.failures
-        assert result_blobs(cold) == result_blobs(warm)
-        keys = [o.key for o in cold.outcomes]
-        assert self._entry_blobs(cold_cache, keys) == \
-            self._entry_blobs(warm_cache, keys)
+        assert not warm.failures
+        assert result_blobs(warm) == cold
+        keys = [o.key for o in warm.outcomes]
+        assert self._entry_blobs(warm_cache, keys) == cold
         assert not shm_leaks()
 
     def test_shared_runtime_across_runs_stays_identical(self):
         points = kmeans_points(("O",))
-        cold = SweepRunner(cache=False, jobs=1, runtime=False).run(points)
         with WorkerRuntime(jobs=1) as rt:
             first = SweepRunner(cache=False, jobs=1, runtime=rt).run(points)
             second = SweepRunner(cache=False, jobs=1, runtime=rt).run(points)
-        assert result_blobs(cold) == result_blobs(first) == \
+        assert plain_blobs(points) == result_blobs(first) == \
             result_blobs(second)
 
 
@@ -244,10 +249,8 @@ class TestFaultInvalidation:
 
     def _run(self, fault_schedule=None):
         wl = repro.make_workload("kmeans", **self.WL_KW)
-        if fault_schedule is not None:
-            return repro.simulate("O", wl, small_cfg(),
-                                  fault_schedule=fault_schedule)
-        return repro.simulate("O", wl, small_cfg())
+        return repro.simulate("O", wl, small_cfg(),
+                              fault_schedule=fault_schedule)
 
     def test_faulted_runs_never_harvest(self):
         sched = FaultSchedule.unit_failures([1], at_timestamp=1)
@@ -285,10 +288,9 @@ class TestFaultInvalidation:
                        workload_kwargs=dict(self.WL_KW),
                        fault_schedule=sched),
         ]
-        cold = SweepRunner(cache=False, jobs=1, runtime=False).run(points)
         with WorkerRuntime(jobs=1) as rt:
             warm = SweepRunner(cache=False, jobs=1, runtime=rt).run(points)
-        assert result_blobs(cold) == result_blobs(warm)
+        assert result_blobs(warm) == plain_blobs(points)
         assert warm.outcomes[1].result.resilience is not None
 
 
@@ -298,11 +300,10 @@ class TestCrashCleanup:
         parent = os.getpid()
         real = runner_mod._live_simulate
 
-        def flaky(design, workload, config, telemetry=None,
-                  fault_schedule=None):
+        def flaky(design, workload, config, **kwargs):
             if os.getpid() != parent:
                 raise RuntimeError("boom in worker")
-            return real(design, workload, config)
+            return real(design, workload, config, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_live_simulate", flaky)
         with WorkerRuntime(jobs=2) as rt:
@@ -313,8 +314,7 @@ class TestCrashCleanup:
         assert not shm_leaks()
 
     def test_total_crash_reported_and_no_shm_leak(self, monkeypatch):
-        def broken(design, workload, config, telemetry=None,
-                   fault_schedule=None):
+        def broken(design, workload, config, **kwargs):
             raise RuntimeError("always boom")
 
         monkeypatch.setattr(runner_mod, "_live_simulate", broken)

@@ -403,9 +403,8 @@ class TestBatchContract:
     }
 
     @staticmethod
-    def fast_context(with_camps: bool) -> SchedulerContext:
+    def skewed_context(with_camps: bool) -> SchedulerContext:
         ctx = make_context(with_camps)
-        ctx.fast_scoring = True
         # Thirds do not sum exactly in binary: a reduction taken in
         # another order than the per-task one changes the result.
         ctx.cost_matrix = ctx.cost_matrix / 3.0
@@ -452,7 +451,7 @@ class TestBatchContract:
         camps, make = self.POLICIES[policy]
         # Separate contexts and task objects: neither side may read a
         # memo the other one wrote.
-        ctx_a, ctx_b = self.fast_context(camps), self.fast_context(camps)
+        ctx_a, ctx_b = self.skewed_context(camps), self.skewed_context(camps)
         tasks_a, tasks_b = self.tasks(ctx_a), self.tasks(ctx_b)
         sched_a, sched_b = make(ctx_a), make(ctx_b)
         if prepared:
@@ -467,7 +466,7 @@ class TestBatchContract:
     @pytest.mark.parametrize("camps", [False, True])
     def test_prepared_memos_match_per_task(self, camps):
         """prepare_hints fills the hint memos the per-task path fills."""
-        ctx_a, ctx_b = self.fast_context(camps), self.fast_context(camps)
+        ctx_a, ctx_b = self.skewed_context(camps), self.skewed_context(camps)
         tasks_a, tasks_b = self.tasks(ctx_a), self.tasks(ctx_b)
         ctx_b.prepare_hints(tasks_b)
         for ta, tb in zip(tasks_a, tasks_b):
@@ -483,13 +482,10 @@ class TestBatchContract:
         from repro.telemetry import Telemetry
 
         camps, make = self.POLICIES[policy]
-        ctx = self.fast_context(camps)
+        ctx = self.skewed_context(camps)
         sched = make(ctx)
         tasks = self.tasks(ctx, n=8)
         assert sched.choose_units_batch(tasks) is not None
-        ctx.fast_scoring = False             # the scalar engine
-        assert sched.choose_units_batch(tasks) is None
-        ctx.fast_scoring = True
         ctx.alive_mask = np.ones(ctx.num_units, dtype=bool)
         assert sched.choose_units_batch(tasks) is None
         ctx.alive_mask = None
@@ -501,5 +497,5 @@ class TestBatchContract:
             def choose_unit(self, task):
                 return 0
 
-        ctx = self.fast_context(False)
+        ctx = self.skewed_context(False)
         assert FirstUnit(ctx).choose_units_batch(self.tasks(ctx)) is None

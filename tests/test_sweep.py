@@ -170,7 +170,7 @@ class TestKeysFromSpec:
         the seeded point was served the default's result."""
         ran = []
 
-        def counting(design, workload, config):
+        def counting(design, workload, config, **kwargs):
             ran.append(workload._factory_spec)
             return fake_result(design=design, workload="knn",
                                makespan=100.0 * len(ran))
@@ -193,7 +193,7 @@ class TestKeysFromSpec:
     def test_cached_simulate_generates_only_on_a_miss(
             self, tmp_path, monkeypatch, factory_calls):
         monkeypatch.setattr(runner_mod, "_live_simulate",
-                            lambda d, w, c: fake_result(design=d))
+                            lambda d, w, c, **kw: fake_result(design=d))
         cache = ResultCache(root=tmp_path)
         cfg = experiment_config()
         kwargs = {"num_points": 128, "iterations": 1}
@@ -220,7 +220,7 @@ class TestResultCache:
     def test_hit_skips_simulation(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(design, workload, config):
+        def counting(design, workload, config, **kwargs):
             calls.append(design)
             return fake_result(design=design)
 
@@ -237,7 +237,7 @@ class TestResultCache:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(design, workload, config):
+        def counting(design, workload, config, **kwargs):
             calls.append(design)
             return fake_result(design=design)
 
@@ -258,7 +258,7 @@ class TestResultCache:
     def test_schema_mismatch_is_invalidated(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: fake_result(design=d))
+            lambda d, w, c, **kw: fake_result(design=d))
         cache = ResultCache(root=tmp_path)
         cfg = experiment_config()
         cached_simulate("B", "kmeans", cfg, cache=cache)
@@ -273,7 +273,7 @@ class TestResultCache:
         calls = []
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: calls.append(d) or fake_result(design=d))
+            lambda d, w, c, **kw: calls.append(d) or fake_result(design=d))
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         cache = ResultCache(root=tmp_path)
         cfg = experiment_config()
@@ -285,7 +285,7 @@ class TestResultCache:
     def test_clear_and_len(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: fake_result(design=d))
+            lambda d, w, c, **kw: fake_result(design=d))
         cache = ResultCache(root=tmp_path)
         cfg = experiment_config()
         for d in ("B", "O"):
@@ -299,7 +299,7 @@ class TestResultCache:
         calls = []
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: calls.append(d) or fake_result(design=d))
+            lambda d, w, c, **kw: calls.append(d) or fake_result(design=d))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
         cfg = experiment_config()
         repro.compare_designs(["B", "O"], "kmeans", cfg)
@@ -340,11 +340,11 @@ class TestSweepRunner:
         state = {"failed": False}
         real = runner_mod._live_simulate
 
-        def flaky(design, workload, config):
+        def flaky(design, workload, config, **kwargs):
             if design == "O" and not state["failed"]:
                 state["failed"] = True
                 raise RuntimeError("transient")
-            return real(design, workload, config)
+            return real(design, workload, config, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_live_simulate", flaky)
         report = SweepRunner(cache=False, jobs=1).run(self._points())
@@ -357,10 +357,10 @@ class TestSweepRunner:
     def test_persistent_failure_never_kills_the_sweep(self, monkeypatch):
         real = runner_mod._live_simulate
 
-        def broken(design, workload, config):
+        def broken(design, workload, config, **kwargs):
             if design == "O":
                 raise RuntimeError("always broken")
-            return real(design, workload, config)
+            return real(design, workload, config, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_live_simulate", broken)
         report = SweepRunner(cache=False, jobs=1).run(self._points())
@@ -380,12 +380,3 @@ class TestSweepRunner:
         assert any("ran" in line for line in lines)
         assert "1 points" in report.summary()
         assert "0 failed" in report.summary()
-
-
-class TestLegacySweepCallable:
-    def test_module_still_callable(self):
-        cfgs = {"2x2": experiment_config().scaled(2, 2)}
-        wl = repro.make_workload("kmeans", num_points=128, iterations=1)
-        out = repro.sweep("B", wl, cfgs)
-        assert set(out) == {"2x2"}
-        assert repro.sweep_configs("B", wl, cfgs).keys() == out.keys()

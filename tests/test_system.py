@@ -106,15 +106,6 @@ class TestSimulateApi:
         )
         assert res["B"].tasks_executed == res["O"].tasks_executed
 
-    def test_sweep(self):
-        cfgs = {
-            "2x2": experiment_config().scaled(2, 2),
-            "4x4": experiment_config(),
-        }
-        wl = repro.make_workload("kmeans", num_points=256, iterations=1)
-        out = repro.sweep("B", wl, cfgs)
-        assert set(out) == {"2x2", "4x4"}
-
     def test_all_designs_constant(self):
         assert repro.ALL_DESIGNS == ("B", "Sm", "Sl", "Sh", "C", "O")
         assert set(repro.ALL_DESIGNS) == set(DESIGN_POINTS)

@@ -344,46 +344,6 @@ class TestQueueTelemetry:
 # sweep plumbing
 # ----------------------------------------------------------------------
 class TestSweepTelemetryPlumbing:
-    def test_sweep_configs_uses_result_cache(self, monkeypatch):
-        from repro.sweep import runner as runner_mod
-        from repro.simulate import sweep_configs
-
-        calls = {"n": 0}
-        real = runner_mod._live_simulate
-
-        def counting(design, workload, config, telemetry=None):
-            calls["n"] += 1
-            return real(design, workload, config, telemetry=telemetry)
-
-        monkeypatch.setattr(runner_mod, "_live_simulate", counting)
-        wl = repro.make_workload("kmeans", num_points=64, iterations=1)
-        configs = {"base": small_config()}
-        first = sweep_configs("B", wl, configs)
-        assert calls["n"] == 1
-        second = sweep_configs("B", wl, configs)
-        assert calls["n"] == 1  # served from the on-disk cache
-        assert second["base"].makespan_cycles == \
-            first["base"].makespan_cycles
-
-    def test_sweep_configs_honors_no_cache(self, monkeypatch):
-        from repro.sweep import runner as runner_mod
-        from repro.simulate import sweep_configs
-
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        calls = {"n": 0}
-        real = runner_mod._live_simulate
-
-        def counting(design, workload, config, telemetry=None):
-            calls["n"] += 1
-            return real(design, workload, config, telemetry=telemetry)
-
-        monkeypatch.setattr(runner_mod, "_live_simulate", counting)
-        wl = repro.make_workload("kmeans", num_points=64, iterations=1)
-        configs = {"base": small_config()}
-        sweep_configs("B", wl, configs)
-        sweep_configs("B", wl, configs)
-        assert calls["n"] == 2
-
     def test_cached_simulate_writes_telemetry_sidecar(self):
         cfg = small_config()
         wl = repro.make_workload("kmeans", num_points=64, iterations=1)

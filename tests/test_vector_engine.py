@@ -1,13 +1,14 @@
 """Tier plumbing for records of the removed vector engine.
 
-The statistical ``vector`` access engine is gone: ``access_engine``
-accepts only ``scalar`` and ``batched``, both bit-identical (see
-``test_access_engine.py``).  Old ``BENCH_*.json`` records that name the
-vector engine still exist, so these tests pin how they are read: the
-vector name maps to a tier of its own, regression groups never mix it
-with exact-tier records, and ``compare_bench`` across tiers holds only
-the wall/throughput band, never the near-exact semantic check.  The
-run key stays engine-invariant across the exact tier.
+The statistical ``vector`` access engine is gone, and so is the choice
+between the two exact ones (``scalar`` and ``batched``): one exact
+kernel remains (see ``test_access_engine.py``).  Old ``BENCH_*.json``
+records that name an engine still exist, so these tests pin how they
+are read: ``scalar``, ``batched`` and no name at all are the exact
+tier, the vector name maps to a tier of its own, regression groups
+never mix it with exact-tier records, and ``compare_bench`` across
+tiers holds only the wall/throughput band, never the near-exact
+semantic check.  Run keys never named an engine and did not move.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.bench import engine_config
 from repro.config import engine_tier, experiment_config
+from tests.test_access_engine import PINNED_KEY
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +35,14 @@ def test_engine_tier_mapping():
 
 
 def test_run_keys_engine_invariant(base_config):
-    """One run key for both engines: ``access_engine`` is
-    non-semantic, so a cached exact result satisfies either engine."""
+    """The canonical config names no engine, and the key is the one
+    both old exact engines shared, so their cached results still
+    answer."""
     from repro.sweep.keys import run_key
 
+    assert "access_engine" not in base_config.canonical_dict()["memory"]
     workload = repro.make_workload("pr", num_vertices=1024, iterations=2)
-    keys = {
-        engine: run_key("O", workload, engine_config(engine, base_config))
-        for engine in ("scalar", "batched")
-    }
-    assert keys["scalar"] == keys["batched"]
+    assert run_key("O", workload, base_config) == PINNED_KEY
 
 
 # ----------------------------------------------------------------------
