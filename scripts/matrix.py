@@ -11,12 +11,14 @@ results either way).
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
 import repro
 from repro.analysis.stats import geomean
 from repro.campaign import load_campaign, run_campaign
+from repro.observatory.progress import SweepProgress
 
 CAMPAIGN_FILE = Path(__file__).resolve().parent.parent / "campaigns" \
     / "full_matrix.json"
@@ -38,7 +40,8 @@ def main(argv=None):
         campaign, campaign.expand(),
         cache=False if args.no_cache else "default",
         jobs=args.jobs,
-        progress=None if args.quiet else (lambda m: print(m, flush=True)),
+        events=None if args.quiet else SweepProgress(stream=sys.stdout,
+                                                     live=False),
     )
     rows = report.results()
     for o in report.failures:

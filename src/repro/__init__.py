@@ -57,7 +57,6 @@ from repro.faults import (
     FaultSchedule,
     ResilienceStats,
     make_random_schedule,
-    run_fault_campaign,
 )
 
 # The sweep engine: parallel grid runs + the content-addressed result
@@ -67,7 +66,6 @@ from repro.sweep import (
     ResultCache,
     SweepRunner,
     cached_simulate,
-    run_matrix,
     run_point,
 )
 
@@ -102,7 +100,6 @@ __all__ = [
     "sweep",
     "cached_simulate",
     "run_point",
-    "run_matrix",
     "SweepRunner",
     "ResultCache",
     "ALL_DESIGNS",
@@ -118,7 +115,6 @@ __all__ = [
     "FaultSchedule",
     "ResilienceStats",
     "make_random_schedule",
-    "run_fault_campaign",
     # results
     "RunResult",
     "__version__",

@@ -210,17 +210,18 @@ def run_campaign(
     expansion: Expansion,
     cache: Any = "default",
     jobs: Optional[int] = None,
-    progress=None,
     events=None,
     runtime: Any = None,
     trace_id: str = "",
 ) -> CampaignReport:
     """Run an expanded campaign locally via :class:`SweepRunner`.
 
+    ``events`` takes the typed per-point
+    :class:`~repro.observatory.progress.ProgressEvent` stream.
     ``runtime`` follows the runner's semantics: ``None`` gives this
     campaign its own warm :class:`~repro.sweep.runtime.WorkerRuntime`,
-    an instance shares one across campaigns (multi-campaign drivers pay
-    pool startup once), ``False`` forces the legacy cold path.
+    and an instance shares one across campaigns (multi-campaign drivers
+    pay pool startup once).
     ``trace_id`` (optional) stamps every point and progress event for
     end-to-end correlation — annotation only, keys untouched.
     """
@@ -242,8 +243,8 @@ def run_campaign(
             label=point.label,
             fault_schedule=spec.fault_schedule(),
         ))
-    runner = SweepRunner(cache=cache, jobs=jobs, progress=progress,
-                         events=events, runtime=runtime)
+    runner = SweepRunner(cache=cache, jobs=jobs, events=events,
+                         runtime=runtime)
     sweep = runner.run(sweep_points)
     report.elapsed_s = sweep.elapsed_s
     for point, outcome in zip(expansion.points, sweep.outcomes):
@@ -270,8 +271,8 @@ def run_campaign_via_server(
     same bytes worker-side (so client and server agree on the
     fingerprint) and answers with one ``{label, key, status}`` row per
     deduped point.  Points the server reports as already terminal are
-    collected immediately; the rest are long-polled via ``/v1/submit``
-    exactly like ``repro sweep --server``.
+    collected immediately; the rest are long-polled via ``/v1/submit``.
+    Every grid command's ``--server`` mode runs through here.
     """
     from repro.observatory.progress import ProgressEvent
     from repro.service.client import ServiceError

@@ -6,9 +6,9 @@
     python -m repro trace O pr --out t.json  # instrumented run -> Chrome
                                              # trace (Perfetto-loadable)
     python -m repro compare -w knn           # all designs on one workload
-    python -m repro matrix                   # the full Figure 6/7/8 matrix
-    python -m repro sweep                    # the same matrix, parallel +
-                                             # cached + sweep_results.json
+    python -m repro sweep                    # the full Figure 6/7/8 matrix
+                                             # + sweep_results.json
+                                             # (`matrix` is an alias)
     python -m repro sweep alpha -w pr        # a Section 7.2 parameter sweep
     python -m repro faults O pr --units 4    # resilience campaign under
                                              # injected failures
@@ -31,11 +31,14 @@
     python -m repro compact                  # compact the history ledger,
                                              # prune orphaned cache temps
 
-Grid commands (``matrix`` / ``sweep``), ``diff`` and ``regress
---history`` accept ``--server URL`` to run through a shared
-``repro serve`` instance instead of the local machine — submissions
-dedupe by run key across all of the server's clients (see
-docs/service.md).
+Every grid command (``compare``, ``sweep``/``matrix``, ``faults``,
+``campaign run``) compiles its flags into one in-memory campaign
+document (docs/campaigns.md) and runs it through ``run_campaign``, so a
+flag set and the equivalent campaign file share run keys and cache
+entries.  ``sweep``, ``campaign run``, ``diff`` and ``regress
+--history`` accept ``--server URL`` to run through a shared ``repro
+serve`` instance instead of the local machine — submissions dedupe by
+run key across all of the server's clients (see docs/service.md).
 
 Every simulation routes through the content-addressed result cache in
 ``.repro_cache/`` (``--no-cache`` bypasses it) and drops a one-line
@@ -60,101 +63,45 @@ from repro.analysis import export
 from repro.analysis.metrics import RunResult
 from repro.analysis.plotting import bar_chart
 from repro.analysis.stats import geomean
-from repro.config import SystemConfig, describe_config, experiment_config
-from repro.sweep import SIMULATOR_VERSION, cached_simulate, run_matrix
+from repro.campaign.resolver import resolve_system_config
+from repro.config import SystemConfig, describe_config
+from repro.sweep import SIMULATOR_VERSION, cached_simulate
+
+
+def _point_from_args(args) -> Dict[str, object]:
+    """The experiment-point fields the config flags set.
+
+    This is the one flag-to-point mapping: grid commands put it in
+    their campaign's ``base`` layer, and single runs resolve it with
+    :func:`resolve_system_config`, so every entry point keys a flag
+    set identically.
+    """
+    point: Dict[str, object] = {}
+    if args.mesh:
+        point["mesh"] = args.mesh
+    sections = {
+        "scheduler": {"hybrid_alpha": args.alpha,
+                      "exchange_interval_cycles": args.interval},
+        "cache": {"num_camps": args.camps,
+                  "bypass_probability": args.bypass},
+    }
+    config = {}
+    for name, fields in sections.items():
+        given = {k: v for k, v in fields.items() if v is not None}
+        if given:
+            config[name] = given
+    if config:
+        point["config"] = config
+    return point
 
 
 def _config_from_args(args) -> SystemConfig:
-    cfg = experiment_config()
-    if args.mesh:
-        rows, cols = (int(v) for v in args.mesh.lower().split("x"))
-        cfg = cfg.scaled(rows, cols)
-    overrides = {}
-    if args.alpha is not None:
-        overrides["hybrid_alpha"] = args.alpha
-    if args.interval is not None:
-        overrides["exchange_interval_cycles"] = args.interval
-    if overrides:
-        cfg = cfg.with_(
-            scheduler=dataclasses.replace(cfg.scheduler, **overrides)
-        )
-    if args.camps is not None or args.bypass is not None:
-        cache_over = {}
-        if args.camps is not None:
-            cache_over["num_camps"] = args.camps
-        if args.bypass is not None:
-            cache_over["bypass_probability"] = args.bypass
-        cfg = cfg.with_(cache=dataclasses.replace(cfg.cache, **cache_over))
-    return cfg.validate()
+    return resolve_system_config(**_point_from_args(args))
 
 
 def _cache_from_args(args):
     """The ``cache=`` argument for the sweep engine (False = bypass)."""
     return False if getattr(args, "no_cache", False) else "default"
-
-
-def _spec_from_args(args, design: str, workload: str):
-    """An :class:`ExperimentSpec` mirroring :func:`_config_from_args`.
-
-    Field-for-field the same transformations, so the spec's run key —
-    computed server-side — matches what the local path would compute.
-    """
-    from repro.service.spec import ExperimentSpec
-
-    spec: Dict[str, object] = {"design": design, "workload": workload}
-    if args.mesh:
-        spec["mesh"] = args.mesh
-    scheduler = {}
-    if args.alpha is not None:
-        scheduler["hybrid_alpha"] = args.alpha
-    if args.interval is not None:
-        scheduler["exchange_interval_cycles"] = args.interval
-    cache_over = {}
-    if args.camps is not None:
-        cache_over["num_camps"] = args.camps
-    if args.bypass is not None:
-        cache_over["bypass_probability"] = args.bypass
-    config = {}
-    if scheduler:
-        config["scheduler"] = scheduler
-    if cache_over:
-        config["cache"] = cache_over
-    if config:
-        spec["config"] = config
-    return ExperimentSpec.from_dict(spec)
-
-
-def _run_grid_via_server(args, designs, workloads, log):
-    """Run a design x workload grid through ``--server`` (thin client).
-
-    Returns a :class:`~repro.sweep.runner.SweepReport` shaped exactly
-    like the local engine's, so the table/export code downstream is
-    shared between the two modes.
-    """
-    import time
-
-    from repro.service.client import ServiceClient, run_specs
-    from repro.sweep.runner import PointOutcome, SweepPoint, SweepReport
-
-    client = ServiceClient(args.server)
-    specs = [_spec_from_args(args, d, w)
-             for w in workloads for d in designs]
-    log.detail(f"submitting {len(specs)} point(s) to {client.base_url}")
-    t0 = time.time()
-    raw = run_specs(client, specs, events=_events_from_args(args, log))
-    outcomes = []
-    for item in raw:
-        spec = item["spec"]
-        point = SweepPoint(design=spec.design, workload=spec.workload)
-        source = {"cached": "cache", "done": "run"}.get(
-            item["status"], "failed")
-        outcomes.append(PointOutcome(
-            point=point, result=item["result"], source=source,
-            key=item["key"],
-            error=(item["error"] or "remote run failed")
-            if source == "failed" else None,
-        ))
-    return SweepReport(outcomes=outcomes, elapsed_s=time.time() - t0)
 
 
 def _log_from_args(args):
@@ -353,12 +300,66 @@ def cmd_trace(args) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# grid commands: each builds one campaign document and runs it here
+# ----------------------------------------------------------------------
+def _run_campaign(args, campaign, expansion, sets=None, events=None):
+    """Run an expanded campaign: through ``run_campaign`` locally, or
+    ``run_campaign_via_server`` with ``--server``.  Every grid command
+    (``compare``, ``sweep``/``matrix``, ``faults``, ``campaign run``)
+    executes here; failed points are logged, not raised."""
+    from repro.campaign import run_campaign, run_campaign_via_server
+    from repro.insight.trace import mint_trace_id
+
+    log = _log_from_args(args)
+    log.info(f"campaign {campaign.name!r}: {len(expansion.points)} "
+             f"point(s), fingerprint {expansion.fingerprint}")
+    if expansion.duplicates_dropped:
+        log.detail(f"{expansion.duplicates_dropped} duplicate "
+                   f"point(s) dropped during expansion")
+    if events is None:
+        events = _events_from_args(args, log)
+    trace_id = mint_trace_id()
+    log.detail(f"trace id {trace_id}")
+    if getattr(args, "server", None):
+        from repro.service.client import ServiceClient
+
+        client = ServiceClient(args.server)
+        log.detail(f"submitting campaign to {client.base_url}")
+        report = run_campaign_via_server(client, campaign, sets=sets,
+                                         events=events, trace_id=trace_id)
+    else:
+        report = run_campaign(campaign, expansion,
+                              cache=_cache_from_args(args),
+                              jobs=args.jobs, events=events,
+                              trace_id=trace_id)
+    for o in report.failures:
+        log.error(f"FAILED {o.point.label}: "
+                  f"{(o.error or 'unknown').strip().splitlines()[-1]}")
+    return report
+
+
+def _run_grid(args, name: str, base: Dict[str, object],
+              axes: Dict[str, list]):
+    """Build the campaign a grid command's flags describe and run it.
+
+    ``base`` holds the command's own point keys; the config flags join
+    it through :func:`_point_from_args`.
+    """
+    from repro.campaign import CampaignSpec
+
+    campaign = CampaignSpec.from_dict({
+        "name": name, "base": dict(_point_from_args(args), **base),
+        "axes": axes})
+    return _run_campaign(args, campaign, campaign.expand())
+
+
 def cmd_compare(args) -> int:
-    cfg = _config_from_args(args)
-    workload = repro.make_workload(args.workload)
-    results = repro.compare_designs(
-        repro.ALL_DESIGNS, workload, cfg, cache=_cache_from_args(args)
-    )
+    report = _run_grid(args, "compare", {"workload": args.workload},
+                       {"design": list(repro.ALL_DESIGNS)})
+    if report.failures:
+        return 1
+    results = {o.result.design: o.result for o in report.outcomes}
     _print_comparison(results)
     base = results["B"]
     print()
@@ -371,48 +372,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_matrix(args) -> int:
-    cfg = _config_from_args(args)
-    log = _log_from_args(args)
-    if getattr(args, "server", None):
-        report = _run_grid_via_server(
-            args, list(repro.ALL_DESIGNS), list(repro.ALL_WORKLOADS), log)
-    else:
-        report = run_matrix(
-            config=cfg, cache=_cache_from_args(args), jobs=args.jobs,
-            events=_events_from_args(args, log),
-        )
-    if report.failures:
-        for o in report.failures:
-            log.error(f"FAILED {o.point.label}: "
-                      f"{o.error.strip().splitlines()[-1]}")
-        return 1
-    grid = report.results()
-    all_results: List[RunResult] = []
-    speedups: Dict[str, List[float]] = {d: [] for d in repro.ALL_DESIGNS}
-    for name in repro.ALL_WORKLOADS:
-        row = grid[name]
-        base = row["B"]
-        line = f"{name:8}"
-        for d in repro.ALL_DESIGNS:
-            s = row[d].speedup_over(base)
-            speedups[d].append(s)
-            line += f" {d}:{s:5.2f}"
-        print(line, flush=True)
-        all_results.extend(row[d] for d in repro.ALL_DESIGNS)
-    print("geomean " + " ".join(
-        f"{d}:{geomean(speedups[d]):5.2f}" for d in repro.ALL_DESIGNS
-    ))
-    print(report.summary())
-    _export(args, all_results)
-    return 0
-
-
+#: ``sweep PARAM``: the point path each Section 7.2 parameter sweeps,
+#: and its values.
 _SWEEPS = {
-    "alpha": ("hybrid_alpha", [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]),
-    "interval": ("exchange_interval_cycles", [62, 125, 250, 500, 1000, 2000]),
-    "camps": ("num_camps", [1, 3, 7, 15]),
-    "bypass": ("bypass_probability", [0.0, 0.2, 0.4, 0.6, 0.8]),
+    "alpha": ("config.scheduler.hybrid_alpha",
+              [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]),
+    "interval": ("config.scheduler.exchange_interval_cycles",
+                 [62, 125, 250, 500, 1000, 2000]),
+    "camps": ("config.cache.num_camps", [1, 3, 7, 15]),
+    "bypass": ("config.cache.bypass_probability",
+               [0.0, 0.2, 0.4, 0.6, 0.8]),
 }
 
 
@@ -438,23 +407,40 @@ def _geomean_table(grid, designs, workloads) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def cmd_sweep_matrix(args) -> int:
-    """``python -m repro sweep`` with no parameter: the full design x
-    workload matrix, parallel and cached, with machine-readable output."""
-    cfg = _config_from_args(args)
-    log = _log_from_args(args)
+def cmd_sweep(args) -> int:
+    """``python -m repro sweep PARAM``: one Section 7.2 parameter over
+    its value list; without PARAM (or as ``matrix``), the design x
+    workload matrix."""
+    if args.parameter is None:
+        return _sweep_matrix(args)
+    path, values = _SWEEPS[args.parameter]
+    report = _run_grid(args, f"sweep-{args.parameter}",
+                       {"design": args.design, "workload": args.workload},
+                       {path: values})
+    for o in report.outcomes:
+        if o.ok:
+            r = o.result
+            print(f"{args.parameter}={o.point.assignments[path]:<8} "
+                  f"makespan={r.makespan_cycles:12,.0f} "
+                  f"hops={r.inter_hops:10,} hit={r.cache.hit_rate:.0%}",
+                  flush=True)
+    _export(args, [o.result for o in report.outcomes if o.ok])
+    return 1 if report.failures else 0
+
+
+def _sweep_matrix(args) -> int:
+    """The full design x workload matrix with machine-readable output
+    (``sweep_results.json``)."""
+    from repro.sweep.cache import resolve_cache
+
     designs = (args.designs.split(",") if args.designs
                else list(repro.ALL_DESIGNS))
     workloads = (args.workloads.split(",") if args.workloads
                  else list(repro.ALL_WORKLOADS))
-    if getattr(args, "server", None):
-        report = _run_grid_via_server(args, designs, workloads, log)
-    else:
-        report = run_matrix(
-            designs=designs, workloads=workloads, config=cfg,
-            cache=_cache_from_args(args), jobs=args.jobs,
-            events=_events_from_args(args, log),
-        )
+    report = _run_grid(args, "sweep", {},
+                       {"workload": workloads, "design": designs})
+    # the process-wide cache run_campaign used (None with --no-cache)
+    store = None if args.server else resolve_cache(_cache_from_args(args))
     grid = report.results()
     complete = [w for w in workloads
                 if "B" in grid.get(w, {})
@@ -483,9 +469,6 @@ def cmd_sweep_matrix(args) -> int:
         gm = {"speedup": {}, "energy": {}, "hops": {}}
     print()
     print(report.summary())
-    for o in report.failures:
-        log.error(f"FAILED {o.point.label}: "
-                  f"{o.error.strip().splitlines()[-1]}")
 
     payload = {
         "meta": {
@@ -493,8 +476,8 @@ def cmd_sweep_matrix(args) -> int:
             "designs": designs,
             "workloads": workloads,
             "elapsed_s": report.elapsed_s,
-            "cache": dataclasses.asdict(report.cache.stats)
-            if report.cache else None,
+            "cache": dataclasses.asdict(store.stats)
+            if store is not None else None,
         },
         "points": [
             dict(export.result_row(o.result),
@@ -516,66 +499,73 @@ def cmd_sweep_matrix(args) -> int:
 
 def cmd_faults(args) -> int:
     """``python -m repro faults O pr --units 4 --links 2``: a resilience
-    campaign — one healthy reference plus one faulted run per schedule,
-    all through the sweep engine."""
-    from repro.arch.topology import Topology
-    from repro.faults import (FaultSchedule, make_random_schedule,
-                              run_fault_campaign)
+    campaign — one healthy reference plus one faulted point per
+    schedule, on a ``faults`` axis."""
+    from repro.campaign import CampaignSpec
+    from repro.faults import FaultSchedule
 
-    cfg = _config_from_args(args)
-    schedules: Dict[str, FaultSchedule] = {}
+    schedules = []
     for path in args.schedule or []:
-        schedules[path] = FaultSchedule.load(path)
+        schedule = FaultSchedule.load(path)
+        if not schedule:
+            raise ValueError(f"schedule {path!r} is empty")
+        schedules.append(schedule.to_dict())
     if args.units or args.links or args.vaults:
-        topo = Topology(cfg.topology, num_groups=cfg.cache.num_groups())
-        seed = args.seed if args.seed is not None else cfg.seed
-        label = (f"seed{seed}:u{args.units}"
-                 f"+l{args.links}+v{args.vaults}")
-        schedules[label] = make_random_schedule(
-            topo.num_units, topo.mesh_links(),
-            unit_fails=args.units, link_fails=args.links,
-            vault_slowdowns=args.vaults, seed=seed,
-        )
+        random = {"unit_fails": args.units, "link_fails": args.links,
+                  "vault_slowdowns": args.vaults}
+        if args.seed is not None:
+            random["seed"] = args.seed
+        schedules.append({"random": random})
     if not schedules:
         print("error: give --schedule FILE and/or --units/--links/--vaults",
               file=sys.stderr)
         return 2
 
+    campaign = CampaignSpec.from_dict({
+        "name": "faults",
+        "base": dict(_point_from_args(args), design=args.design,
+                     workload=args.workload),
+        "axes": {"faults": [None, *schedules]}})
+    expansion = campaign.expand()
     if args.dump_schedule:
-        next(iter(schedules.values())).dump(args.dump_schedule)
+        next(p.spec.fault_schedule() for p in expansion.points
+             if p.spec.faults).dump(args.dump_schedule)
         print(f"wrote {args.dump_schedule}")
 
-    log = _log_from_args(args)
-    campaign = run_fault_campaign(
-        args.design, args.workload, schedules, config=cfg,
-        cache=_cache_from_args(args), jobs=args.jobs,
-        events=_events_from_args(args, log),
-    )
-
-    header = (f"{'schedule':24} {'makespan':>14} {'slowdn':>7} {'lost':>5} "
+    report = _run_campaign(args, campaign, expansion)
+    healthy_outcome, *faulted = report.outcomes
+    if not healthy_outcome.ok:
+        print("error: the healthy reference failed", file=sys.stderr)
+        return 1
+    healthy = healthy_outcome.result
+    header = (f"{'point':24} {'makespan':>14} {'slowdn':>7} {'lost':>5} "
               f"{'reexec':>7} {'unreach':>8} {'recov_cyc':>10}")
     print(header)
     print("-" * len(header))
-    print(f"{'healthy':24} {campaign.healthy.makespan_cycles:14,.0f} "
+    print(f"{healthy_outcome.point.label[:24]:24} "
+          f"{healthy.makespan_cycles:14,.0f} "
           f"{1.0:7.2f} {0:5} {'-':>7} {'-':>8} {'-':>10}")
     lost_any = False
-    for label, r in campaign.faulted.items():
-        lost = campaign.lost_tasks(label)
+    for o in faulted:
+        if not o.ok:
+            continue
+        r, res = o.result, o.result.resilience
+        lost = healthy.tasks_executed - r.tasks_executed
         lost_any = lost_any or lost != 0
-        res = r.resilience
-        print(f"{label[:24]:24} {r.makespan_cycles:14,.0f} "
-              f"{campaign.slowdown(label):7.2f} {lost:5} "
+        if healthy.makespan_cycles > 0:
+            res.slowdown_vs_healthy = (r.makespan_cycles
+                                       / healthy.makespan_cycles)
+        print(f"{o.point.label[:24]:24} {r.makespan_cycles:14,.0f} "
+              f"{res.slowdown_vs_healthy:7.2f} {lost:5} "
               f"{res.tasks_reexecuted:7} {res.unreachable_accesses:8} "
               f"{res.recovery_cycles:10,.0f}")
-    for label in campaign.failures:
-        print(f"FAILED {label}", file=sys.stderr)
     if lost_any:
         print("error: tasks were lost under faults", file=sys.stderr)
     else:
-        print(f"\nzero lost tasks across {len(campaign.faulted)} "
+        print(f"\nzero lost tasks across {len(faulted)} "
               f"faulted run(s)")
-    _export(args, [campaign.healthy, *campaign.faulted.values()])
-    return 1 if (lost_any or campaign.failures) else 0
+    _export(args, [o.result for o in report.outcomes if o.ok])
+    return 1 if (lost_any or report.failures) else 0
 
 
 def _campaign_events(args, log, campaign, out_dir):
@@ -698,37 +688,10 @@ def cmd_campaign(args) -> int:
 
     # action == "run"
     campaign = load_campaign(args.file)
-    expansion = campaign.expand(sets=sets)
     out_dir = _campaign_out_dir(args, campaign)
-    log.info(f"campaign {campaign.name!r}: {len(expansion.points)} "
-             f"point(s), fingerprint {expansion.fingerprint}")
-    if expansion.duplicates_dropped:
-        log.detail(f"{expansion.duplicates_dropped} duplicate "
-                   f"point(s) dropped during expansion")
-    events = _campaign_events(args, log, campaign, out_dir)
-    from repro.insight.trace import mint_trace_id
-
-    trace_id = mint_trace_id()
-    log.detail(f"trace id {trace_id}")
-    if getattr(args, "server", None):
-        from repro.campaign import run_campaign_via_server
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(args.server)
-        log.detail(f"submitting campaign to {client.base_url}")
-        report = run_campaign_via_server(client, campaign, sets=sets,
-                                         events=events,
-                                         trace_id=trace_id)
-    else:
-        from repro.campaign import run_campaign
-
-        report = run_campaign(campaign, expansion,
-                              cache=_cache_from_args(args),
-                              jobs=args.jobs, events=events,
-                              trace_id=trace_id)
-    for o in report.failures:
-        log.error(f"FAILED {o.point.label}: "
-                  f"{(o.error or 'unknown').strip().splitlines()[-1]}")
+    report = _run_campaign(
+        args, campaign, campaign.expand(sets=sets), sets=sets,
+        events=_campaign_events(args, log, campaign, out_dir))
     report_path = report.write(out_dir,
                                artifacts=campaign.doc.get("artifacts"))
     print(report.summary())
@@ -988,31 +951,6 @@ def cmd_compact(args) -> int:
     return 1 if stats.failed else 0
 
 
-def cmd_sweep(args) -> int:
-    if args.parameter is None:
-        return cmd_sweep_matrix(args)
-    field, values = _SWEEPS[args.parameter]
-    workload = repro.make_workload(args.workload)
-    cache = _cache_from_args(args)
-    results = []
-    for v in values:
-        cfg = experiment_config()
-        if args.parameter in ("alpha", "interval"):
-            cfg = cfg.with_(scheduler=dataclasses.replace(
-                cfg.scheduler, **{field: v}))
-        else:
-            cfg = cfg.with_(cache=dataclasses.replace(
-                cfg.cache, **{field: v}))
-        r = cached_simulate(args.design, workload, cfg.validate(),
-                            cache=cache)
-        results.append(r)
-        print(f"{args.parameter}={v:<8} makespan={r.makespan_cycles:12,.0f} "
-              f"hops={r.inter_hops:10,} hit={r.cache.hit_rate:.0%}",
-              flush=True)
-    _export(args, results)
-    return 0
-
-
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -1118,11 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("compare",
                               help="all designs on one workload"))
-    p_matrix = sub.add_parser("matrix", help="all designs x all workloads")
-    add_common(p_matrix, workload=False)
-    add_progress(p_matrix)
-    add_server(p_matrix)
-
     p_faults = sub.add_parser(
         "faults",
         help="resilience campaign: healthy reference vs runs under "
@@ -1175,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_verbosity(p_bench)
 
     p_sweep = sub.add_parser(
-        "sweep",
+        "sweep", aliases=["matrix"],
         help="the full design x workload matrix (no argument; parallel, "
              "cached, emits sweep_results.json) or a Section 7.2 "
              "parameter sweep",
@@ -1379,10 +1312,10 @@ _COMMANDS = {
     "run": cmd_run,
     "trace": cmd_trace,
     "compare": cmd_compare,
-    "matrix": cmd_matrix,
     "faults": cmd_faults,
     "bench": cmd_bench,
     "sweep": cmd_sweep,
+    "matrix": cmd_sweep,  # argparse alias of `sweep`
     "campaign": cmd_campaign,
     "report": cmd_report,
     "diff": cmd_diff,

@@ -7,7 +7,6 @@ schedulers, the Traveller camps, the NoC, and the executor — see
 ``docs/resilience.md``.
 """
 
-from repro.faults.campaign import CampaignResult, run_fault_campaign
 from repro.faults.controller import FaultController
 from repro.faults.schedule import (
     FAULT_STREAM,
@@ -20,12 +19,10 @@ from repro.faults.schedule import (
 
 __all__ = [
     "FAULT_STREAM",
-    "CampaignResult",
     "FaultController",
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",
     "ResilienceStats",
     "make_random_schedule",
-    "run_fault_campaign",
 ]

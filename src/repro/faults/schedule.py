@@ -194,8 +194,8 @@ class ResilienceStats:
     camp_remap_events: int = 0
     #: Traveller-cache lines dropped with their failed unit.
     camp_lines_invalidated: int = 0
-    #: makespan ratio vs the same config with no faults (filled by the
-    #: campaign driver; 0 when no healthy reference was run).
+    #: makespan ratio vs the same config with no faults (filled by
+    #: ``repro faults`` from its healthy point; 0 everywhere else).
     slowdown_vs_healthy: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:

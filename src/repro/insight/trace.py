@@ -1,8 +1,9 @@
 """End-to-end trace correlation: ``trace_id`` minting + trace merging.
 
-A ``trace_id`` is minted once, at submission time (``repro campaign``
-/ ``repro run --server`` / :meth:`ServiceClient.run_specs`), and rides
-along every hand-off as *pure annotation*:
+A ``trace_id`` is minted once, at submission time (every grid
+command: ``repro campaign run``, ``sweep``, ``compare``, ``faults``,
+local or ``--server``), and rides along every hand-off as *pure
+annotation*:
 
 ``ExperimentSpec.trace_id`` -> server ``Job`` -> worker
 ``ProgressEvent.trace_id`` -> per-run timeline instants.

@@ -1,6 +1,6 @@
 """Thin client for the experiment server (stdlib ``urllib`` only).
 
-Three layers:
+Two layers:
 
 * :class:`ServiceClient` — one method per endpoint, JSON in/out, plus
   an NDJSON event iterator for ``/v1/events``;
@@ -11,23 +11,19 @@ Three layers:
   unchanged against a remote observatory (``repro diff --server``,
   ``repro regress --server``).  Fetched entries spool into a local
   temp directory mirroring the cache layout, so path-based logic
-  (telemetry sidecars, staleness warnings) keeps working;
-* :func:`run_specs` — the grid thin-client: submit every spec, let the
-  server dedupe and fan out, and re-emit typed
-  :class:`~repro.observatory.progress.ProgressEvent`\\ s so the local
-  renderers (live status line, ``--progress-jsonl``) work identically
-  in ``--server`` mode.
+  (telemetry sidecars, staleness warnings) keeps working.
+
+Grids go through :func:`repro.campaign.run_campaign_via_server`.
 """
 
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.service.spec import ExperimentSpec
 
@@ -260,82 +256,3 @@ class RemoteCache:
         except (OSError, ValueError):
             return None
 
-
-# ----------------------------------------------------------------------
-# grid thin-client
-# ----------------------------------------------------------------------
-def run_specs(
-    client: ServiceClient,
-    specs: Sequence[ExperimentSpec],
-    events=None,
-):
-    """Run a grid of specs through the server; the local sweep's
-    counterpart to :meth:`SweepRunner.run`.
-
-    Every spec is submitted without waiting (the server dedupes and
-    fans out over its own pool), then completion is long-polled spec
-    by spec.  Typed progress events are re-emitted locally so the
-    caller's renderer shows the same feed a local sweep would.
-
-    Returns ``(outcomes, keys)`` where outcomes is a list of dicts
-    ``{spec, key, status, result, error}`` in input order.
-    """
-    from repro.observatory.progress import ProgressEvent
-
-    def emit(**kwargs):
-        if events is not None:
-            try:
-                events(ProgressEvent(**kwargs))
-            except Exception:
-                pass  # observability never fails the run
-
-    total = len(specs)
-    pool = 1
-    try:
-        pool = int(client.health().get("pool", 1))
-    except (ServiceError, ValueError, TypeError):
-        pass
-    emit(event="begin", total=total, jobs=pool)
-
-    submitted = []
-    for index, spec in enumerate(specs):
-        answer = client.submit(spec, wait=False)
-        submitted.append((index, spec, answer))
-        if answer.get("status") not in ("cached", "done", "failed"):
-            emit(event="started", label=spec.label, index=index,
-                 total=total)
-
-    outcomes: List[Dict[str, Any]] = [None] * total  # type: ignore
-    done = 0
-    t0 = time.time()
-    for index, spec, answer in submitted:
-        status = answer.get("status")
-        if status not in ("cached", "done", "failed"):
-            final = client.submit(spec, wait=True)
-            status = final.get("status")
-            answer = dict(answer, **final)
-        done += 1
-        key = answer.get("key")
-        outcome = {"spec": spec, "key": key, "status": status,
-                   "result": None, "error": answer.get("error", "")}
-        if status in ("cached", "done"):
-            try:
-                outcome["result"] = client.result(key)
-            except (ServiceError, ValueError, KeyError) as exc:
-                outcome["status"] = "failed"
-                outcome["error"] = f"result fetch failed: {exc}"
-        if outcome["status"] == "cached":
-            emit(event="cached", label=spec.label, index=index,
-                 done=done, total=total, source="cache")
-        elif outcome["status"] == "done":
-            emit(event="done", label=spec.label, index=index,
-                 done=done, total=total, source="run",
-                 elapsed_s=float(answer.get("elapsed_s") or 0.0))
-        else:
-            emit(event="failed", label=spec.label, done=done,
-                 total=total, source="failed",
-                 error=str(outcome["error"]))
-        outcomes[index] = outcome
-    emit(event="end", done=done, total=total,
-         elapsed_s=time.time() - t0)
-    return outcomes

@@ -1,7 +1,9 @@
 """repro.sweep — parallel sweep engine with a content-addressed cache.
 
-The subsystem behind ``python -m repro sweep`` and every batch runner
-in the repo (``scripts/matrix.py``, ``benchmarks/common.py``):
+The execution layer under every grid in the repo.  Grid commands and
+scripts build a campaign document and run it through
+:func:`repro.campaign.run_campaign`, which hands the expanded points to
+:class:`SweepRunner`:
 
 * :mod:`repro.sweep.keys` — deterministic run keys (config + design +
   workload + simulator version salt);
@@ -9,7 +11,8 @@ in the repo (``scripts/matrix.py``, ``benchmarks/common.py``):
   ``.repro_cache/`` with hit/miss/invalidation accounting;
 * :mod:`repro.sweep.serialize` — exact RunResult round-tripping;
 * :mod:`repro.sweep.runner` — cached single-point runs and the
-  multiprocessing grid runner with per-point failure capture;
+  multiprocessing grid runner with per-point failure capture and
+  typed progress events;
 * :mod:`repro.sweep.runtime` — the warm worker runtime: persistent
   pools, per-process memo caches, the shared-memory workload store
   and history-informed LPT point ordering.
@@ -39,7 +42,6 @@ from repro.sweep.runner import (
     SweepRunner,
     cached_simulate,
     matrix_points,
-    run_matrix,
     run_point,
 )
 from repro.sweep.runtime import (
@@ -69,7 +71,6 @@ __all__ = [
     "SweepRunner",
     "cached_simulate",
     "matrix_points",
-    "run_matrix",
     "run_point",
     "ProcessMemos",
     "SharedWorkloadStore",

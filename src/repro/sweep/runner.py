@@ -7,12 +7,12 @@ Three layers, each usable on its own:
   cache first (and feeds it after a live run).
 * :func:`run_point` — the same, wrapped in a
   :class:`PointOutcome` that captures failures instead of raising.
-* :class:`SweepRunner` / :func:`run_matrix` — fan a list of
-  :class:`SweepPoint`\\ s out over ``multiprocessing`` workers, with
-  per-point progress lines, per-point failure capture and a single
-  retry (one crashed point never kills the sweep), and results that
-  are bit-identical to the serial path (every simulation is seeded and
-  independent).
+* :class:`SweepRunner` — fan a list of :class:`SweepPoint`\\ s out
+  over ``multiprocessing`` workers, with typed per-point progress
+  events, per-point failure capture and a single retry (one crashed
+  point never kills the sweep), and results that are bit-identical to
+  the serial path (every simulation is seeded and independent).
+  :func:`repro.campaign.run_campaign` is its one grid front end.
 
 Run keys of named points come from the factory spec (name + kwargs)
 alone, so resolving cache hits never generates a dataset.  Workers
@@ -28,7 +28,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import RunResult
 from repro.config import SystemConfig, experiment_config
@@ -44,7 +44,6 @@ from repro.sweep.runtime import (
 from repro.sweep.serialize import result_from_dict
 from repro.workloads.base import Workload, make_workload
 
-ProgressFn = Callable[[str], None]
 CacheLike = Union[ResultCache, bool, str, None]
 #: ``None`` = a private WorkerRuntime per run (torn down after); a
 #: WorkerRuntime = shared across calls, never closed by the runner.
@@ -257,9 +256,8 @@ class SweepRunner:
     read); a point that fails twice is recorded in the report and the
     sweep continues.
 
-    Two progress channels, both optional and both fed from the parent
-    process: ``progress`` receives the legacy per-point text lines,
-    ``events`` receives typed
+    Progress is one optional ``events`` callback, fed from the parent
+    process with typed
     :class:`~repro.observatory.progress.ProgressEvent` objects
     (begin / started / cached / done / retried / failed / end) — the
     feed behind the live TTY status line and ``--progress-jsonl``.
@@ -281,14 +279,12 @@ class SweepRunner:
         cache: CacheLike = "default",
         jobs: Optional[int] = None,
         retries: int = 1,
-        progress: Optional[ProgressFn] = None,
         events: Optional[EventFn] = None,
         runtime: RuntimeLike = None,
     ):
         self.cache = resolve_cache(cache)
         self.jobs = jobs
         self.retries = retries
-        self.progress = progress
         self.events = events
         self.runtime = runtime
 
@@ -299,10 +295,6 @@ class SweepRunner:
         return self.runtime, False
 
     # ------------------------------------------------------------------
-    def _say(self, msg: str) -> None:
-        if self.progress is not None:
-            self.progress(msg)
-
     def _emit(self, **kwargs) -> None:
         if self.events is None:
             return
@@ -328,10 +320,6 @@ class SweepRunner:
                 outcome.source = "retry"
                 outcome.error = None
                 outcome.elapsed_s = time.time() - t0
-                self._say(
-                    f"[{done}/{total}] {outcome.point.label:16} "
-                    f"retried ok ({outcome.elapsed_s:.1f}s)"
-                )
                 self._emit(event="retried", label=outcome.point.label,
                            done=done, total=total, source="retry",
                            elapsed_s=outcome.elapsed_s)
@@ -339,10 +327,6 @@ class SweepRunner:
             except BaseException:
                 outcome.error = traceback.format_exc()
         outcome.source = "failed"
-        self._say(
-            f"[{done}/{total}] {outcome.point.label:16} "
-            f"FAILED after retry: {outcome.error.strip().splitlines()[-1]}"
-        )
         self._emit(event="failed", label=outcome.point.label, done=done,
                    total=total, source="failed", error=outcome.error or "")
 
@@ -366,7 +350,6 @@ class SweepRunner:
                 outcome.result = hit
                 outcome.source = "cache"
                 done += 1
-                self._say(f"[{done}/{total}] {point.label:16} cached")
                 self._emit(event="cached", label=point.label, index=i,
                            done=done, total=total, source="cache")
                 _record_history(hit, point.workload,
@@ -395,10 +378,6 @@ class SweepRunner:
                             outcome.source = "run"
                             outcome.elapsed_s = time.time() - t0
                             done += 1
-                            self._say(
-                                f"[{done}/{total}] {points[i].label:16} "
-                                f"ran {outcome.elapsed_s:.1f}s"
-                            )
                             self._emit(event="done", label=points[i].label,
                                        index=i, done=done, total=total,
                                        source="run",
@@ -406,10 +385,6 @@ class SweepRunner:
                         except BaseException:
                             outcome.error = traceback.format_exc()
                             done += 1
-                            self._say(
-                                f"[{done}/{total}] {points[i].label:16} "
-                                f"crashed, retrying"
-                            )
                             self._retry(outcome, done, total)
             elif pending:
                 # History-informed LPT: dispatch predicted-slowest
@@ -434,10 +409,6 @@ class SweepRunner:
                     if rdict is not None:
                         outcome.result = result_from_dict(rdict)
                         outcome.source = "run"
-                        self._say(
-                            f"[{done}/{total}] {points[idx].label:16} "
-                            f"ran {dt:.1f}s"
-                        )
                         self._emit(event="done",
                                    label=points[idx].label,
                                    index=idx, done=done, total=total,
@@ -445,10 +416,6 @@ class SweepRunner:
                     else:
                         outcome.error = err
                         failed.append(idx)
-                        self._say(
-                            f"[{done}/{total}] {points[idx].label:16} "
-                            f"crashed, will retry"
-                        )
                 for idx in failed:
                     self._retry(outcomes[idx], done, total)
         finally:
@@ -510,22 +477,3 @@ def matrix_points(
         for d in designs
     ]
 
-
-def run_matrix(
-    designs: Optional[Sequence[str]] = None,
-    workloads: Optional[Sequence[str]] = None,
-    config: Optional[SystemConfig] = None,
-    cache: CacheLike = "default",
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-    events: Optional[EventFn] = None,
-    runtime: RuntimeLike = None,
-) -> SweepReport:
-    """Run the full design/workload matrix, parallel and cached.
-
-    Pass a shared :class:`~repro.sweep.runtime.WorkerRuntime` to keep
-    its worker pool and memo caches warm across several matrices.
-    """
-    runner = SweepRunner(cache=cache, jobs=jobs, progress=progress,
-                         events=events, runtime=runtime)
-    return runner.run(matrix_points(designs, workloads, config))

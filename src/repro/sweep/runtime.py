@@ -20,7 +20,7 @@ changing a single simulated value:
   a fresh pickle per point.
 * :class:`WorkerRuntime` — a reusable handle bundling a persistent
   worker pool (initialized warm) with the shared store, injectable
-  into :class:`~repro.sweep.runner.SweepRunner`, ``run_matrix``,
+  into :class:`~repro.sweep.runner.SweepRunner`,
   :func:`~repro.campaign.runner.run_campaign` and the experiment
   server so multi-sweep drivers stop paying pool startup per sweep.
 * :func:`lpt_order` — history-ledger-informed longest-processing-time

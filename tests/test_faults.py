@@ -20,7 +20,6 @@ from repro.faults import (
     FaultSchedule,
     ResilienceStats,
     make_random_schedule,
-    run_fault_campaign,
 )
 from repro.sweep.keys import run_key
 from repro.sweep.serialize import result_from_dict, result_to_dict
@@ -278,56 +277,63 @@ class TestFaultController:
 # end-to-end campaigns: the zero-lost-tasks guarantee
 # ----------------------------------------------------------------------
 class TestCampaign:
+    """A healthy reference plus one faulted point on a ``faults`` axis,
+    through the campaign executor every grid command uses."""
+
+    @staticmethod
+    def run():
+        from repro.campaign import CampaignSpec, run_campaign
+
+        campaign = CampaignSpec.from_dict({
+            "name": "faults",
+            "base": {"design": "O", "workload": "pr", "mesh": "2x2",
+                     "workload_kwargs": {"num_vertices": 256,
+                                         "iterations": 2}},
+            "axes": {"faults": [None, {"random": {
+                "unit_fails": 4, "link_fails": 2,
+                "timestamp_spread": 1,  # the small run has few phases
+            }}]},
+        })
+        report = run_campaign(campaign, campaign.expand(), cache=False,
+                              jobs=1)
+        assert not report.failures
+        return [o.result for o in report.outcomes]
+
     @pytest.fixture(scope="class")
     def campaign(self):
-        cfg = small_cfg()
-        topo = Topology(cfg.topology,
-                        num_groups=cfg.cache.num_groups())
-        sched = make_random_schedule(
-            topo.num_units, topo.mesh_links(),
-            unit_fails=4, link_fails=2, seed=cfg.seed,
-            timestamp_spread=1,  # the small run has few phases
-        )
-        return run_fault_campaign("O", small_workload(), sched,
-                                  config=cfg, cache=False, jobs=1)
+        return self.run()
 
     def test_no_tasks_are_lost(self, campaign):
-        assert campaign.total_lost_tasks == 0
-        assert not campaign.failures
+        healthy, faulted = campaign
+        assert healthy.tasks_executed - faulted.tasks_executed == 0
 
     def test_recovery_metrics_reported(self, campaign):
-        res = campaign.faulted["f0"].resilience
+        res = campaign[1].resilience
         assert res is not None
         assert res.unit_failures == 4
         assert res.link_failures == 2
         assert res.recovery_cycles > 0
-        assert res.slowdown_vs_healthy == pytest.approx(
-            campaign.slowdown("f0"))
 
     def test_faults_cost_time_not_work(self, campaign):
-        assert campaign.slowdown("f0") > 1.0
-        healthy, faulted = campaign.healthy, campaign.faulted["f0"]
+        healthy, faulted = campaign
+        assert faulted.makespan_cycles / healthy.makespan_cycles > 1.0
         assert faulted.tasks_executed == healthy.tasks_executed
 
     def test_healthy_reference_has_no_resilience(self, campaign):
-        assert campaign.healthy.resilience is None
+        assert campaign[0].resilience is None
 
-    def test_empty_schedule_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            run_fault_campaign("O", small_workload(), FaultSchedule(),
-                               config=small_cfg(), cache=False)
+    def test_empty_schedule_rejected(self, tmp_path, capsys):
+        """Expansion alone would run an empty schedule as a healthy
+        point; ``repro faults`` refuses it before running anything."""
+        from repro.cli import main
+
+        path = tmp_path / "empty.json"
+        FaultSchedule().dump(str(path))
+        assert main(["faults", "O", "pr", "--schedule", str(path)]) == 2
+        assert "empty" in capsys.readouterr().err
 
     def test_same_seed_campaign_is_bit_identical(self, campaign):
-        cfg = small_cfg()
-        topo = Topology(cfg.topology, num_groups=cfg.cache.num_groups())
-        sched = make_random_schedule(
-            topo.num_units, topo.mesh_links(),
-            unit_fails=4, link_fails=2, seed=cfg.seed,
-            timestamp_spread=1,  # the small run has few phases
-        )
-        again = run_fault_campaign("O", small_workload(), sched,
-                                   config=cfg, cache=False, jobs=1)
-        a, b = campaign.faulted["f0"], again.faulted["f0"]
+        a, b = campaign[1], self.run()[1]
         assert a.makespan_cycles == b.makespan_cycles
         assert a.tasks_executed == b.tasks_executed
         assert a.inter_hops == b.inter_hops

@@ -22,7 +22,6 @@ from repro.service.client import (
     RemoteLedger,
     ServiceClient,
     ServiceError,
-    run_specs,
 )
 from repro.service.protocol import ProtocolError, read_request
 from repro.service.server import run_in_thread
@@ -434,14 +433,18 @@ class TestServer:
         assert remote_cache.load_telemetry(a["key"]) is None  # 404 -> None
 
     def test_thin_client_grid_with_events(self, stub):
-        specs = [ExperimentSpec(design=d, workload="pr")
-                 for d in ("B", "O", "Sm")]
+        from repro.campaign import CampaignSpec, run_campaign_via_server
+
+        campaign = CampaignSpec.from_dict({
+            "name": "grid", "base": {"workload": "pr"},
+            "axes": {"design": ["B", "O", "Sm"]}})
         seen = []
-        outcomes = run_specs(stub.client, specs, events=seen.append)
+        report = run_campaign_via_server(stub.client, campaign,
+                                         events=seen.append)
         # a long-poll that lands after the job resolved is answered
         # "cached" — either way the point succeeded.
-        assert all(o["status"] in ("done", "cached") for o in outcomes)
-        assert all(o["result"] is not None for o in outcomes)
+        assert all(o.source in ("run", "cache") for o in report.outcomes)
+        assert all(o.result is not None for o in report.outcomes)
         assert sorted(stub.calls) == ["B", "O", "Sm"]  # one run each
         kinds = [e.event for e in seen]
         assert kinds[0] == "begin" and kinds[-1] == "end"
@@ -450,23 +453,25 @@ class TestServer:
     def test_warm_full_matrix_replays_under_two_seconds(self, stub):
         """Acceptance: the full 6x8 matrix, already cached, replays
         through the server in <2 s with zero worker executions."""
+        from repro.campaign import CampaignSpec, run_campaign_via_server
         from repro.simulate import ALL_DESIGNS, ALL_WORKLOADS
 
         cache = ResultCache(root=stub.cache_root)
-        specs = []
         for d in ALL_DESIGNS:
             for w in ALL_WORKLOADS:
                 spec = ExperimentSpec(design=d, workload=w)
                 cache.store(spec.run_key(),
                             _fake_result(design=d, workload=w))
-                specs.append(spec)
-        assert len(specs) == 48
+        campaign = CampaignSpec.from_dict({
+            "name": "matrix",
+            "axes": {"workload": list(ALL_WORKLOADS),
+                     "design": list(ALL_DESIGNS)}})
 
         t0 = time.monotonic()
-        outcomes = run_specs(stub.client, specs)
+        report = run_campaign_via_server(stub.client, campaign)
         elapsed = time.monotonic() - t0
-        assert [o["status"] for o in outcomes] == ["cached"] * 48
-        assert all(o["result"] is not None for o in outcomes)
+        assert [o.source for o in report.outcomes] == ["cache"] * 48
+        assert all(o.result is not None for o in report.outcomes)
         assert elapsed < 2.0, f"warm matrix replay took {elapsed:.2f}s"
         assert count_executions(stub.exec_log) == 0
         assert stub.calls == []

@@ -371,12 +371,17 @@ class TestSweepRunner:
         assert len(report.failures) == 1
 
     def test_progress_lines_and_summary(self, tmp_path):
-        lines = []
+        import io
+
+        from repro.observatory.progress import SweepProgress
+
+        stream = io.StringIO()
         runner = SweepRunner(
             cache=ResultCache(root=tmp_path), jobs=1,
-            progress=lines.append,
+            events=SweepProgress(stream=stream, live=False),
         )
         report = runner.run(self._points(designs=("B",)))
+        lines = stream.getvalue().splitlines()
         assert any("ran" in line for line in lines)
         assert "1 points" in report.summary()
         assert "0 failed" in report.summary()
