@@ -6,9 +6,11 @@ into one kernel per hint batch (memoized camp tables, bulk counter
 flushes, batch placement) while running every stateful step — cache
 probes and installs with their RNG draws, DRAM service clocks, float
 accumulations — in per-line order.  These tests pin its output: each
-point of the 2x2 matrix (every design on every workload, plus one
-faulted point) must reproduce its SHA-256 digest of the sorted-key
-``result_to_dict`` JSON in ``tests/golden/exact_digests.json``.
+point of the 2x2 matrix (every design on every workload, plus every
+design on a faulted pr point) must reproduce its SHA-256 digest of the
+sorted-key ``result_to_dict`` JSON in ``tests/golden/exact_digests.json``,
+with and without telemetry.  The same file pins the stream of
+placement-decision records of two designs, healthy and faulted.
 Regenerate that file only together with a deliberate behaviour change
 and a ``SIMULATOR_VERSION`` bump.
 
@@ -31,6 +33,7 @@ from repro.arch.topology import Topology
 from repro.config import experiment_config
 from repro.faults import make_random_schedule
 from repro.sweep.serialize import result_to_dict
+from repro.telemetry import Telemetry
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "exact_digests.json").read_text()
@@ -102,10 +105,9 @@ def test_engines_bit_identical(design, workload_name, base_config,
         assert_cache_identities(result)
 
 
-def test_engines_bit_identical_under_faults(base_config, workloads):
-    """A faulted point: the kernel falls back to the per-line flow
-    around fault state, and recovery (cache invalidation,
-    re-execution, remaps) must reproduce the golden digest."""
+def _faulted(design, base_config, workloads, telemetry=None):
+    """``design`` on the small pr point under the seeded random
+    schedule: two unit failures, one link failure, one slow vault."""
     topo = Topology(base_config.topology,
                     num_groups=base_config.cache.num_groups())
     schedule = make_random_schedule(
@@ -113,10 +115,80 @@ def test_engines_bit_identical_under_faults(base_config, workloads):
         unit_fails=2, link_fails=1, vault_slowdowns=1,
         seed=base_config.seed,
     )
-    result = repro.simulate("O", workloads["pr"], config=base_config,
-                            fault_schedule=schedule)
+    return repro.simulate(design, workloads["pr"], config=base_config,
+                          fault_schedule=schedule, telemetry=telemetry)
+
+
+def test_engines_bit_identical_under_faults(base_config, workloads):
+    """A faulted point: the kernel falls back to the per-line flow
+    around fault state, and recovery (cache invalidation,
+    re-execution, remaps) must reproduce the golden digest."""
+    result = _faulted("O", base_config, workloads)
     assert result.resilience is not None
     assert _digest(_canonical(result)) == GOLDEN["faults/pr/O"]
+
+
+@pytest.mark.parametrize("design", ["B", "Sm", "Sl", "Sh", "C"])
+def test_faulted_placement_bit_identical(design, base_config, workloads):
+    """The other five designs under the same schedule: every policy's
+    placement around dead units (the colocate stand-in, the
+    lowest-distance candidate filter, the hybrid score mask) and the
+    re-placement of stranded tasks reproduce their golden digests."""
+    result = _faulted(design, base_config, workloads)
+    assert result.resilience is not None
+    assert _digest(_canonical(result)) == GOLDEN[f"faults/pr/{design}"]
+
+
+@pytest.mark.parametrize("design", repro.ALL_DESIGNS)
+@pytest.mark.parametrize("workload_name", ["bfs", "pr"])
+def test_telemetry_does_not_perturb(design, workload_name, base_config,
+                                    workloads):
+    """Recording telemetry changes no result (``result_to_dict`` leaves
+    the telemetry digest out), and every executed task was placed by
+    exactly one recorded decision."""
+    tel = Telemetry()
+    result = repro.simulate(design, workloads[workload_name],
+                            config=base_config, telemetry=tel)
+    assert _digest(_canonical(result)) == \
+        GOLDEN[f"{workload_name}/{design}"]
+    assert (tel.registry.collect()["scheduler.decisions"]
+            == result.tasks_executed)
+
+
+def _decision_stream(telemetry) -> str:
+    """The ``scheduler.decide`` events in emission order, task ids taken
+    relative to the first decided task."""
+    events = [e for e in telemetry.timeline
+              if e.name == "scheduler.decide"]
+    assert events and telemetry.timeline.dropped == 0
+    first = events[0].args["task"]
+    return json.dumps([
+        [e.ts_ns, e.args["policy"], e.args["task"] - first,
+         e.args["spawner"], e.args["unit"], e.args["cost_mem"],
+         e.args["cost_load"], e.args["score"], e.args["weight"]]
+        for e in events
+    ])
+
+
+def _recording_telemetry():
+    return Telemetry(timeline_capacity=None,
+                     max_decision_events=1 << 30)
+
+
+@pytest.mark.parametrize("design", ["Sm", "O"])
+def test_decision_records_pinned(design, base_config, workloads):
+    """The placement-decision records (who decided what, with which
+    Equation 1 terms, at which clock, in which order) are pinned like
+    the results they explain, healthy and under faults."""
+    tel = _recording_telemetry()
+    repro.simulate(design, workloads["pr"], config=base_config,
+                   telemetry=tel)
+    assert _digest(_decision_stream(tel)) == \
+        GOLDEN[f"decisions/pr/{design}"]
+    tel = _recording_telemetry()
+    _faulted(design, base_config, workloads, telemetry=tel)
+    assert _digest(_decision_stream(tel)) == \
+        GOLDEN[f"decisions/faults/pr/{design}"]
 
 
 #: run key of O/pr on ``base_config`` with the workload instance of
