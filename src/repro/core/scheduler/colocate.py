@@ -8,7 +8,7 @@ task's other accesses and to load imbalance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.scheduler.base import Scheduler
 from repro.runtime.task import Task
@@ -19,29 +19,20 @@ class ColocateScheduler(Scheduler):
 
     policy_name = "colocate"
 
-    def choose_unit(self, task: Task) -> int:
-        if task.hint.num_addresses == 0:
-            unit = self._fallback_unit(task)
-        else:
-            main_addr = int(task.hint.addresses[0])
-            # nearest_alive: the baseline has no placement freedom, so a
-            # dead home simply redirects to the closest surviving unit.
-            unit = self.context.nearest_alive(
-                self.context.memory_map.home_unit(main_addr)
-            )
-        if self.telemetry.enabled:
-            self._record_decision(task, unit)
-        return unit
-
-    def choose_units_batch(
-            self, tasks: Sequence[Task]) -> Optional[List[int]]:
+    def choose_units_batch(self, tasks: Sequence[Task]) -> List[int]:
         """The main elements' homes; hint-less tasks stay at their
-        spawner (every unit is alive whenever the batch path runs)."""
-        if not self._can_batch():
-            return None
-        home_unit = self.context.memory_map.home_unit
-        return [
+        spawner."""
+        ctx = self.context
+        home_unit = ctx.memory_map.home_unit
+        units = [
             home_unit(int(task.hint.addresses[0]))
             if task.hint.addresses.size else task.spawner_unit
             for task in tasks
         ]
+        if ctx.alive_mask is not None:
+            # The baseline has no placement freedom, so a dead home (or
+            # spawner) simply redirects to the closest surviving unit.
+            units = [ctx.nearest_alive(unit) for unit in units]
+        if self.telemetry.enabled:
+            self.decision_terms = [(0.0, 0.0, 0.0)] * len(units)
+        return units

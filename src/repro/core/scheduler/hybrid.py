@@ -21,12 +21,15 @@ For a task ``t`` every unit ``u`` is scored
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.scheduler.base import Scheduler
 from repro.runtime.task import Task
+
+#: the largest finite distance
+_FAR = np.finfo(np.float64).max
 
 
 class HybridScheduler(Scheduler):
@@ -56,7 +59,6 @@ class HybridScheduler(Scheduler):
         re-forwarding is disabled along with the load term."""
         return self.context.hybrid_weight > 0.0
 
-
     def __init__(self, context, use_camps: bool = False):
         super().__init__(context)
         self.use_camps = use_camps and context.camp_mapper is not None
@@ -73,30 +75,10 @@ class HybridScheduler(Scheduler):
         # (exchange generation, vector) memo: the visible snapshot only
         # changes at exchange boundaries, and it is the same for every
         # observer, so between exchanges every task sees one load
-        # vector.  Only consulted under fast scoring.
+        # vector.
         self._load_cache = None
         # (exchange generation, hybrid_weight * load vector) memo.
         self._wload_cache = None
-
-    def _pick(self, scores: np.ndarray, task: Task) -> int:
-        alive = self.context.alive_mask
-        if alive is not None:
-            scores = np.where(alive, scores, np.inf)
-            best = scores.min()
-            if not np.isfinite(best):
-                # All units dead (raises below) or the hint data sits
-                # across a mesh partition from every live unit: stay by
-                # the spawner.
-                return self.context.nearest_alive(task.spawner_unit)
-        else:
-            # Healthy machine: every score is finite by construction
-            # (finite cost matrix, finite loads).
-            best = scores.min()
-        near = np.nonzero(scores <= best + self.tie_tolerance_ns)[0]
-        if len(near) == 1:
-            return int(near[0])
-        from_spawner = self.context.cost_matrix[task.spawner_unit, near]
-        return int(near[int(np.argmin(from_spawner))])
 
     def load_cost_vector(self, spawner_unit: int) -> np.ndarray:
         """cost_load(u) for every unit (Equation 3).
@@ -119,11 +101,6 @@ class HybridScheduler(Scheduler):
         self._load_cache = (ctx.exchange.generation, load)
         return load
 
-    def score_vector(self, task: Task) -> np.ndarray:
-        ctx = self.context
-        mem = ctx.mem_cost_vector(task, use_camps=self.use_camps)
-        return mem + self._weighted_load(task.spawner_unit)
-
     def _weighted_load(self, spawner_unit: int) -> np.ndarray:
         """B * cost_load: the same product for every task between
         exchanges, so it is cached beside the load vector."""
@@ -136,57 +113,55 @@ class HybridScheduler(Scheduler):
             self._wload_cache = cached = (generation, wload)
         return cached[1]
 
-    def choose_units_batch(
-            self, tasks: Sequence[Task]) -> Optional[List[int]]:
-        """:meth:`choose_unit` for a batch, against the current snapshot.
+    def choose_units_batch(self, tasks: Sequence[Task]) -> List[int]:
+        """argmin of Equation 1 for each task, against the current
+        snapshot.
 
         B * cost_load is one vector per exchange generation, so the
         batch stacks the tasks' memoized cost_mem rows (zeros for
-        hint-less tasks) and adds the load term once:
-        row j is the very sum :meth:`score_vector` forms for task j.
-        The tie-break reproduces :meth:`_pick`: among scores within the
-        tolerance of the minimum, the unit closest to the spawner wins,
-        lower unit id on equal distance.
+        hint-less tasks, which then balance load alone) and adds the
+        load term once.  Dead units score infinity.  Among the scores
+        within the tolerance of the minimum, the unit closest to the
+        spawner wins, lower unit id on equal distance (the lowest near
+        id when the spawner is cut off from all of them).  A task with
+        no finite score — every unit dead, or its data across a mesh
+        partition from every live unit — stays by the spawner.
         """
-        if not self._can_batch():
-            return None
         ctx = self.context
         mem_cost_vector = ctx.mem_cost_vector
-        scores = np.array([mem_cost_vector(t, use_camps=self.use_camps)
-                           for t in tasks])
-        scores += self._weighted_load(tasks[0].spawner_unit)
-        best = scores.min(axis=1)
-        near = scores <= (best + self.tie_tolerance_ns)[:, None]
-        spawners = np.fromiter(
-            (t.spawner_unit for t in tasks), dtype=np.int64,
-            count=len(tasks),
+        mem = np.array([mem_cost_vector(t, use_camps=self.use_camps)
+                        for t in tasks])
+        wload = self._weighted_load(tasks[0].spawner_unit)
+        scores = mem + wload
+        alive = ctx.alive_mask
+        live = scores if alive is None else np.where(alive, scores, np.inf)
+        # Raw ufunc reductions and methods: the wrappers cost more than
+        # the arithmetic on a batch of one.
+        best = np.minimum.reduce(live, axis=1, keepdims=True)
+        near = live <= best + self.tie_tolerance_ns
+        # Capped, a near unit cut off from the spawner by a mesh
+        # partition still ranks before every unit that is not near.
+        from_spawner = np.where(
+            near,
+            np.minimum(
+                ctx.cost_matrix.take([t.spawner_unit for t in tasks], axis=0),
+                _FAR,
+            ),
+            np.inf,
         )
-        from_spawner = np.where(near, ctx.cost_matrix[spawners], np.inf)
-        return np.argmin(from_spawner, axis=1).tolist()
-
-    def choose_unit(self, task: Task) -> int:
-        ctx = self.context
-        if task.hint.num_addresses == 0:
-            # No data preference: pure load balancing.
-            load = self.load_cost_vector(task.spawner_unit)
-            scores = load * ctx.hybrid_weight
-            unit = self._pick(scores, task)
-            if self.telemetry.enabled:
-                self._record_decision(
-                    task, unit, cost_load=float(load[unit]),
-                    score=float(scores[unit]),
-                )
-            return unit
-        if not self.telemetry.enabled:
-            return self._pick(self.score_vector(task), task)
-        # Telemetry path: keep the Equation 1 components apart so the
-        # decision record carries cost_mem and cost_load separately.
-        mem = ctx.mem_cost_vector(task, use_camps=self.use_camps)
-        load = self.load_cost_vector(task.spawner_unit)
-        scores = mem + ctx.hybrid_weight * load
-        unit = self._pick(scores, task)
-        self._record_decision(
-            task, unit, cost_mem=float(mem[unit]),
-            cost_load=float(load[unit]), score=float(scores[unit]),
-        )
-        return unit
+        units = from_spawner.argmin(axis=1).tolist()
+        if alive is not None:
+            for j in np.flatnonzero(~np.isfinite(best)).tolist():
+                units[j] = ctx.nearest_alive(tasks[j].spawner_unit)
+        if self.telemetry.enabled:
+            load = self.load_cost_vector(tasks[0].spawner_unit)
+            rows = np.arange(len(tasks))
+            # A hint-less score is the load term alone, as B * cost_load.
+            self.decision_terms = [
+                (m, float(load[u]),
+                 s if t.hint.num_addresses else float(wload[u]))
+                for t, u, m, s in zip(
+                    tasks, units, mem[rows, units].tolist(),
+                    scores[rows, units].tolist())
+            ]
+        return units

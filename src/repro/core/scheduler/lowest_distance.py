@@ -25,7 +25,7 @@ most of the machine's tasks on the central stacks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -41,149 +41,84 @@ class LowestDistanceScheduler(Scheduler):
     #: candidates within this distance of the best are considered tied.
     tie_tolerance_ns: float = 5.0
 
-    def choose_unit(self, task: Task) -> int:
-        ctx = self.context
-        if task.hint.num_addresses == 0:
-            unit = self._fallback_unit(task)
-            if self.telemetry.enabled:
-                self._record_decision(task, unit)
-            return unit
-        lines = ctx.hint_lines(task)
-        if ctx.alive_mask is None:
-            # The alive-mask path's decision arithmetic (below) with
-            # fewer numpy dispatches: the candidate set is built in
-            # Python (sorted unique ints == np.unique), the gather uses
-            # broadcast indexing (the same array np.ix_ produces), and
-            # the min / tie / first-argmin logic runs on the float list
-            # (list.index(min(..)) is the first minimum, exactly
-            # np.argmin's tie-break).  The whole decision is a pure
-            # function of the cost matrix and the hint, so it is
-            # memoized on the hint per cost epoch (workloads reusing
-            # hint objects then place each hint once per epoch).
-            cached = getattr(task.hint, "_ldpick", None)
-            if cached is not None and cached[0] == ctx.cost_epoch:
-                unit = cached[1]
-                if self.telemetry.enabled:
-                    self._record_decision(
-                        task, unit, cost_mem=cached[2], score=cached[2]
-                    )
-                return unit
-            homes = ctx.hint_homes(task)
-            candidates = np.array(
-                sorted(set(homes.tolist())), dtype=np.int64
-            )
-            # add.reduce(..)/L is _mean's own computation without the
-            # wrapper (same reduction, same true-divide).
-            dists = np.add.reduce(
-                ctx.cost_matrix[candidates[:, None], homes], axis=1
-            ) / homes.shape[0]
-            dl = dists.tolist()
-            best_cost = min(dl)
-            threshold = best_cost + self.tie_tolerance_ns
-            main_home = ctx.memory_map.home_unit(int(task.hint.addresses[0]))
-            cl = candidates.tolist()
-            unit = cost = None
-            for c, dv in zip(cl, dl):
-                if c == main_home and dv <= threshold:
-                    unit = main_home
-                    cost = dv
-                    break
-            if unit is None:
-                idx = dl.index(best_cost)
-                unit = cl[idx]
-                cost = best_cost
-            task.hint._ldpick = (ctx.cost_epoch, unit, cost)
-            if self.telemetry.enabled:
-                self._record_decision(task, unit, cost_mem=cost, score=cost)
-            return unit
-        homes = ctx.memory_map.homes_of_lines(lines)
-        candidates = np.unique(homes)
-        if ctx.alive_mask is not None:
-            candidates = candidates[ctx.alive_mask[candidates]]
-            if candidates.size == 0:
-                # Every data home is dead: fall back to the live unit
-                # with the lowest mean distance to the hint set.
-                candidates = ctx.alive_units()
-        # Mean distance from each candidate to every hint element.
-        dists = ctx.cost_matrix[np.ix_(candidates, homes)].mean(axis=1)
-        best_cost = dists.min()
-        tied = candidates[dists <= best_cost + self.tie_tolerance_ns]
-        main_home = ctx.memory_map.home_unit(int(task.hint.addresses[0]))
-        if main_home in tied:
-            unit = main_home
-            cost = float(dists[np.nonzero(candidates == main_home)[0][0]])
-        else:
-            idx = int(np.argmin(dists))
-            unit = int(candidates[idx])
-            cost = float(dists[idx])
-        if self.telemetry.enabled:
-            self._record_decision(task, unit, cost_mem=cost, score=cost)
-        return unit
+    def choose_units_batch(self, tasks: Sequence[Task]) -> List[int]:
+        """Hint-less tasks stay at their spawner; the others are decided
+        together, one line-count bucket at a time (:meth:`_decide`).
 
-    def choose_units_batch(
-            self, tasks: Sequence[Task]) -> Optional[List[int]]:
-        """:meth:`choose_unit`'s healthy-machine decision for a batch:
-        hints without a valid ``_ldpick`` memo are decided together,
-        one line-count bucket at a time (:meth:`_decide`)."""
-        if not self._can_batch():
-            return None
+        On a healthy machine a decision is a pure function of the cost
+        matrix and the hint, so it is memoized on the hint per cost
+        epoch (workloads reusing hint objects then place each hint once
+        per epoch).  Under an alive mask the candidates are the live
+        data homes, or every live unit when all of them are dead, and
+        nothing is memoized.
+        """
         ctx = self.context
+        alive = ctx.alive_mask
         epoch = ctx.cost_epoch
-        out: List[int] = []
+        # (epoch, unit, cost) per task: the memo entry itself on a hit.
+        picks: List[tuple] = []
         misses: Dict[int, Dict[int, tuple]] = {}
         for i, task in enumerate(tasks):
             hint = task.hint
             if hint.addresses.size == 0:
-                out.append(task.spawner_unit)
+                picks.append((epoch, ctx.nearest_alive(task.spawner_unit),
+                              0.0))
                 continue
-            cached = getattr(hint, "_ldpick", None)
-            if cached is not None and cached[0] == epoch:
-                out.append(cached[1])
-                continue
-            out.append(-1)
+            if alive is None:
+                cached = getattr(hint, "_ldpick", None)
+                if cached is not None and cached[0] == epoch:
+                    picks.append(cached)
+                    continue
+            picks.append(None)
             homes = ctx.hint_homes(task)
             misses.setdefault(homes.size, {}).setdefault(
                 id(hint), (hint, homes, []))[2].append(i)
         for size, bucket in misses.items():
             entries = list(bucket.values())
             cands = [sorted(set(homes.tolist())) for _, homes, _ in entries]
-            width = max(len(c) for c in cands)
+            if alive is not None:
+                cands = [[c for c in cand if alive[c]]
+                         or ctx.alive_units().tolist() for cand in cands]
+            width = max(map(len, cands))
             for part in gather_slices(len(entries), width * size):
-                self._decide(entries[part], cands[part], width, out)
-        return out
+                self._decide(entries[part], cands[part], width, picks)
+        if self.telemetry.enabled:
+            self.decision_terms = [(cost, 0.0, cost) for _, _, cost in picks]
+        return [unit for _, unit, _ in picks]
 
     def _decide(self, entries: list, cands: list, width: int,
-                out: List[int]) -> None:
-        """Decide hints of one line count; fill ``out`` and the memos.
+                picks: List[tuple]) -> None:
+        """Decide hints of one line count; fill ``picks`` (and the
+        memos on a healthy machine).
 
-        Each hint's candidate list is padded with its first candidate
-        (a repeat changes neither the minimum nor the tie rule), and
-        every candidate's mean is the same contiguous length-L
-        reduction the per-hint path computes.  The tie rule is the
-        per-hint one: the main element's home when within the
-        tolerance, else the lowest-id candidate at the minimum.
+        Every candidate's mean is one contiguous length-L reduction,
+        gathered for the whole bucket at once.  Each hint's sorted
+        candidate list is padded with its first candidate, which moves
+        neither the minimum nor its first position.  Near-ties go to
+        the main element's home when it is a candidate within the
+        tolerance, else to the lowest-id candidate at the minimum.
         """
         ctx = self.context
         size = entries[0][1].size
         homes = np.array([homes for _, homes, _ in entries])
-        cands = np.array([c + c[:1] * (width - len(c)) for c in cands])
+        padded = np.array([c + c[:1] * (width - len(c)) for c in cands])
         dists = np.add.reduce(
-            ctx.cost_matrix[cands[:, :, None], homes[:, None, :]], axis=2
+            ctx.cost_matrix[padded[:, :, None], homes[:, None, :]], axis=2
         ) / size
-        best = dists.min(axis=1)
         home_unit = ctx.memory_map.home_unit
-        main = np.array([home_unit(int(hint.addresses[0]))
-                         for hint, _, _ in entries])
-        main_cost = np.where(
-            cands == main[:, None], dists, np.inf
-        ).min(axis=1)
-        first_best = np.where(
-            dists == best[:, None], cands, ctx.num_units
-        ).min(axis=1)
-        stay = main_cost <= best + self.tie_tolerance_ns
-        units = np.where(stay, main, first_best).tolist()
-        costs = np.where(stay, main_cost, best).tolist()
-        for (hint, _, positions), unit, cost in zip(entries, units, costs):
-            hint._ldpick = (ctx.cost_epoch, unit, cost)
+        tolerance = self.tie_tolerance_ns
+        memoize = ctx.alive_mask is None
+        for (hint, _, positions), cand, row in zip(
+                entries, cands, dists.tolist()):
+            cost = min(row)
+            unit = cand[row.index(cost)]
+            main = home_unit(int(hint.addresses[0]))
+            if main in cand:
+                main_cost = row[cand.index(main)]
+                if main_cost <= cost + tolerance:
+                    unit, cost = main, main_cost
+            pick = (ctx.cost_epoch, unit, cost)
+            if memoize:
+                hint._ldpick = pick
             for i in positions:
-                out[i] = unit
+                picks[i] = pick

@@ -39,10 +39,6 @@ from repro.runtime.task import Task, TaskContext
 from repro.runtime.workload_exchange import WorkloadExchange
 
 
-#: smaller batches are placed per task: below about this size the
-#: batch path's fixed NumPy overhead outweighs what it saves per task.
-MIN_BATCH = 8
-
 #: most tasks a clock-advancing batch places ahead of booking: a
 #: snapshot refresh discards the unbooked picks, so the bound keeps the
 #: re-scoring linear in the batch size however often refreshes land.
@@ -239,65 +235,56 @@ class BulkSyncExecutor:
         boundaries fire at a realistic cadence.  Tasks scheduled at
         spawn time use the execution clock of their spawning task.
 
-        Placement runs in batches.  A decision depends only on the
-        hint, the spawner, the cost matrix, the camp tables and the
-        exchange snapshot, and the snapshot changes only when
-        ``advance`` refreshes it: never during a spawn batch, and in a
-        clock-advancing batch only between two booked tasks.  So a
-        batch of at least :data:`MIN_BATCH` tasks is placed by one
-        ``choose_units_batch`` call, except that a policy reading the
-        snapshot places a clock-advancing batch
+        A decision depends only on the hint, the spawner, the cost
+        matrix, the camp tables, the alive mask and the exchange
+        snapshot, and the snapshot changes only when ``advance``
+        refreshes it: never during a spawn batch, and in a
+        clock-advancing batch only between two booked tasks.  So one
+        ``choose_units_batch`` call places a batch, except that a policy
+        reading the snapshot places a clock-advancing batch
         :data:`PLACEMENT_CHUNK` tasks at a time, and a booking that
         refreshes the snapshot drops the unbooked picks to be scored
-        again.  Booking stays per task and in input order (W counters
-        clamp at zero and float sums depend on order), so every result
-        is bit-identical to the per-task loop, which runs whenever the
-        policy cannot batch.
+        again.  Booking is per task and in input order (W counters
+        clamp at zero and float sums depend on order), and each booking
+        emits the task's telemetry decision record, so a dropped pick
+        never records one.
         """
         scheduler = self.scheduler
         ctx = scheduler.context
-        if self.telemetry.enabled:
+        telemetry = self.telemetry
+        record = telemetry.enabled
+        if record:
             # Stamp decision records with the clock of this batch.
-            self.telemetry.now_ns = self.telemetry.cycles_to_ns(clock)
+            telemetry.now_ns = telemetry.cycles_to_ns(clock)
         exchange = self.exchange
         throughput = self._throughput
+        ctx.prepare_hints(tasks)
+        rescore = advance_clock and scheduler.reads_load_snapshot
         n = len(tasks)
+        step = PLACEMENT_CHUNK if rescore else n
+        interval = exchange.interval_cycles
         i = 0
-        if n >= MIN_BATCH:
-            ctx.prepare_hints(tasks)
-            rescore = advance_clock and scheduler.reads_load_snapshot
-            step = PLACEMENT_CHUNK if rescore else n
-            interval = exchange.interval_cycles
-            while i < n:
-                chunk = tasks[i:i + step]
-                units = scheduler.choose_units_batch(chunk)
-                if units is None:
-                    break
-                workloads = ctx.task_workloads(chunk, units)
-                for task, unit, workload in zip(chunk, units, workloads):
-                    i += 1
-                    task.assigned_unit = unit
-                    task.booked_workload = workload
-                    exchange.on_enqueue(unit, workload)
-                    pending.setdefault(task.timestamp, []).append(task)
-                    if advance_clock:
-                        clock += workload / throughput
-                        # advance()'s own boundary test, hoisted.
-                        if clock - exchange._last_exchange >= interval:
-                            exchange.advance(clock)
-                            if rescore:
-                                break
-        # Per task: small batches and policies that cannot batch.
-        for task in tasks[i:]:
-            unit = scheduler.choose_unit(task)
-            task.assigned_unit = unit
-            workload = ctx.task_workload(task, unit)
-            task.booked_workload = workload
-            exchange.on_enqueue(unit, workload)
-            pending.setdefault(task.timestamp, []).append(task)
-            if advance_clock:
-                clock += workload / throughput
-                exchange.advance(clock)
+        while i < n:
+            start = i
+            chunk = tasks[i:i + step]
+            units = scheduler.choose_units_batch(chunk)
+            terms = scheduler.decision_terms
+            workloads = ctx.task_workloads(chunk, units)
+            for task, unit, workload in zip(chunk, units, workloads):
+                if record:
+                    scheduler.record_decision(task, unit, *terms[i - start])
+                i += 1
+                task.assigned_unit = unit
+                task.booked_workload = workload
+                exchange.on_enqueue(unit, workload)
+                pending.setdefault(task.timestamp, []).append(task)
+                if advance_clock:
+                    clock += workload / throughput
+                    # advance()'s own boundary test, hoisted.
+                    if clock - exchange._last_exchange >= interval:
+                        exchange.advance(clock)
+                        if rescore:
+                            break
         return clock
 
     def _reassign_stranded(self, pending: Dict[int, List[Task]],
@@ -305,30 +292,33 @@ class BulkSyncExecutor:
         """Re-place every queued task assigned to a newly dead unit.
 
         The scheduler (whose context already sees the updated alive
-        mask) picks a surviving unit; the W counters move with the
-        task.  Returns the number of tasks re-placed — this is the "no
-        task is ever lost" guarantee.
+        mask) picks a surviving unit for all of them in one batch: the
+        picks read the snapshot, not the W counters, so they do not
+        depend on the moves.  The W counters then move with each task,
+        in queue order.  Returns the number of tasks re-placed — this
+        is the "no task is ever lost" guarantee.
         """
         dead = {int(u) for u in dead_units}
-        if not dead:
+        stranded = [task for tasks in pending.values() for task in tasks
+                    if task.assigned_unit in dead]
+        if not stranded:
             return 0
-        ctx = self.scheduler.context
-        moved = 0
-        for tasks in pending.values():
-            for task in tasks:
-                if task.assigned_unit not in dead:
-                    continue
-                if task.booked_workload:
-                    self.exchange.on_dequeue(
-                        task.assigned_unit, task.booked_workload
-                    )
-                unit = self.scheduler.choose_unit(task)
-                task.assigned_unit = unit
-                workload = ctx.task_workload(task, unit)
-                task.booked_workload = workload
-                self.exchange.on_enqueue(unit, workload)
-                moved += 1
-        return moved
+        scheduler = self.scheduler
+        ctx = scheduler.context
+        units = scheduler.choose_units_batch(stranded)
+        terms = scheduler.decision_terms
+        for j, (task, unit) in enumerate(zip(stranded, units)):
+            if task.booked_workload:
+                self.exchange.on_dequeue(
+                    task.assigned_unit, task.booked_workload
+                )
+            if self.telemetry.enabled:
+                scheduler.record_decision(task, unit, *terms[j])
+            task.assigned_unit = unit
+            workload = ctx.task_workload(task, unit)
+            task.booked_workload = workload
+            self.exchange.on_enqueue(unit, workload)
+        return len(stranded)
 
     def _group_by_unit(self, tasks: Sequence[Task]) -> List[List[Task]]:
         by_unit: List[List[Task]] = [[] for _ in range(self.config.num_units)]

@@ -8,6 +8,7 @@ from repro.config import experiment_config
 from repro.core.system import build_system
 from repro.runtime.executor import _interleave_by_spawner
 from repro.runtime.task import Task, TaskHint
+from tests.placement_reference import reference_decision
 
 
 def small_system(design="B"):
@@ -211,12 +212,16 @@ class TestInterleave:
         )
 
 
-def per_task_schedule(executor, tasks, pending, clock, advance_clock):
-    """The reference placement loop: one decision, one estimate and one
-    booking per task, the exchange clock checked after every booking."""
+def per_task_schedule(executor, tasks, pending, clock, advance_clock,
+                      terms=None):
+    """The reference placement loop: one reference decision, one
+    estimate and one booking per task, the exchange clock checked after
+    every booking.  ``terms`` collects each decision's record terms."""
     scheduler = executor.scheduler
     for task in tasks:
-        unit = scheduler.choose_unit(task)
+        unit, task_terms = reference_decision(scheduler, task)
+        if terms is not None:
+            terms.append((task.task_id, unit, task_terms))
         task.assigned_unit = unit
         workload = scheduler.context.task_workload(task, unit)
         task.booked_workload = workload
@@ -229,7 +234,11 @@ def per_task_schedule(executor, tasks, pending, clock, advance_clock):
 
 
 class TestBatchPlacement:
-    """Batch placement books exactly what the per-task loop books."""
+    """Batch placement books exactly what the per-task reference loop
+    books, healthy and around dead units, and records one decision per
+    booked task."""
+
+    DESIGNS = ["B", "Sl", "Sh", "O", "C"]
 
     @staticmethod
     def tasks(system, n: int, seed: int = 3):
@@ -247,10 +256,12 @@ class TestBatchPlacement:
                             spawner_unit=int(rng.integers(0, units))))
         return out
 
-    @pytest.mark.parametrize("design", ["B", "Sl", "Sh", "O", "C"])
-    @pytest.mark.parametrize("advance_clock", [True, False])
-    def test_matches_per_task_loop(self, design, advance_clock):
-        ref, new = small_system(design), small_system(design)
+    def compare(self, design, advance_clock, alive=None, telemetry=None):
+        """Place 600 tasks with the executor and with the reference loop
+        on twin machines; returns the reference's decision terms."""
+        ref = small_system(design)
+        new = build_system(design, experiment_config().scaled(2, 2),
+                           telemetry=telemetry)
         # Jittered costs do not sum exactly: a reduction taken in another
         # order than the per-task one changes the result.
         jitter = np.random.default_rng(5).uniform(
@@ -258,11 +269,13 @@ class TestBatchPlacement:
         for system in (ref, new):
             ctx = system.scheduler.context
             ctx.cost_matrix = ctx.cost_matrix * jitter
+            ctx.alive_mask = alive
         ref_tasks, new_tasks = self.tasks(ref, 600), self.tasks(new, 600)
         ref_pending, new_pending = {}, {}
+        terms = []
         start = 1234.5
         ref_clock = per_task_schedule(ref.executor, ref_tasks, ref_pending,
-                                      start, advance_clock)
+                                      start, advance_clock, terms)
         new_clock = new.executor._schedule_tasks(
             new_tasks, new_pending, start, advance_clock=advance_clock)
         if advance_clock:
@@ -271,6 +284,8 @@ class TestBatchPlacement:
         assert new_clock == ref_clock
         assert ([t.assigned_unit for t in new_tasks]
                 == [t.assigned_unit for t in ref_tasks])
+        if alive is not None:
+            assert all(alive[t.assigned_unit] for t in new_tasks)
         assert ([t.booked_workload for t in new_tasks]
                 == [t.booked_workload for t in ref_tasks])
         assert new.exchange._true == ref.exchange._true
@@ -280,3 +295,36 @@ class TestBatchPlacement:
                  for ts, q in new_pending.items()}
                 == {ts: [t.task_id - ref_tasks[0].task_id for t in q]
                     for ts, q in ref_pending.items()})
+        return [(task_id - ref_tasks[0].task_id, unit, task_terms)
+                for task_id, unit, task_terms in terms]
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("advance_clock", [True, False])
+    def test_matches_per_task_loop(self, design, advance_clock):
+        self.compare(design, advance_clock)
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_matches_per_task_loop_under_alive_mask(self, design):
+        alive = np.ones(32, dtype=bool)
+        alive[[0, 5, 6, 7, 19]] = False
+        self.compare(design, True, alive=alive)
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_records_one_decision_per_booking(self, design):
+        """Each booked task emits its decision record as it is booked,
+        with the reference terms; picks dropped by a snapshot refresh
+        (the root batch crosses several) emit none."""
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry(timeline_capacity=None)
+        terms = self.compare(design, True, telemetry=tel)
+        events = [e.args for e in tel.timeline
+                  if e.name == "scheduler.decide"]
+        assert tel.registry.collect()["scheduler.decisions"] == 600
+        first = events[0]["task"]
+        assert [(e["task"] - first, e["unit"]) for e in events] == \
+            [(task, unit) for task, unit, _ in terms]
+        assert [(e["cost_mem"], e["cost_load"], e["score"])
+                for e in events] == \
+            [(round(m, 3), round(l, 4), round(s, 3))
+             for _, _, (m, l, s) in terms]

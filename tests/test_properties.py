@@ -24,6 +24,7 @@ from repro.core.scheduler.lowest_distance import LowestDistanceScheduler
 from repro.core.system import build_system
 from repro.runtime.task import Task, TaskHint
 from repro.runtime.workload_exchange import WorkloadExchange
+from tests.placement_reference import place
 
 
 def make_context(with_camps=False) -> SchedulerContext:
@@ -60,7 +61,7 @@ hint_sets = st.lists(st.tuples(units, offsets), min_size=1, max_size=12)
 def test_property_colocate_always_at_main_home(hints):
     ctx = make_context()
     t = task_for(ctx, hints)
-    assert ColocateScheduler(ctx).choose_unit(t) == hints[0][0]
+    assert place(ColocateScheduler(ctx), t) == hints[0][0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,7 +69,7 @@ def test_property_colocate_always_at_main_home(hints):
 def test_property_lowest_distance_picks_a_data_host(hints):
     ctx = make_context()
     t = task_for(ctx, hints)
-    chosen = LowestDistanceScheduler(ctx).choose_unit(t)
+    chosen = place(LowestDistanceScheduler(ctx), t)
     assert chosen in {u for u, _ in hints}
 
 
@@ -81,7 +82,7 @@ def test_property_hybrid_returns_valid_unit(hints, loads):
         ctx.exchange.on_enqueue(u, w)
     ctx.exchange.force_exchange(0.0)
     t = task_for(ctx, hints)
-    chosen = HybridScheduler(ctx, use_camps=True).choose_unit(t)
+    chosen = place(HybridScheduler(ctx, use_camps=True), t)
     assert 0 <= chosen < ctx.num_units
 
 

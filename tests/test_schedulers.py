@@ -23,6 +23,7 @@ from repro.core.scheduler.work_stealing import (
 )
 from repro.runtime.task import Task, TaskHint
 from repro.runtime.workload_exchange import WorkloadExchange
+from tests.placement_reference import place, reference_decision, reference_unit
 
 
 def make_context(with_camps: bool = False) -> SchedulerContext:
@@ -59,13 +60,13 @@ class TestColocate:
         ctx = make_context()
         sched = ColocateScheduler(ctx)
         t = task_with_addrs(ctx, [unit_addr(ctx, 9), unit_addr(ctx, 80)])
-        assert sched.choose_unit(t) == 9
+        assert place(sched, t) == 9
 
     def test_hintless_task_stays_at_spawner(self):
         ctx = make_context()
         sched = ColocateScheduler(ctx)
         t = task_with_addrs(ctx, [], spawner=17)
-        assert sched.choose_unit(t) == 17
+        assert place(sched, t) == 17
 
 
 class TestLowestDistance:
@@ -73,7 +74,7 @@ class TestLowestDistance:
         ctx = make_context()
         sched = LowestDistanceScheduler(ctx)
         t = task_with_addrs(ctx, [unit_addr(ctx, 42)])
-        assert sched.choose_unit(t) == 42
+        assert place(sched, t) == 42
 
     def test_picks_the_data_hosting_majority(self):
         """Three elements in unit 7, one far away: unit 7 wins."""
@@ -82,7 +83,7 @@ class TestLowestDistance:
         addrs = [unit_addr(ctx, 7, off) for off in (0, 64, 128)]
         addrs.append(unit_addr(ctx, 120))
         t = task_with_addrs(ctx, addrs)
-        assert sched.choose_unit(t) == 7
+        assert place(sched, t) == 7
 
     def test_candidates_restricted_to_data_homes(self):
         """The chosen unit always hosts at least one hint element."""
@@ -92,7 +93,7 @@ class TestLowestDistance:
         for _ in range(20):
             units = rng.integers(0, 128, size=8)
             t = task_with_addrs(ctx, [unit_addr(ctx, int(u)) for u in units])
-            assert sched.choose_unit(t) in set(units.tolist())
+            assert place(sched, t) in set(units.tolist())
 
     def test_near_tie_prefers_main_home(self):
         ctx = make_context()
@@ -101,7 +102,7 @@ class TestLowestDistance:
         a, b = int(stack_units[0]), int(stack_units[1])
         # Same stack: distances differ by <= d_intra, within tolerance.
         t = task_with_addrs(ctx, [unit_addr(ctx, a), unit_addr(ctx, b)])
-        assert sched.choose_unit(t) == a
+        assert place(sched, t) == a
 
 
 class TestHybrid:
@@ -110,7 +111,7 @@ class TestHybrid:
         sched = HybridScheduler(ctx)
         t = task_with_addrs(ctx, [unit_addr(ctx, 3, off) for off in (0, 64)],
                             spawner=3)
-        assert sched.choose_unit(t) == 3
+        assert place(sched, t) == 3
 
     def test_avoids_heavily_loaded_unit(self):
         ctx = make_context()
@@ -121,7 +122,7 @@ class TestHybrid:
         ctx.exchange.on_enqueue(3, 100000.0)
         ctx.exchange.force_exchange(0.0)
         t = task_with_addrs(ctx, [unit_addr(ctx, 3)], spawner=3)
-        chosen = sched.choose_unit(t)
+        chosen = place(sched, t)
         assert chosen != 3
         # ...but it stays nearby (same stack beats far idle units).
         assert ctx.cost_matrix[3, chosen] <= 30.0
@@ -136,7 +137,7 @@ class TestHybrid:
             ctx.exchange.on_enqueue(u, 0.0 if u == 5 else 5000.0)
         ctx.exchange.force_exchange(0.0)
         t = task_with_addrs(ctx, [unit_addr(ctx, 4)], spawner=4)
-        chosen = sched.choose_unit(t)
+        chosen = place(sched, t)
         assert chosen == 5
 
     def test_deadband_keeps_balanced_tasks_local(self):
@@ -149,7 +150,7 @@ class TestHybrid:
             ctx.exchange.on_enqueue(u, 1000.0 + rng.uniform(-50, 50))
         ctx.exchange.force_exchange(0.0)
         t = task_with_addrs(ctx, [unit_addr(ctx, 77)], spawner=77)
-        assert sched.choose_unit(t) == 77
+        assert place(sched, t) == 77
 
     def test_camp_awareness_lowers_mem_cost(self):
         ctx = make_context(with_camps=True)
@@ -168,7 +169,7 @@ class TestHybrid:
             ctx.exchange.on_enqueue(u, 10.0 if u == 60 else 1000.0)
         ctx.exchange.force_exchange(0.0)
         t = task_with_addrs(ctx, [], spawner=60)
-        assert sched.choose_unit(t) == 60
+        assert place(sched, t) == 60
 
 
 class TestWorkloadEstimate:
@@ -299,9 +300,9 @@ class TestAliveMasking:
         ctx = make_context()
         sched = ColocateScheduler(ctx)
         task = task_with_addrs(ctx, [unit_addr(ctx, 9)])
-        assert sched.choose_unit(task) == 9
+        assert place(sched, task) == 9
         self._dead(ctx, 9)
-        chosen = sched.choose_unit(task)
+        chosen = place(sched, task)
         assert chosen != 9 and ctx.is_alive(chosen)
 
     def test_lowest_distance_skips_dead_candidates(self):
@@ -309,25 +310,25 @@ class TestAliveMasking:
         sched = LowestDistanceScheduler(ctx)
         addrs = [unit_addr(ctx, 3), unit_addr(ctx, 4)]
         task = task_with_addrs(ctx, addrs, spawner=3)
-        assert sched.choose_unit(task) in (3, 4)
+        assert place(sched, task) in (3, 4)
         self._dead(ctx, 3)
-        assert sched.choose_unit(task) == 4
+        assert place(sched, task) == 4
 
     def test_lowest_distance_all_candidates_dead(self):
         ctx = make_context()
         sched = LowestDistanceScheduler(ctx)
         task = task_with_addrs(ctx, [unit_addr(ctx, 3), unit_addr(ctx, 4)])
         self._dead(ctx, 3, 4)
-        chosen = sched.choose_unit(task)
+        chosen = place(sched, task)
         assert chosen not in (3, 4) and ctx.is_alive(chosen)
 
     def test_hybrid_never_picks_dead_unit(self):
         ctx = make_context()
         sched = HybridScheduler(ctx)
         task = task_with_addrs(ctx, [unit_addr(ctx, 7)], spawner=7)
-        assert sched.choose_unit(task) == 7
+        assert place(sched, task) == 7
         self._dead(ctx, 7)
-        chosen = sched.choose_unit(task)
+        chosen = place(sched, task)
         assert chosen != 7 and ctx.is_alive(chosen)
 
     def test_fallback_on_empty_hint_respects_mask(self):
@@ -335,9 +336,9 @@ class TestAliveMasking:
         sched = HybridScheduler(ctx)
         task = Task(func=lambda c: None, timestamp=0,
                     hint=TaskHint.empty(), spawner_unit=11)
-        assert sched.choose_unit(task) == 11
+        assert place(sched, task) == 11
         self._dead(ctx, 11)
-        chosen = sched.choose_unit(task)
+        chosen = place(sched, task)
         assert chosen != 11 and ctx.is_alive(chosen)
 
 
@@ -389,8 +390,9 @@ class TestStealingEligibility:
 
 class TestBatchContract:
     """``choose_units_batch`` and ``task_workloads`` are the per-task
-    decisions and estimates, computed for a whole batch at one frozen
-    exchange snapshot, bit for bit."""
+    reference decisions and estimates, computed for a whole batch at
+    one frozen exchange snapshot, bit for bit, on a healthy machine and
+    under an alive mask."""
 
     POLICIES = {
         "colocate": (False, lambda ctx: ColocateScheduler(ctx)),
@@ -457,7 +459,7 @@ class TestBatchContract:
         if prepared:
             ctx_b.prepare_hints(tasks_b)
         batch = sched_b.choose_units_batch(tasks_b)
-        assert batch == [sched_a.choose_unit(t) for t in tasks_a]
+        assert batch == [reference_unit(sched_a, t) for t in tasks_a]
         assert all(type(u) is int for u in batch)
         per_task = [ctx_a.task_workload(t, u)
                     for t, u in zip(tasks_a, batch)]
@@ -477,25 +479,58 @@ class TestBatchContract:
                 assert np.array_equal(ctx_a._camp_access_row(ta),
                                       tb.hint._crow[1])
 
+    @staticmethod
+    def alive_mask(ctx, tasks) -> np.ndarray:
+        """Every fifth unit dead, plus every home of one task's hint
+        (the all-homes-dead fallback) and one task's spawner."""
+        alive = np.ones(ctx.num_units, dtype=bool)
+        alive[::5] = False
+        alive[ctx.hint_homes(tasks[2])] = False
+        alive[tasks[4].spawner_unit] = False
+        return alive
+
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_batch_declines(self, policy):
+    def test_batch_under_alive_mask(self, policy):
+        """Around dead units too the batch is the reference, and never
+        a dead unit; with telemetry on it picks the same units and
+        carries the reference's decision terms."""
         from repro.telemetry import Telemetry
 
         camps, make = self.POLICIES[policy]
-        ctx = self.skewed_context(camps)
-        sched = make(ctx)
-        tasks = self.tasks(ctx, n=8)
-        assert sched.choose_units_batch(tasks) is not None
-        ctx.alive_mask = np.ones(ctx.num_units, dtype=bool)
-        assert sched.choose_units_batch(tasks) is None
-        ctx.alive_mask = None
-        sched.telemetry = Telemetry()
-        assert sched.choose_units_batch(tasks) is None
+        ctx_a, ctx_b = self.skewed_context(camps), self.skewed_context(camps)
+        tasks_a, tasks_b = self.tasks(ctx_a), self.tasks(ctx_b)
+        sched_a, sched_b = make(ctx_a), make(ctx_b)
+        # Decide once healthy first: a memo written then must not leak
+        # into the decisions under the mask.
+        healthy = sched_b.choose_units_batch(tasks_b)
+        ctx_a.alive_mask = ctx_b.alive_mask = self.alive_mask(ctx_a, tasks_a)
+        reference = [reference_decision(sched_a, t) for t in tasks_a]
+        batch = sched_b.choose_units_batch(tasks_b)
+        assert batch == [unit for unit, _ in reference]
+        assert batch != healthy
+        assert all(type(u) is int and ctx_b.alive_mask[u] for u in batch)
+        sched_b.telemetry = Telemetry()
+        assert sched_b.choose_units_batch(tasks_b) == batch
+        assert sched_b.decision_terms == [terms for _, terms in reference]
 
-    def test_base_scheduler_declines(self):
-        class FirstUnit(Scheduler):
-            def choose_unit(self, task):
-                return 0
+    def test_hybrid_spawner_cut_off_from_near_units(self):
+        """A spawner at infinite distance from every near unit (a mesh
+        partition) still gets a near unit: the lowest id, as in the
+        reference."""
+        ctx = make_context()
+        ctx.cost_matrix = ctx.cost_matrix.copy()
+        ctx.cost_matrix[0, 1:] = np.inf
+        sched = HybridScheduler(ctx)
+        task = task_with_addrs(ctx, [unit_addr(ctx, 77)], spawner=0)
+        [unit] = sched.choose_units_batch([task])
+        assert unit == reference_unit(sched, task)
+        assert ctx.cost_matrix[unit, 77] <= sched.tie_tolerance_ns
 
-        ctx = self.skewed_context(False)
-        assert FirstUnit(ctx).choose_units_batch(self.tasks(ctx)) is None
+    def test_base_scheduler_requires_batch(self):
+        """``choose_units_batch`` is the one placement decision: a policy
+        without it cannot be instantiated."""
+        class NoPlacement(Scheduler):
+            pass
+
+        with pytest.raises(TypeError, match="choose_units_batch"):
+            NoPlacement(self.skewed_context(False))
