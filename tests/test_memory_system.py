@@ -7,6 +7,9 @@ import pytest
 
 from repro.config import CacheStyle, MemoryConfig, ReplacementPolicy, default_config
 from repro.core.system import NdpSystem, build_system
+from repro.faults import FaultEvent, FaultKind, FaultSchedule, ResilienceStats
+from tests import access_reference as reference
+from tests.access_reference import PARTITION
 
 
 def make_system(design="O", mesh=(2, 2), service_ns=0.0) -> NdpSystem:
@@ -26,7 +29,7 @@ class TestCachelessAccess:
         system = make_system("B")
         ms = system.memory_system
         line = line_in_unit(system, 5)
-        latency = ms.access(5, line)
+        latency = ms.access_many(5, [line], 0.0)
         assert latency == pytest.approx(34.0)
         assert ms.dram_stats.reads == 1
 
@@ -34,7 +37,7 @@ class TestCachelessAccess:
         system = make_system("B")
         ms = system.memory_system
         line = line_in_unit(system, 31)
-        latency = ms.access(0, line)
+        latency = ms.access_many(0, [line], 0.0)
         rt = system.interconnect.round_trip_latency_ns(0, 31)
         assert latency == pytest.approx(rt + 34.0)
         assert ms.traffic.inter_hops > 0
@@ -43,8 +46,8 @@ class TestCachelessAccess:
         system = make_system("B")
         ms = system.memory_system
         line = line_in_unit(system, 31)
-        first = ms.access(0, line)
-        second = ms.access(0, line)
+        first = ms.access_many(0, [line], 0.0)
+        second = ms.access_many(0, [line], 0.0)
         assert second < first
         assert second == pytest.approx(system.sram.l1_hit_ns)
         assert ms.dram_stats.reads == 1  # no second DRAM read
@@ -55,7 +58,7 @@ class TestTravellerAccess:
         system = make_system("O")
         ms = system.memory_system
         line = line_in_unit(system, 7)
-        ms.access(7, line)  # requester == home
+        ms.access_many(7, [line], 0.0)  # requester == home
         stats = ms.cache_stats()
         assert stats.home_direct == 1
         assert stats.probes == 0
@@ -70,13 +73,13 @@ class TestTravellerAccess:
         mapper = system.camp_mapper
         # Find a (line, requester) pair whose nearest location is a camp.
         line, requester, camp = _find_camp_probe(system)
-        lat_miss = ms.access(requester, line)
+        lat_miss = ms.access_many(requester, [line], 0.0)
         assert ms.cache_stats().misses == 1
         assert ms.caches[camp].contains(line)
         # A second requester near the same camp now hits.
         system.units[requester].l1.invalidate_all()
         system.units[requester].prefetch.invalidate_all()
-        lat_hit = ms.access(requester, line)
+        lat_hit = ms.access_many(requester, [line], 0.0)
         assert ms.cache_stats().hits == 1
         assert lat_hit < lat_miss
 
@@ -86,7 +89,7 @@ class TestTravellerAccess:
         for cache in ms_caches(system):
             cache._insertion.bypass_probability = 1.0  # never insert
         line, requester, _ = _find_camp_probe(system)
-        lat = system.memory_system.access(requester, line)
+        lat = system.memory_system.access_many(requester, [line], 0.0)
         home = system.memory_map.home_of_line(line)
         direct = (system.interconnect.round_trip_latency_ns(requester, home)
                   + 34.0)
@@ -106,7 +109,7 @@ class TestTravellerAccess:
             cache._insertion.bypass_probability = 0.0
         line, requester, camp = _find_camp_probe(system)
         ms = system.memory_system
-        ms.access(requester, line)
+        ms.access_many(requester, [line], 0.0)
         assert ms.caches[camp].occupancy() == 1
         ms.end_timestamp()
         assert ms.caches[camp].occupancy() == 0
@@ -120,7 +123,7 @@ class TestDramContention:
         line = line_in_unit(system, 3)
         lines = [line_in_unit(system, 3, i) for i in range(10)]
         # Ten accesses arriving at the same instant serialize.
-        total = sum(ms.access(0, ln, now_ns=0.0) for ln in lines)
+        total = sum(ms.access_many(0, [ln], 0.0) for ln in lines)
         assert ms.total_queue_delay_ns > 0
 
     def test_no_contention_when_disabled(self):
@@ -128,7 +131,7 @@ class TestDramContention:
         ms = system.memory_system
         lines = [line_in_unit(system, 3, i) for i in range(10)]
         for ln in lines:
-            ms.access(0, ln, now_ns=0.0)
+            ms.access_many(0, [ln], 0.0)
         assert ms.total_queue_delay_ns == 0.0
 
     def test_writes_do_not_block_reads(self):
@@ -137,7 +140,7 @@ class TestDramContention:
         for i in range(20):
             ms.write(0, line_in_unit(system, 3, i), now_ns=0.0)
         delay_before = ms.total_queue_delay_ns
-        ms.access(0, line_in_unit(system, 3, 99), now_ns=0.0)
+        ms.access_many(0, [line_in_unit(system, 3, 99)], 0.0)
         assert ms.total_queue_delay_ns == delay_before
 
 
@@ -150,7 +153,7 @@ class TestDramTagStyle:
         )
         system2 = NdpSystem(cfg, design_name="O")
         line, requester, _ = _find_camp_probe(system2)
-        system2.memory_system.access(requester, line)
+        system2.memory_system.access_many(requester, [line], 0.0)
         assert system2.memory_system.dram_stats.tag_accesses_in_dram >= 1
 
 
@@ -165,13 +168,13 @@ class TestSramStyle:
         system2 = NdpSystem(cfg, design_name="O")
         ms = system2.memory_system
         line, requester, camp = _find_camp_probe(system2)
-        ms.access(requester, line)   # miss + SRAM fill
+        ms.access_many(requester, [line], 0.0)   # miss + SRAM fill
         fills_dram = ms.dram_stats.cache_fills
         assert fills_dram == 0       # fill went to SRAM, not DRAM
         system2.units[requester].l1.invalidate_all()
         system2.units[requester].prefetch.invalidate_all()
         reads_before = ms.dram_stats.cache_reads
-        ms.access(requester, line)   # hit served from SRAM
+        ms.access_many(requester, [line], 0.0)   # hit served from SRAM
         assert ms.dram_stats.cache_reads == reads_before
 
 
@@ -197,15 +200,52 @@ def _find_camp_probe(system):
     raise AssertionError("no camp-probing pair found")
 
 
-class TestFusedKernelOracle:
-    """``access_many`` against a loop of per-line ``access()`` calls.
+class TestFaultState:
+    def test_set_fault_state_applies_to_next_batch(self):
+        """A dead home times out from the next batch on and serves
+        again once the mask is cleared: no kernel table outlives
+        ``set_fault_state``."""
+        system = make_system("B")
+        ms = system.memory_system
+        stats = ResilienceStats()
+        ms.set_fault_state(None, stats)
+        line = line_in_unit(system, 3)
+        ms.access_many(0, [line_in_unit(system, 3, 1)], 0.0)
+        alive = np.ones(system.config.num_units, dtype=bool)
+        alive[3] = False
+        ms.set_fault_state(alive, stats)
+        assert ms.access_many(0, [line], 0.0) == \
+            ms._unreachable_penalty_ns()
+        assert ms.write(0, line) == 0.0
+        assert stats.unreachable_accesses == 2
+        assert ms.dram_stats.reads == 1 and ms.dram_stats.writes == 0
+        ms.set_fault_state(None, stats)
+        latency = ms.access_many(0, [line], 0.0)
+        rt = system.interconnect.round_trip_latency_ns(0, 3)
+        assert latency == pytest.approx(rt + 34.0)
+        assert stats.unreachable_accesses == 2
+        assert ms.dram_stats.reads == 2
 
-    Two identical healthy machines with the same seed see the same
-    random hint batches — one through the fused kernel, one line by
-    line with the same issue spread — and must end in the same state:
-    totals, every traffic/DRAM/SRAM/cache counter, the DRAM channel
-    clocks and the RNG.  The per-line flow is the reference the kernel
-    reproduces, so this pins the kernel at unit scope.
+
+#: :data:`PARTITION` plus a dead unit and a slow vault outside the
+#: cut-off stack 0, where camps stay reachable, so the camp remap and
+#: the slow vault shape camp probes and camp hits as well as home reads.
+ORACLE_FAULTS = FaultSchedule(events=PARTITION.events + (
+    FaultEvent(FaultKind.UNIT_FAIL, unit=13, at_timestamp=2),
+    FaultEvent(FaultKind.VAULT_SLOW, unit=22, at_timestamp=1, factor=4.0),
+))
+
+
+class TestFusedKernelOracle:
+    """``access_many`` and ``write`` against the per-line reference.
+
+    Two identical machines with the same seed see the same random hint
+    batches — one through the fused kernel, one line by line with the
+    same issue spread — and must end in the same state: totals, every
+    traffic/DRAM/SRAM/cache counter, the DRAM channel clocks and the
+    RNG.  The per-line flow (``tests/access_reference.py``) is the
+    reference the kernel reproduces, so this pins the kernel at unit
+    scope, healthy and faulted.
     """
 
     @staticmethod
@@ -216,9 +256,21 @@ class TestFusedKernelOracle:
         return build_system(design, cfg)
 
     @staticmethod
+    def faulted_machine(style, replacement):
+        """An O machine with link metering that will run
+        :data:`ORACLE_FAULTS`, on every cache style."""
+        cfg = default_config().scaled(2, 2)
+        cfg = cfg.with_(cache=dataclasses.replace(
+            cfg.cache, style=style, replacement=replacement))
+        system = NdpSystem(cfg, design_name="O",
+                           fault_schedule=ORACLE_FAULTS)
+        system.interconnect.enable_link_metering()
+        return system
+
+    @staticmethod
     def state(system):
         ms = system.memory_system
-        return {
+        state = {
             "traffic": dataclasses.asdict(ms.traffic),
             "dram": dataclasses.asdict(ms.dram_stats),
             "sram": dataclasses.asdict(ms.sram_stats),
@@ -226,18 +278,33 @@ class TestFusedKernelOracle:
             "queue_delay_ns": ms.total_queue_delay_ns,
             "dram_free_ns": list(ms._dram_free_ns),
             "rng": system.rng.bit_generator.state,
+            "l1_prefetch": [
+                (dataclasses.asdict(u.l1.stats),
+                 dataclasses.asdict(u.prefetch.stats))
+                for u in system.units
+            ],
         }
+        if system.fault_controller is not None:
+            state["unreachable"] = (
+                system.fault_controller.stats.unreachable_accesses)
+        meter = system.interconnect.link_meter
+        if meter is not None:
+            state["unit_matrix"] = meter.unit_matrix.tolist()
+            state["unit_bits"] = meter.unit_bits.tolist()
+            state["link_flits"] = list(meter.link_flits.items())
+        return state
 
-    @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
-    @pytest.mark.parametrize("design", ["C", "O"])
-    def test_access_many_equals_access_loop(self, design, replacement):
-        fused = self.machine(design, replacement)
-        oracle = self.machine(design, replacement)
+    @staticmethod
+    def drive(fused, oracle, writes=False, phases=()):
+        """160 random batches on both machines.  Every 40th step is a
+        barrier; ``phases`` maps a step to the fault timestamp whose
+        events fire there."""
         units = fused.config.num_units
         # A small line pool spread over every unit, so batches repeat
         # lines (L1, prefetch and camp hits), plus lines that all map
         # to camp set 0, so full sets evict.
-        sets = fused.memory_system.caches[0].num_sets
+        sets = next((c.num_sets for c in fused.memory_system.caches
+                     if c is not None), 1)
         pool = [line_in_unit(fused, u, i)
                 for u in range(units) for i in range(24)]
         pool += [line_in_unit(fused, u, i * sets)
@@ -245,6 +312,10 @@ class TestFusedKernelOracle:
         rng = np.random.default_rng(11)
         now = 0.0
         for step in range(160):
+            if step in phases:
+                for system in (fused, oracle):
+                    system.fault_controller.on_phase_start(
+                        phases[step], 0.0, lambda dead: 0)
             requester = int(rng.integers(units))
             batch = [pool[i] for i in rng.integers(
                 len(pool), size=int(rng.integers(1, 40)))]
@@ -254,13 +325,80 @@ class TestFusedKernelOracle:
                 requester, batch, now, spacing, cap)
             expected = 0.0
             for i, line in enumerate(batch):
-                expected += oracle.memory_system.access(
-                    requester, line, now + min(i * spacing, cap))
+                expected += reference.access(
+                    oracle.memory_system, requester, line,
+                    now + min(i * spacing, cap))
             assert total == expected
+            if writes:
+                line = pool[int(rng.integers(len(pool)))]
+                assert fused.memory_system.write(requester, line, now) == \
+                    reference.write(oracle.memory_system, requester, line,
+                                    now)
             now += float(rng.integers(1, 200))
             if step % 40 == 39:
                 fused.memory_system.end_timestamp()
                 oracle.memory_system.end_timestamp()
+
+    @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
+    @pytest.mark.parametrize("design", ["C", "O"])
+    def test_access_many_equals_access_loop(self, design, replacement):
+        fused = self.machine(design, replacement)
+        oracle = self.machine(design, replacement)
+        self.drive(fused, oracle)
         stats = fused.memory_system.cache_stats()
         assert stats.hits > 0 and stats.evictions > 0
         assert self.state(fused) == self.state(oracle)
+
+    @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
+    @pytest.mark.parametrize("style", list(CacheStyle))
+    def test_faulted_access_many_equals_access_loop(self, style,
+                                                    replacement):
+        """A partitioned, metered machine: stack 0 cut off at step 40
+        (with a degraded link and two slow vaults), units 5 and 13 dead
+        from step 80 on, stores interleaved.  Unreachable homes,
+        rerouted and degraded hops, camp remaps, the slow vaults and the
+        per-link meter all reach the kernel."""
+        fused = self.faulted_machine(style, replacement)
+        oracle = self.faulted_machine(style, replacement)
+        self.drive(fused, oracle, writes=True, phases={40: 1, 80: 2})
+        state = self.state(fused)
+        assert state["unreachable"] > 0
+        assert state["dram"]["reads"] > 0
+        assert state["link_flits"]
+        if style is not CacheStyle.NONE:
+            assert state["cache"]["hits"] > 0
+        assert state == self.state(oracle)
+
+
+@pytest.mark.parametrize("design", ["C", "O"])
+def test_reachable_home_has_reachable_nearest_camp(design):
+    """Why a camp detour is never cut off: under :data:`PARTITION`,
+    whenever a requester can reach a line's living home, it can also
+    reach the line's nearest camp, and so can the home.  Reachability
+    is an equivalence over undirected links and an unreachable camp
+    costs infinity, so the argmin location always lies in the
+    requester's component."""
+    system = build_system(design, default_config().scaled(2, 2),
+                          fault_schedule=PARTITION)
+    system.fault_controller.on_phase_start(2, 0.0, lambda dead: 0)
+    noc = system.interconnect
+    alive = system.fault_controller.alive
+    cost = noc.cost_matrix
+    units = system.config.num_units
+    probes = cut_off = 0
+    for home_unit in range(units):
+        for i in range(64):
+            line = line_in_unit(system, home_unit, i)
+            home = system.memory_map.home_of_line(line)
+            for requester in range(units):
+                if not (alive[home] and noc.is_reachable(requester, home)):
+                    cut_off += 1
+                    continue
+                nearest, is_home = system.camp_mapper.nearest_location(
+                    line, requester, cost)
+                if is_home:
+                    continue
+                probes += 1
+                assert noc.is_reachable(requester, nearest)
+                assert noc.is_reachable(nearest, home)
+    assert probes > 0 and cut_off > 0

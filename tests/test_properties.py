@@ -127,8 +127,8 @@ class TestMemorySystemProperties:
         ms = system.memory_system
         addr = target_unit * system.memory_map.unit_capacity + offset * 64
         line = system.memory_map.line_of(addr)
-        first = ms.access(requester, line)
-        second = ms.access(requester, line)
+        first = ms.access_many(requester, [line], 0.0)
+        second = ms.access_many(requester, [line], 0.0)
         assert second <= first + 1e-9
 
     @settings(max_examples=20, deadline=None)
@@ -137,7 +137,7 @@ class TestMemorySystemProperties:
         system = build_system("B", experiment_config().scaled(2, 2))
         addr = target_unit * system.memory_map.unit_capacity
         line = system.memory_map.line_of(addr)
-        latency = system.memory_system.access(requester, line)
+        latency = system.memory_system.access_many(requester, [line], 0.0)
         assert latency >= system.dram.access_latency_ns - 1e-9
 
 
