@@ -11,7 +11,7 @@ latencies and energies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -79,6 +79,7 @@ class DramChannel:
         self.config = config
         #: per-unit latency multiplier while vault faults are active.
         self._latency_scale: Optional[np.ndarray] = None
+        self._unit_latencies: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     # timing
@@ -97,12 +98,23 @@ class DramChannel:
         if scale is not None and np.all(scale == 1.0):
             scale = None
         self._latency_scale = scale
+        self._unit_latencies = None
 
     def access_latency_at(self, unit: int) -> float:
         """Latency of one random access served by ``unit``'s channel."""
         if self._latency_scale is None:
             return self.config.access_latency_ns
         return self.config.access_latency_ns * float(self._latency_scale[unit])
+
+    def unit_latencies(self, num_units: int) -> List[float]:
+        """:meth:`access_latency_at` of every unit, as a list the fused
+        access kernel indexes per DRAM event; cached until the next
+        :meth:`set_unit_latency_scale`."""
+        if self._unit_latencies is None:
+            self._unit_latencies = [
+                self.access_latency_at(u) for u in range(num_units)
+            ]
+        return self._unit_latencies
 
     @property
     def row_hit_latency_ns(self) -> float:

@@ -10,8 +10,9 @@ For every data access the simulator resolves:
    with a probabilistic insertion back into the probed camp;
 4. without a cache: a direct round trip to the home memory.
 
-The function returns the access latency in nanoseconds and books every
-hop, DRAM event, and SRAM event into the run's counters — those
+:meth:`MemorySystem.access_many` resolves a task's whole hint batch in
+one fused pass, returns the summed latency in nanoseconds and books
+every hop, DRAM event, and SRAM event into the run's counters — those
 counters are precisely the quantities behind Figures 7 and 8.
 
 DRAM service contention
@@ -78,6 +79,10 @@ class MemorySystem:
         # Fault state, attached by the FaultController when active.
         self._alive: Optional[np.ndarray] = None
         self._resilience = None  # faults.ResilienceStats, duck-typed
+        # [requester][home] unreachable flags (see _blocked_rows), for
+        # one (set_fault_state call, link-fault epoch) pair.
+        self._blocked: Optional[List[List[bool]]] = None
+        self._blocked_epoch = -1
         # Per-unit DRAM channel service clock (absolute ns).  A plain
         # Python list: the clock is read/written once per DRAM event in
         # tight loops, where list indexing beats ndarray item access.
@@ -122,27 +127,6 @@ class MemorySystem:
         )
 
     # ------------------------------------------------------------------
-    # DRAM channel service model
-    # ------------------------------------------------------------------
-    def _dram_service(self, unit: int, now_ns: float,
-                      critical: bool = True) -> float:
-        """Occupy ``unit``'s DRAM channel for one cacheline access.
-
-        Returns the queuing delay experienced (0 when the channel is
-        idle).  ``critical=False`` marks write-buffered events (cache
-        fills, output writes): the controller schedules them into idle
-        slots, so they neither wait nor delay demand reads — their
-        energy is still charged by the caller.
-        """
-        if not critical:
-            return 0.0
-        free_at = self._dram_free_ns[unit]
-        delay = max(0.0, free_at - now_ns)
-        self._dram_free_ns[unit] = max(free_at, now_ns) + self._service_ns
-        self.total_queue_delay_ns += delay
-        return delay
-
-    # ------------------------------------------------------------------
     # fault hooks
     # ------------------------------------------------------------------
     def set_fault_state(self, alive_mask: Optional[np.ndarray],
@@ -155,6 +139,7 @@ class MemorySystem:
         """
         self._alive = alive_mask
         self._resilience = stats
+        self._blocked = None
 
     def invalidate_units(self, units: Sequence[int]) -> int:
         """Bulk-invalidate the caches of failed units.
@@ -174,11 +159,26 @@ class MemorySystem:
                 cache.stats.invalidation_rounds -= 1
         return dropped
 
-    def _unreachable(self, requester: int, home: int) -> bool:
-        """The home memory cannot currently serve this requester."""
-        if self._alive is not None and not self._alive[home]:
-            return True
-        return not self.interconnect.is_reachable(requester, home)
+    def _blocked_rows(self) -> List[List[bool]]:
+        """``[requester][home]``: the home cannot serve the requester.
+
+        A home is blocked while it is dead or partitioned away from the
+        requester, and only while fault state is attached.  Rebuilt
+        after :meth:`set_fault_state` and after link-fault transitions.
+        """
+        noc = self.interconnect
+        if self._blocked is None or self._blocked_epoch != noc.fault_epoch:
+            n = self.config.num_units
+            if self._resilience is None or (
+                    self._alive is None and not noc.has_link_faults):
+                self._blocked = [[False] * n] * n
+            else:
+                blocked = np.asarray(noc.fast_tables()[2]) < 0
+                if self._alive is not None:
+                    blocked |= ~self._alive
+                self._blocked = blocked.tolist()
+            self._blocked_epoch = noc.fault_epoch
+        return self._blocked
 
     def _unreachable_penalty_ns(self) -> float:
         """Latency charged for an access that cannot be served.
@@ -193,88 +193,6 @@ class MemorySystem:
             self.interconnect.topology.diameter * mesh.inter_hop_ns
         )
         return 2.0 * diameter_ns + self.dram.access_latency_ns
-
-    # ------------------------------------------------------------------
-    # read path
-    # ------------------------------------------------------------------
-    def access(self, requester: int, line: int, now_ns: float = 0.0) -> float:
-        """Resolve one cacheline read at time ``now_ns``.
-
-        Returns its latency in ns, including any queuing delay at the
-        serving unit's DRAM channel.
-        """
-        unit = self.units[requester]
-
-        self.sram_stats.l1_accesses += 1
-        if unit.l1.lookup(line):
-            return self.sram.l1_hit_ns
-
-        self.sram_stats.prefetch_accesses += 1
-        if unit.prefetch.lookup(line):
-            # Prefetch-buffer hits bypass the L1 (Section 3.2).
-            return self.sram.l1_hit_ns
-
-        if self._resilience is not None:
-            home = self.memory_map.home_of_line(line)
-            if self._unreachable(requester, home):
-                # The home vault is dead or partitioned away: the access
-                # times out.  Nothing is cached and no traffic moved.
-                self._resilience.unreachable_accesses += 1
-                return self._unreachable_penalty_ns()
-
-        if self.style is CacheStyle.NONE:
-            latency = self._direct_home_access(requester, line, now_ns)
-        else:
-            latency = self._cached_access(requester, line, now_ns)
-
-        unit.prefetch.insert(line)
-        unit.l1.insert(line)
-        return latency
-
-    # ------------------------------------------------------------------
-    # fused read path
-    # ------------------------------------------------------------------
-    def access_many(
-        self,
-        requester: int,
-        lines,
-        now_ns: float,
-        spacing_ns: float = 0.0,
-        cap_ns: float = 0.0,
-    ) -> float:
-        """Resolve a whole hint batch of reads; return the summed latency.
-
-        Line ``i`` is issued at ``now_ns + min(i * spacing_ns, cap_ns)``
-        — the executor's issue-spread model.  The fused kernel runs the
-        per-line flow of :meth:`access` in one pass:
-        camp resolution and NoC latencies come from vectorized,
-        epoch-invalidated tables, stat counters accumulate in locals and
-        flush once, while every *stateful* step (L1/prefetch/camp-cache
-        probes and inserts with their RNG draws, the per-unit DRAM
-        service clocks, and all float additions) runs in the exact
-        per-line order of :meth:`access`, so results are bit-identical.
-
-        Situations the fused kernel does not model (an attached
-        resilience/fault state, link faults, a per-link telemetry meter,
-        vault latency scaling) fall back to a loop of :meth:`access`.
-        """
-        noc = self.interconnect
-        if (
-            self._resilience is not None
-            or noc.link_meter is not None
-            or noc.has_link_faults
-            or self.dram._latency_scale is not None
-            or (self.camp_mapper is not None
-                and self.camp_mapper._alive is not None)
-        ):
-            total = 0.0
-            for i, line in enumerate(lines):
-                spread = min(i * spacing_ns, cap_ns)
-                total += self.access(requester, int(line), now_ns + spread)
-            return total
-        return self._access_many_batched(
-            requester, lines, now_ns, spacing_ns, cap_ns
-        )
 
     def _prime_line_memo(self, line_list: List[int]) -> None:
         """Ensure every line's (home, nearest, is-home) memo entry exists.
@@ -303,14 +221,40 @@ class MemorySystem:
             nearest, is_home, _ = tables(ln, cost)
             memo[ln] = (home, nearest.tolist(), is_home.tolist())
 
-    def _access_many_batched(
+    # ------------------------------------------------------------------
+    # read path
+    # ------------------------------------------------------------------
+    def access_many(
         self,
         requester: int,
         lines,
         now_ns: float,
-        spacing_ns: float,
-        cap_ns: float,
+        spacing_ns: float = 0.0,
+        cap_ns: float = 0.0,
     ) -> float:
+        """Resolve a whole hint batch of reads; return the summed latency.
+
+        Line ``i`` is issued at ``now_ns + min(i * spacing_ns, cap_ns)``
+        — the executor's issue-spread model.  Each line walks the flow
+        of Section 4.4: the requester's L1, its prefetch buffer, then
+        either a direct round trip to the home or, when the line's
+        nearest allowed location is a camp, a tag probe there that hits
+        or continues to the home, with a probabilistic install back at
+        the camp.  Camp resolution and NoC latencies come from
+        epoch-invalidated tables and stat counters flush once per batch,
+        while every *stateful* step (L1/prefetch/camp-cache probes and
+        inserts with their RNG draws, the per-unit DRAM service clocks,
+        and all float additions) runs in per-line order.
+
+        Faults enter through the same tables: a line whose home is dead
+        or partitioned away times out (:meth:`_unreachable_penalty_ns`)
+        and moves, reads and installs nothing; DRAM latency is read per
+        serving unit (slow vaults); routes, link latencies and camp
+        remaps are in the NoC tables and the line memo.  A camp detour
+        is never cut off: a reachable home has finite cost, so the
+        nearest location (the cost argmin) is reachable too.  An
+        attached link meter records every message.
+        """
         if isinstance(lines, np.ndarray):
             line_list = lines.tolist()
         elif isinstance(lines, list):
@@ -326,6 +270,7 @@ class MemorySystem:
             self._line_memo.clear()
             self._memo_epoch = epoch
         self._prime_line_memo(line_list)
+        blocked = self._blocked_rows()[requester]
 
         ustate = self._unit_state[requester]
         if ustate is None:
@@ -338,7 +283,7 @@ class MemorySystem:
         )
         hit_ns = self.sram.l1_hit_ns
         tag_ns = self.sram.tag_lookup_ns
-        access_lat = self.dram.access_latency_ns  # vault scaling gated off
+        dram_ns = self.dram.unit_latencies(self.config.num_units)
         service = self._service_ns
         free = self._dram_free_ns
         ow, cls, hops = noc.fast_tables()
@@ -347,6 +292,8 @@ class MemorySystem:
         hops_req = hops[requester]
         caches = self.caches
         memo = self._line_memo
+        meter = noc.link_meter
+        record = meter.record if meter is not None else None
         line_bits = self.config.memory.line_bits
         rt_bits = _REQUEST_BITS + line_bits
         no_cache = self.style is CacheStyle.NONE
@@ -359,9 +306,9 @@ class MemorySystem:
             bp = caches[0]._insertion.bypass_probability
 
         # Batch-local accumulators, flushed once below.  Counters are
-        # order-insensitive ints; the queue-delay float keeps the exact
-        # sequential += order of the per-line path.
-        l1_acc = l1_hits = pf_acc = pf_hits = pf_evicts = 0
+        # order-insensitive ints; the queue-delay float keeps its exact
+        # per-line += order.
+        l1_acc = l1_hits = pf_acc = pf_hits = pf_evicts = unreachable = 0
         tag_acc = data_acc = 0
         reads = fills = cache_reads = tag_dram = 0
         msgs = local = intra = intra_bits = inter_hops = inter_bits = 0
@@ -393,11 +340,17 @@ class MemorySystem:
                 stall += hit_ns
                 continue
             home, near_row, ishome_row = memo[line]
+            if blocked[home]:
+                # The home vault is dead or partitioned away: the access
+                # times out.  Nothing is cached and no traffic moved.
+                unreachable += 1
+                stall += self._unreachable_penalty_ns()
+                continue
             if no_cache or ishome_row[requester]:
                 if not no_cache:
                     caches[near_row[requester]].stats.home_direct += 1
-                # _direct_home_access: request + response transfers, one
-                # DRAM read at the home, round trip + queue + access.
+                # Direct: request + response transfers, one DRAM read
+                # at the home, round trip + queue + access.
                 msgs += 2
                 c = cls_req[home]
                 if c == 2:
@@ -422,7 +375,10 @@ class MemorySystem:
                     free_at if free_at > arrival else arrival
                 ) + service
                 tqd += delay
-                lat = 2.0 * owv + delay + access_lat
+                lat = 2.0 * owv + delay + dram_ns[home]
+                if record is not None:
+                    record(requester, home, _REQUEST_BITS)
+                    record(home, requester, line_bits)
             else:
                 nearest = near_row[requester]
                 cache = caches[nearest]
@@ -447,6 +403,7 @@ class MemorySystem:
                     tag_dram += n
                     base = now + lat
                     probe = 0.0
+                    tag_lat = dram_ns[nearest]
                     for _ in range(n):
                         arrival = base + probe
                         free_at = free[nearest]
@@ -458,7 +415,7 @@ class MemorySystem:
                         ) + service
                         tqd += delay
                         probe += delay
-                        probe += access_lat
+                        probe += tag_lat
                     lat += probe
                 else:
                     tag_acc += 1
@@ -492,7 +449,7 @@ class MemorySystem:
                             free_at if free_at > arrival else arrival
                         ) + service
                         tqd += delay
-                        lat += delay + access_lat
+                        lat += delay + dram_ns[nearest]
                     # response nearest -> requester (one cacheline)
                     msgs += 1
                     if c_rn == 2:
@@ -506,6 +463,9 @@ class MemorySystem:
                     else:
                         local += 1
                     lat += ow_rn
+                    if record is not None:
+                        record(requester, nearest, _REQUEST_BITS)
+                        record(nearest, requester, line_bits)
                 else:
                     # miss: continue nearest -> home, read, return home
                     # -> requester; maybe install at the probed camp.
@@ -536,7 +496,7 @@ class MemorySystem:
                     ) + service
                     tqd += delay
                     lat += delay
-                    lat += access_lat
+                    lat += dram_ns[home]
                     msgs += 1
                     c = cls_req[home]  # home -> requester, symmetric
                     if c == 2:
@@ -599,6 +559,12 @@ class MemorySystem:
                             data_acc += 1
                         else:
                             fills += 1
+                    if record is not None:
+                        record(requester, nearest, _REQUEST_BITS)
+                        record(nearest, home, _REQUEST_BITS)
+                        record(home, requester, line_bits)
+                        if installed:
+                            record(home, nearest, line_bits)
             # prefetch.insert: the line just missed the FIFO and nothing
             # above touched it, so the membership re-check is settled.
             if len(pf_fifo) >= pf_cap:
@@ -614,11 +580,13 @@ class MemorySystem:
             stall += lat
 
         self.total_queue_delay_ns = tqd
+        if unreachable:
+            self._resilience.unreachable_accesses += unreachable
         l1_stats.hits += l1_hits
         l1_stats.misses += l1_acc - l1_hits
         pf_stats.buffer_hits += pf_hits
         pf_stats.evictions += pf_evicts
-        pf_stats.issued += pf_acc - pf_hits
+        pf_stats.issued += pf_acc - pf_hits - unreachable
         self.sram_stats.add_bulk(
             l1_accesses=l1_acc,
             prefetch_accesses=pf_acc,
@@ -641,113 +609,6 @@ class MemorySystem:
         )
         return stall
 
-    def _direct_home_access(self, requester: int, line: int,
-                            now_ns: float) -> float:
-        home = self.memory_map.home_of_line(line)
-        noc = self.interconnect
-        noc.record_round_trip(self.traffic, requester, home, _REQUEST_BITS)
-        self.dram_stats.reads += 1
-        arrival = now_ns + noc.one_way_latency_ns(requester, home)
-        queue = self._dram_service(home, arrival)
-        return (
-            noc.round_trip_latency_ns(requester, home)
-            + queue + self.dram.access_latency_at(home)
-        )
-
-    def _cached_access(self, requester: int, line: int,
-                       now_ns: float) -> float:
-        """The Traveller access flow: probe nearest camp, fall to home."""
-        assert self.camp_mapper is not None
-        noc = self.interconnect
-        nearest, is_home = self.camp_mapper.nearest_location(
-            line, requester, self._cost
-        )
-        home = self.memory_map.home_of_line(line)
-        cache = self.caches[nearest]
-
-        if is_home:
-            # The nearest allowed location is the memory itself: no
-            # detour, no probe — exactly the baseline access.
-            if cache is not None:
-                cache.stats.home_direct += 1
-            return self._direct_home_access(requester, line, now_ns)
-
-        assert cache is not None
-        if noc.has_link_faults and not (
-                noc.is_reachable(requester, nearest)
-                and noc.is_reachable(nearest, home)):
-            # Link faults cut off the camp detour: skip straight to the
-            # home (which *is* reachable — access() checked).
-            cache.stats.home_direct += 1
-            return self._direct_home_access(requester, line, now_ns)
-        # Request travels to the camp and checks the tags there.
-        noc.record_transfer(self.traffic, requester, nearest, _REQUEST_BITS)
-        latency = noc.one_way_latency_ns(requester, nearest)
-        latency += self._tag_probe_latency(nearest, now_ns + latency)
-
-        if cache.lookup(line):
-            # Served from the camp's cache region.
-            latency += self._cache_read_latency(nearest, now_ns + latency)
-            noc.record_transfer(self.traffic, nearest, requester)
-            latency += noc.one_way_latency_ns(nearest, requester)
-            return latency
-
-        # Miss: continue to the home, read, return directly to requester.
-        noc.record_transfer(self.traffic, nearest, home, _REQUEST_BITS)
-        latency += noc.one_way_latency_ns(nearest, home)
-        self.dram_stats.reads += 1
-        latency += self._dram_service(home, now_ns + latency)
-        latency += self.dram.access_latency_at(home)
-        noc.record_transfer(self.traffic, home, requester)
-        latency += noc.one_way_latency_ns(home, requester)
-
-        # Try to install at the probed camp.  The fill write is
-        # buffered and scheduled into idle channel slots, so it costs
-        # energy and traffic but neither waits nor delays demand reads.
-        if cache.insert(line):
-            noc.record_transfer(self.traffic, home, nearest)
-            self._charge_cache_fill(nearest, now_ns + latency)
-        return latency
-
-    # ------------------------------------------------------------------
-    # per-style cost hooks
-    # ------------------------------------------------------------------
-    def _tag_probe_latency(self, camp_unit: int, now_ns: float) -> float:
-        if self.style is CacheStyle.DRAM_TAG:
-            # Tags live in DRAM alongside the data (Unison/Footprint
-            # style): the probe reads the whole tag+data row, so a hit
-            # needs no further data access, while a miss has burned a
-            # full DRAM access for nothing.
-            cache = self.caches[camp_unit]
-            assert isinstance(cache, DramTagCache)
-            n = cache.tag_probe_dram_accesses()
-            self.dram_stats.tag_accesses_in_dram += n
-            latency = 0.0
-            for _ in range(n):
-                latency += self._dram_service(camp_unit, now_ns + latency)
-                latency += self.dram.access_latency_at(camp_unit)
-            return latency
-        self.sram_stats.tag_accesses += 1
-        return self.sram.tag_lookup_ns
-
-    def _cache_read_latency(self, camp_unit: int, now_ns: float) -> float:
-        if self.style is CacheStyle.SRAM:
-            self.sram_stats.data_cache_accesses += 1
-            return self.sram.l1_hit_ns
-        if self.style is CacheStyle.DRAM_TAG:
-            # The data arrived with the tag probe's row access.
-            return 0.0
-        self.dram_stats.cache_reads += 1
-        queue = self._dram_service(camp_unit, now_ns)
-        return queue + self.dram.access_latency_at(camp_unit)
-
-    def _charge_cache_fill(self, camp_unit: int, now_ns: float) -> None:
-        if self.style is CacheStyle.SRAM:
-            self.sram_stats.data_cache_accesses += 1
-        else:
-            self.dram_stats.cache_fills += 1
-            self._dram_service(camp_unit, now_ns, critical=False)
-
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
@@ -759,42 +620,34 @@ class MemorySystem:
         reads; their traffic and DRAM energy are still charged.
         """
         home = self.memory_map.home_of_line(line)
-        noc = self.interconnect
-        if (
-            self._resilience is None
-            and noc.link_meter is None
-            and not noc.has_link_faults
-        ):
-            # Fast path: record_transfer unrolled against the cached
-            # class/hops tables (same counters, same values), and the
-            # buffered write's _dram_service(critical=False) — a no-op
-            # returning 0.0 — elided.
-            _, cls, hops = noc.fast_tables()
-            t = self.traffic
-            t.messages += 1
-            c = cls[requester][home]
-            if c == 2:
-                bits = self.config.memory.line_bits
-                h = hops[requester][home]
-                t.inter_hops += h
-                t.inter_bits += bits * h
-                t.intra_transfers += 2
-                t.intra_bits += 2 * bits
-            elif c == 1:
-                t.intra_transfers += 1
-                t.intra_bits += self.config.memory.line_bits
-            else:
-                t.local_accesses += 1
-            self.dram_stats.writes += 1
-            return 0.0
-        if self._resilience is not None and self._unreachable(requester, home):
+        if self._blocked_rows()[requester][home]:
             # Lost store: the home cannot be written right now.  The
             # write buffer absorbs it, so the task does not stall.
             self._resilience.unreachable_accesses += 1
             return 0.0
-        noc.record_transfer(self.traffic, requester, home)
+        # One line-sized message to the home, booked against the NoC
+        # tables; the buffered write takes an idle DRAM slot, so no
+        # service clock moves.
+        noc = self.interconnect
+        bits = self.config.memory.line_bits
+        if noc.link_meter is not None:
+            noc.link_meter.record(requester, home, bits)
+        _, cls, hops = noc.fast_tables()
+        t = self.traffic
+        t.messages += 1
+        c = cls[requester][home]
+        if c == 2:
+            h = hops[requester][home]
+            t.inter_hops += h
+            t.inter_bits += bits * h
+            t.intra_transfers += 2
+            t.intra_bits += 2 * bits
+        elif c == 1:
+            t.intra_transfers += 1
+            t.intra_bits += bits
+        else:
+            t.local_accesses += 1
         self.dram_stats.writes += 1
-        self._dram_service(home, now_ns, critical=False)
         return 0.0
 
     # ------------------------------------------------------------------

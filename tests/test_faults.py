@@ -350,14 +350,19 @@ class TestVaultSlowdown:
         dram = DramChannel(MemoryConfig())
         base = dram.access_latency_ns
         assert dram.access_latency_at(0) == base
+        assert dram.unit_latencies(32) == [base] * 32
         scale = np.ones(32)
         scale[7] = 4.0
         dram.set_unit_latency_scale(scale)
         assert dram.access_latency_at(7) == pytest.approx(4.0 * base)
         assert dram.access_latency_at(0) == pytest.approx(base)
+        # the kernel's per-unit list follows every change of scale
+        assert dram.unit_latencies(32) == [
+            dram.access_latency_at(u) for u in range(32)]
         # all-ones normalizes back to the fast healthy path
         dram.set_unit_latency_scale(np.ones(32))
         assert dram._latency_scale is None
+        assert dram.unit_latencies(32) == [base] * 32
 
     def test_vault_slow_run_is_slower(self):
         cfg = small_cfg()
