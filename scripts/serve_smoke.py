@@ -11,7 +11,10 @@ process boundaries:
    one execution);
 3. resubmit the identical spec -> answered ``cached`` with zero new
    worker executions, and the served bytes equal the on-disk entry;
-4. POST /v1/shutdown -> the server process exits cleanly (code 0).
+4. submit a slower point without waiting, SIGKILL the worker running
+   it (its pid is on its execution-log line) -> that job ends
+   ``failed``, and a resubmit runs on a fresh pool and ends ``done``;
+5. POST /v1/shutdown -> the server process exits cleanly (code 0).
 
 Exits non-zero with a diagnostic on the first violated check.
 Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
@@ -20,6 +23,7 @@ Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,10 +34,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.service.client import ServiceClient  # noqa: E402
-from repro.service.worker import EXEC_LOG_NAME, count_executions  # noqa: E402
 from repro.sweep.cache import ResultCache  # noqa: E402
+from repro.sweep.runtime import EXEC_LOG_NAME, count_executions  # noqa: E402
 
 SPEC = {"design": "O", "workload": "pr", "mesh": "2x2"}
+#: runs for over a second, long enough to kill its worker mid-job
+SLOW_SPEC = {"design": "O", "workload": "pr", "mesh": "4x4"}
 START_TIMEOUT_S = 60.0
 
 
@@ -61,6 +67,22 @@ def wait_for_url(proc: subprocess.Popen) -> str:
         if match:
             return match.group(0)
     fail("server never announced its URL")
+
+
+def worker_pid(exec_log: str, key: str) -> int:
+    """The pid on the execution-log line of ``key``, once written."""
+    deadline = time.monotonic() + START_TIMEOUT_S
+    while time.monotonic() < deadline:
+        try:
+            with open(exec_log) as fh:
+                for line in fh:
+                    fields = line.split()  # <ts> <pid> <key>
+                    if len(fields) == 3 and fields[2] == key:
+                        return int(fields[1])
+        except OSError:
+            pass
+        time.sleep(0.02)
+    fail(f"no execution-log line for {key[:12]}…")
 
 
 def main() -> None:
@@ -112,6 +134,18 @@ def main() -> None:
         if payload.get("key") != key:
             fail(f"served payload names key {payload.get('key')!r}")
         ok(f"served bytes identical to cache entry ({len(served)} B)")
+
+        slow_key = client.submit(SLOW_SPEC, wait=False)["key"]
+        pid = worker_pid(exec_log, slow_key)
+        os.kill(pid, signal.SIGKILL)
+        kinds = [e["event"] for e in client.events(slow_key)]
+        if "failed" not in kinds:
+            fail(f"job of killed worker {pid} did not fail: {kinds}")
+        ok(f"killed worker {pid} mid-job; its job ended failed")
+        again = client.submit(SLOW_SPEC, wait=True)
+        if again.get("status") != "done":
+            fail(f"resubmit after the worker kill did not run: {again}")
+        ok("resubmit ran on a fresh pool and ended done")
 
         client.shutdown()
         proc.wait(timeout=30.0)

@@ -454,11 +454,9 @@ def record_run(
             record.mesh = (f"{config.topology.mesh_rows}x"
                            f"{config.topology.mesh_cols}")
             if key is None and workload is not None:
-                extra = {"faults": fault_schedule} if fault_schedule \
-                    else None
                 try:
                     record.key = run_key(result.design, workload, config,
-                                         extra=extra)
+                                         faults=fault_schedule)
                 except UncacheableError:
                     record.key = None
         target = ledger if ledger is not None else default_ledger()

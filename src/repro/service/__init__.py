@@ -3,7 +3,8 @@
 ``python -m repro serve`` exposes the sweep engine over HTTP: clients
 submit experiment specs as JSON, the server dedupes them by
 content-addressed run key (cached → immediate; in flight → attach;
-new → dispatch to a process pool), streams typed progress events as
+new → run on a :class:`~repro.sweep.runtime.WorkerRuntime` pool,
+the one local sweeps use), streams typed progress events as
 NDJSON, and serves the shared result cache, history ledger, diff and
 regression endpoints read-only.  See docs/service.md.
 
@@ -13,8 +14,6 @@ Layout:
   streams (request parsing, JSON / NDJSON responses);
 * :mod:`repro.service.spec` — the JSON experiment-spec format and its
   key-preserving resolution to a :class:`~repro.config.SystemConfig`;
-* :mod:`repro.service.worker` — the process-pool job runner and the
-  worker-side execution log;
 * :mod:`repro.service.server` — :class:`ExperimentServer` itself;
 * :mod:`repro.service.client` — stdlib thin client, the remote
   ledger/cache adapters behind ``--server``, and the grid runner.

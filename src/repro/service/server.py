@@ -3,8 +3,10 @@
 ``python -m repro serve`` starts one :class:`ExperimentServer`: an
 asyncio HTTP server (protocol in :mod:`repro.service.protocol` — no
 web framework) that accepts experiment specs
-(:mod:`repro.service.spec`) over ``POST /v1/submit`` and fans the
-resulting simulations out over a ``ProcessPoolExecutor``.
+(:mod:`repro.service.spec`) over ``POST /v1/submit`` and runs the
+resulting simulations on a :class:`~repro.sweep.runtime.WorkerRuntime`
+pool, through the same :func:`~repro.sweep.runtime._warm_worker` a
+local sweep uses.
 
 The server is a *coordination point over the existing storage layer*,
 not a new store: results land in the same content-addressed
@@ -55,9 +57,11 @@ GET      /v1/regress             ``?tolerance=`` -> history-ledger scan
 POST     /v1/shutdown            clean stop
 =======  ======================  =====================================
 
-``workers=0`` swaps the process pool for a small thread pool — jobs
-then run in-process, where tests can stub the simulation entry point
-(:func:`repro.sweep.runner._live_simulate`) with counting fakes.
+``workers=0`` runs jobs in-process on a thread instead of the process
+pool, where tests can stub the simulation entry point
+(:func:`repro.sweep.runner._live_simulate`) with counting fakes.  A
+job whose pool worker dies ends ``failed``; the next job starts a
+fresh pool.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ import asyncio
 import json
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -82,7 +85,7 @@ from repro.service.protocol import (
     start_ndjson_stream,
 )
 from repro.service.spec import ExperimentSpec, SpecError
-from repro.service.worker import EXEC_LOG_NAME, make_payload, run_job
+from repro.sweep.runtime import EXEC_LOG_NAME, WorkerRuntime, _warm_worker
 
 #: job states; the last three are terminal.
 JOB_STATES = ("queued", "started", "done", "failed", "cached")
@@ -159,7 +162,7 @@ class ExperimentServer:
         #: per-(route, method) request accounting for /v1/metrics:
         #: [count, total latency seconds].  Loop-thread only.
         self.request_stats: Dict[Tuple[str, str], List[float]] = {}
-        self._executor = None
+        self.runtime = WorkerRuntime(jobs=workers)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
 
@@ -175,29 +178,10 @@ class ExperimentServer:
 
         return os.cpu_count() or 1
 
-    def _make_executor(self):
-        if self._executor is None:
-            if self.workers == 0:
-                # in-process jobs: tests stub the simulate entry point
-                self._executor = ThreadPoolExecutor(
-                    max_workers=4, thread_name_prefix="repro-job")
-            else:
-                # warm pool: workers enable the per-process memo caches
-                # once and keep them for their lifetime, so repeat jobs
-                # skip workload generation and table construction
-                # (docs/architecture.md §15).
-                from repro.sweep.runtime import _worker_init
-
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_worker_init)
-        return self._executor
-
     async def serve(self, ready: Optional[threading.Event] = None) -> None:
         """Bind, accept until :meth:`request_stop`, then tear down."""
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self._make_executor()
         server = await asyncio.start_server(
             self._handle_conn, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
@@ -207,7 +191,7 @@ class ExperimentServer:
             async with server:
                 await self._stop.wait()
         finally:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self.runtime.close()
 
     def request_stop(self) -> None:
         """Ask the serve loop to exit (safe from the loop thread only;
@@ -542,15 +526,15 @@ class ExperimentServer:
     async def _handle_result(self, req: Request, writer,
                              key: str) -> None:
         loop = asyncio.get_running_loop()
-        if req.query.get("telemetry") not in (None, "", "0"):
+        telemetry = req.query.get("telemetry") not in (None, "", "0")
+        if telemetry:
             path = self.cache.telemetry_path_for(key)
         else:
             path = self.cache.path_for(key)
         blob = await loop.run_in_executor(None, _read_bytes, path)
-        if blob is None:
+        if blob is None and not telemetry:
             job = self.jobs.get(key)
-            if job is not None and job.result_bytes is not None and \
-                    not req.query.get("telemetry"):
+            if job is not None and job.result_bytes is not None:
                 blob = job.result_bytes
         if blob is None:
             await send_error(writer, 404,
@@ -596,11 +580,14 @@ class ExperimentServer:
         limit = req.query.get("limit")
         if limit:
             try:
-                records = records[-max(0, int(limit)):]
+                count = int(limit)
             except ValueError:
+                count = -1
+            if count < 0:
                 await send_error(writer, 400,
                                  f"bad limit {limit!r}")
                 return
+            records = records[max(0, len(records) - count):]
         await send_json(writer, {
             "path": str(self.ledger.path),
             "records": [r.to_dict() for r in records],
@@ -678,14 +665,18 @@ class ExperimentServer:
         job.status = "started"
         await self._emit(job, event="started", label=job.spec.label,
                          index=0, total=1)
-        payload = make_payload(
-            job.key, job.spec.design, job.spec.workload,
-            job.spec.workload_kwargs, job.config, job.spec.faults,
-            str(self.exec_log))
+        payload = (job.key, job.spec.design,
+                   ("factory", job.spec.workload,
+                    dict(job.spec.workload_kwargs)),
+                   job.config, job.spec.fault_schedule(),
+                   str(self.exec_log))
         try:
+            # workers=0: in-process, on the loop's default thread pool
+            pool = None if self.workers == 0 else \
+                self.runtime.pool(self.pool_width())
             _, rdict, error, dt = await loop.run_in_executor(
-                self._executor, run_job, payload)
-        except Exception as exc:  # pool broke (e.g. shutdown mid-job)
+                pool, _warm_worker, payload)
+        except Exception as exc:  # a worker died, or shutdown mid-job
             rdict, error, dt = None, f"worker pool failure: {exc}", 0.0
         job.elapsed_s = dt
         if rdict is not None:

@@ -124,11 +124,10 @@ class ExperimentSpec:
         """The content-addressed key of this spec — byte-identical to
         the key the local sweep engine computes for the same point.
         Keyed from the factory spec: no dataset is generated."""
-        schedule = self.fault_schedule()
-        extra = {"faults": schedule} if schedule else None
         try:
             return run_key(self.design, self.workload,
-                           self.resolved_config(), extra=extra,
+                           self.resolved_config(),
+                           faults=self.fault_schedule(),
                            workload_kwargs=self.workload_kwargs)
         except UncacheableError as exc:
             raise SpecError(f"spec is uncacheable: {exc}")

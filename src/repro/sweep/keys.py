@@ -142,7 +142,7 @@ def run_key(
     design: str,
     workload: Union[str, Any],
     config: SystemConfig,
-    extra: Optional[Dict[str, Any]] = None,
+    faults: Any = None,
     workload_kwargs: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The content-addressed key of one (design, workload, config) run.
@@ -152,6 +152,11 @@ def run_key(
     :func:`~repro.workloads.base.make_workload` product of the same
     spec get byte-identical keys, so keying a name never needs the
     dataset.
+
+    ``faults`` is a :class:`~repro.faults.FaultSchedule`; a non-empty
+    one joins the key under ``extra``, while ``None`` and an empty
+    schedule keep the fault-free key the simulator had before fault
+    injection existed.
 
     Raises :class:`UncacheableError` when the workload cannot be
     identified deterministically (e.g. it holds a non-hashable custom
@@ -163,7 +168,7 @@ def run_key(
         "design": design,
         "workload": workload_token(workload, workload_kwargs),
         "config": config.canonical_dict(),
-        "extra": canonicalize(extra) if extra else None,
+        "extra": canonicalize({"faults": faults}) if faults else None,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

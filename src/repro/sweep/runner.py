@@ -8,9 +8,11 @@ Three layers, each usable on its own:
 * :func:`run_point` — the same, wrapped in a
   :class:`PointOutcome` that captures failures instead of raising.
 * :class:`SweepRunner` — fan a list of :class:`SweepPoint`\\ s out
-  over ``multiprocessing`` workers, with typed per-point progress
-  events, per-point failure capture and a single retry (one crashed
-  point never kills the sweep), and results that are bit-identical to
+  over the worker processes of a
+  :class:`~repro.sweep.runtime.WorkerRuntime`, with typed per-point
+  progress events, per-point failure capture and a single retry (one
+  crashed point, or one killed worker, never kills the sweep), and
+  results that are bit-identical to
   the serial path (every simulation is seeded and independent).
   :func:`repro.campaign.run_campaign` is its one grid front end.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -83,15 +86,12 @@ def _point_key(
 
     A workload name is keyed with its factory kwargs, straight from
     the spec — no dataset is generated to name it.  A non-empty fault
-    schedule joins the key through the generic ``extra`` payload;
-    fault-free points keep the exact key they had before the fault
-    subsystem existed.
+    schedule joins the key (see :func:`~repro.sweep.keys.run_key`).
     """
     if cache is None:
         return None
-    extra = {"faults": fault_schedule} if fault_schedule else None
     try:
-        return run_key(design, workload, config, extra=extra,
+        return run_key(design, workload, config, faults=fault_schedule,
                        workload_kwargs=workload_kwargs)
     except UncacheableError:
         cache.stats.uncacheable += 1
@@ -254,7 +254,8 @@ class SweepRunner:
     workers only ever see genuine misses.  Each failed point is retried
     once, serially in the parent (where its traceback is easiest to
     read); a point that fails twice is recorded in the report and the
-    sweep continues.
+    sweep continues.  When a worker dies, every point the broken pool
+    did not return counts as failed and gets that retry.
 
     Progress is one optional ``events`` callback, fed from the parent
     process with typed
@@ -400,21 +401,31 @@ class SweepRunner:
                     payloads = [
                         runtime.worker_payload(i, points[i]) for i in order
                     ]
-                for idx, rdict, err, dt in runtime.pool(jobs).imap_unordered(
-                    _warm_worker, payloads
-                ):
-                    outcome = outcomes[idx]
-                    outcome.elapsed_s = dt
-                    done += 1
-                    if rdict is not None:
-                        outcome.result = result_from_dict(rdict)
-                        outcome.source = "run"
-                        self._emit(event="done",
-                                   label=points[idx].label,
-                                   index=idx, done=done, total=total,
-                                   source="run", elapsed_s=dt)
-                    else:
-                        outcome.error = err
+                unreturned = dict.fromkeys(order)
+                try:
+                    for idx, rdict, err, dt in runtime.pool(
+                        jobs
+                    ).imap_unordered(_warm_worker, payloads):
+                        del unreturned[idx]
+                        outcome = outcomes[idx]
+                        outcome.elapsed_s = dt
+                        done += 1
+                        if rdict is not None:
+                            outcome.result = result_from_dict(rdict)
+                            outcome.source = "run"
+                            self._emit(event="done",
+                                       label=points[idx].label,
+                                       index=idx, done=done, total=total,
+                                       source="run", elapsed_s=dt)
+                        else:
+                            outcome.error = err
+                            failed.append(idx)
+                except BrokenProcessPool as exc:
+                    # a worker died (OOM killer, signal): every point
+                    # the pool did not return goes to the serial retry.
+                    for idx in unreturned:
+                        outcomes[idx].error = f"worker pool failure: {exc}"
+                        done += 1
                         failed.append(idx)
                 for idx in failed:
                     self._retry(outcomes[idx], done, total)

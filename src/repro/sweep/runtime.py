@@ -18,11 +18,13 @@ changing a single simulated value:
   ``multiprocessing.shared_memory`` segments holding each workload's
   pickle exactly once; workers attach zero-copy instead of receiving
   a fresh pickle per point.
-* :class:`WorkerRuntime` — a reusable handle bundling a persistent
-  worker pool (initialized warm) with the shared store, injectable
-  into :class:`~repro.sweep.runner.SweepRunner`,
-  :func:`~repro.campaign.runner.run_campaign` and the experiment
-  server so multi-sweep drivers stop paying pool startup per sweep.
+* :class:`WorkerRuntime` — a reusable handle bundling the repo's one
+  process pool (initialized warm) with the shared store, injectable
+  into :class:`~repro.sweep.runner.SweepRunner` and
+  :func:`~repro.campaign.runner.run_campaign`, and owned by the
+  experiment server, so callers running many sweeps stop paying pool
+  startup per sweep.  :func:`_warm_worker` runs every pooled point and
+  every server job.
 * :func:`lpt_order` — history-ledger-informed longest-processing-time
   point ordering (predicted-slowest first), shrinking pool tail
   latency on the dispatch side.
@@ -42,12 +44,12 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import multiprocessing
 import os
 import pickle
 import time
 import traceback
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -509,43 +511,115 @@ def materialize_point(point):
     return point.materialize()
 
 
-def _warm_worker(payload: Tuple) -> Tuple[int, Optional[Dict],
-                                          Optional[str], float]:
-    """Simulate one sweep point in a warm pool worker.
+#: execution-log filename, created inside a server's cache root.
+EXEC_LOG_NAME = "service_executions.log"
 
-    ``payload`` is ``(index, design, workload_spec, config,
-    fault_schedule)`` from :meth:`WorkerRuntime.worker_payload`; returns
-    ``(index, result_dict, error_traceback, elapsed_s)`` — exactly one
-    of result/error is set.  Never raises: a crashing point is
-    reported, not fatal.  The workload resolves through the process
-    memos and ``_live_simulate`` runs inside this process's
-    (permanently enabled) warm scope.
+
+def record_execution(exec_log: Optional[str], key: str) -> None:
+    """Append one worker-side execution line (best-effort).
+
+    The line is ``<unix_ts> <pid> <key>``.  The log is the server's
+    ground truth for "how many simulations actually ran": the dedup
+    tests and the CI ``serve-smoke`` job assert on it, because a
+    server-side counter could lie about what the worker pool did.  An
+    unwritable log never fails the job."""
+    if not exec_log:
+        return
+    try:
+        from repro.sweep.locking import FileLock, lock_path_for
+
+        with FileLock(lock_path_for(exec_log)):
+            with open(exec_log, "a") as fh:
+                fh.write(f"{time.time():.3f} {os.getpid()} {key}\n")
+    except OSError:
+        pass
+
+
+def count_executions(exec_log: str, key: Optional[str] = None) -> int:
+    """Worker executions recorded so far (optionally for one key)."""
+    try:
+        with open(exec_log) as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    except OSError:
+        return 0
+    if key is None:
+        return len(lines)
+    return sum(1 for ln in lines if ln.split()[-1] == key)
+
+
+def _warm_worker(payload: Tuple) -> Tuple[Any, Optional[Dict],
+                                          Optional[str], float]:
+    """Simulate one point: a pooled sweep point or a server job.
+
+    ``payload`` is ``(tag, design, workload_spec, config,
+    fault_schedule, exec_log)``: a sweep tags points by index
+    (:meth:`WorkerRuntime.worker_payload`, no log); the server tags a
+    job by its run key and names its execution log.  Returns ``(tag,
+    result_dict, error_traceback, elapsed_s)`` — exactly one of
+    result/error is set.  Never raises: a crashing point is reported,
+    not fatal.  The workload resolves through the process memos, which
+    are enabled in a pool worker and inert on a server's job thread.
     """
     from repro.sweep import runner as _runner
     from repro.sweep.serialize import result_to_dict
 
-    idx, design, wl_spec, config, fault_schedule = payload
+    tag, design, wl_spec, config, fault_schedule, exec_log = payload
     t0 = time.time()
     try:
+        record_execution(exec_log, tag)
         workload = resolve_workload_spec(wl_spec)
         result = _runner._live_simulate(
             design, workload, config, fault_schedule=fault_schedule
         )
-        return idx, result_to_dict(result), None, time.time() - t0
+        return tag, result_to_dict(result), None, time.time() - t0
     except BaseException:
-        return idx, None, traceback.format_exc(), time.time() - t0
+        return tag, None, traceback.format_exc(), time.time() - t0
+
+
+class WarmPool(ProcessPoolExecutor):
+    """The runtime's process pool.
+
+    An executor, so the server awaits ``loop.run_in_executor(pool,
+    _warm_worker, payload)`` directly, and a worker killed mid-point
+    (the OOM killer, a signal) surfaces as ``BrokenProcessPool`` on
+    every outstanding future instead of a silent hang.
+    """
+
+    def imap_unordered(self, fn, items):
+        """``fn(item)`` for every item, yielded in completion order.
+        Raises ``BrokenProcessPool`` once the pool breaks; closing the
+        iterator early cancels the points not yet started."""
+        futures = [self.submit(fn, item) for item in items]
+        try:
+            for future in as_completed(futures):
+                yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
+
+    @property
+    def broken(self) -> bool:
+        return bool(self._broken)
+
+    def stop(self) -> None:
+        """Cancel queued points, kill the workers and reap them (so
+        their CPU time reaches the parent's ``RUSAGE_CHILDREN``)."""
+        for proc in list((self._processes or {}).values()):
+            proc.terminate()
+        self.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
 # the runtime handle
 # ----------------------------------------------------------------------
 class WorkerRuntime:
-    """A reusable warm execution context for sweeps.
+    """A reusable warm execution context for sweeps and the server.
 
     Bundles three things with one lifecycle:
 
-    * a persistent ``multiprocessing.Pool`` whose workers are
-      initialized warm and keep their memos across sweeps,
+    * the repo's one process pool, a :class:`WarmPool` whose workers
+      are initialized warm and keep their memos across sweeps (and
+      server jobs),
     * a :class:`SharedWorkloadStore` of parent-materialized workloads,
     * a parent-side warm scope (:meth:`activate`) for the serial path.
 
@@ -558,31 +632,29 @@ class WorkerRuntime:
     def __init__(self, jobs: Optional[int] = None):
         self.jobs = jobs
         self.store = SharedWorkloadStore()
-        self._pool = None
-        self._pool_width = 0
+        self._pool: Optional[WarmPool] = None
         self._closed = False
 
     # ------------------------------------------------------------------
-    def pool(self, width: int):
+    def pool(self, width: int) -> WarmPool:
         """The persistent warm pool (created on first use).
 
         The width is fixed at creation; later calls reuse the existing
         pool even when they ask for fewer workers (idle workers cost
-        nothing and keep their memos warm).
+        nothing and keep their memos warm).  A pool broken by a dead
+        worker is reaped here and replaced by a fresh one.
         """
         if self._closed:
             raise RuntimeError("WorkerRuntime is closed")
+        if self._pool is not None and self._pool.broken:
+            self._pool.stop()
+            self._pool = None
         if self._pool is None:
-            self._pool_width = max(1, int(width))
-            self._pool = multiprocessing.Pool(
-                processes=self._pool_width, initializer=_worker_init
+            self._pool = WarmPool(
+                max_workers=max(1, int(width)), initializer=_worker_init
             )
             _bump("warm_pools_started")
         return self._pool
-
-    @property
-    def pool_width(self) -> int:
-        return self._pool_width
 
     def activate(self):
         """A parent-side warm scope (used around serial execution and
@@ -624,7 +696,7 @@ class WorkerRuntime:
 
     def worker_payload(self, idx: int, point) -> Tuple:
         return (idx, point.design, self.workload_spec(point),
-                point.resolved_config(), point.fault_schedule)
+                point.resolved_config(), point.fault_schedule, None)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -633,8 +705,7 @@ class WorkerRuntime:
             return
         self._closed = True
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.stop()
             self._pool = None
         self.store.close()
 

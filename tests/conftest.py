@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+import threading
 
 import pytest
 
@@ -73,3 +74,26 @@ def no_factories(monkeypatch):
         return call
 
     _wrap_factories(monkeypatch, raising)
+
+
+@pytest.fixture
+def bounded():
+    """``bounded(fn, timeout)``: ``fn()`` on a daemon thread, joined
+    with a timeout, so a hang fails the test instead of the suite."""
+    def run(fn, timeout=120.0):
+        box = {}
+
+        def target():
+            try:
+                box["value"] = fn()
+            except BaseException as exc:  # re-raised on the test thread
+                box["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout)
+        assert not thread.is_alive(), f"still running after {timeout} s"
+        if "error" in box:
+            raise box["error"]
+        return box["value"]
+    return run

@@ -121,18 +121,28 @@ class TestKeyCompatibility:
         wl = small_workload()
         # a schedule must change the key; its absence must not.
         base = run_key("O", wl, cfg)
-        assert base == run_key("O", wl, cfg, extra=None)
+        assert base == run_key("O", wl, cfg, faults=None)
+        assert base == run_key("O", wl, cfg, faults=FaultSchedule())
         sched = FaultSchedule.unit_failures([1])
-        assert run_key("O", wl, cfg, extra={"faults": sched}) != base
+        assert run_key("O", wl, cfg, faults=sched) != base
 
     def test_different_schedules_get_different_keys(self):
         cfg = small_cfg()
         wl = small_workload()
         k1 = run_key("O", wl, cfg,
-                     extra={"faults": FaultSchedule.unit_failures([1])})
+                     faults=FaultSchedule.unit_failures([1]))
         k2 = run_key("O", wl, cfg,
-                     extra={"faults": FaultSchedule.unit_failures([2])})
+                     faults=FaultSchedule.unit_failures([2]))
         assert k1 != k2
+
+    def test_faulted_key_is_pinned(self):
+        # cached faulted entries were stored under this key; the key
+        # payload must not move when the fault part is built elsewhere.
+        cfg = experiment_config().scaled(2, 2)
+        sched = FaultSchedule.unit_failures([1])
+        assert run_key("O", "pr", cfg, faults=sched) == (
+            "3292e5eed39518b2210f8f33029fcaaa"
+            "6702025a7956e5393ca4258cde349a07")
 
     def test_fault_free_result_serializes_without_resilience(self):
         r = repro.simulate("B", small_workload(), small_cfg())

@@ -5,6 +5,8 @@ history-informed LPT ordering."""
 
 import json
 import os
+import signal
+import time
 
 import pytest
 
@@ -312,6 +314,46 @@ class TestCrashCleanup:
         assert not report.failures
         assert {o.source for o in report.outcomes} == {"retry"}
         assert not shm_leaks()
+
+    def test_killed_worker_points_are_retried(self, monkeypatch, bounded):
+        """A worker killed mid-point (the OOM killer) breaks the pool:
+        the sweep still finishes, every point the pool did not return
+        is retried in the parent, and the next sweep gets a new pool."""
+        parent = os.getpid()
+        real = runner_mod._live_simulate
+
+        def killer(design, workload, config, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(design, workload, config, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_live_simulate", killer)
+        points = kmeans_points(("B", "C", "O"))
+        with WorkerRuntime(jobs=2) as rt:
+            report = bounded(lambda: SweepRunner(
+                cache=False, jobs=2, runtime=rt).run(points))
+            assert not report.failures
+            assert [o.source for o in report.outcomes] == ["retry"] * 3
+            monkeypatch.setattr(runner_mod, "_live_simulate", real)
+            again = bounded(lambda: SweepRunner(
+                cache=False, jobs=2, runtime=rt).run(points))
+        assert [o.source for o in again.outcomes] == ["run"] * 3
+        assert result_blobs(report) == result_blobs(again) \
+            == plain_blobs(points)
+        assert not shm_leaks()
+
+    def test_close_kills_and_reaps_busy_workers(self):
+        rt = WorkerRuntime(jobs=2)
+        pool = rt.pool(2)
+        pids = list({pool.submit(os.getpid).result() for _ in range(4)})
+        queued = [pool.submit(time.sleep, 60) for _ in range(4)]
+        t0 = time.monotonic()
+        rt.close()
+        assert time.monotonic() - t0 < 10.0  # nothing waited for
+        assert all(f.done() for f in queued)
+        for pid in pids:  # reaped: no zombie left to wait for
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_total_crash_reported_and_no_shm_leak(self, monkeypatch):
         def broken(design, workload, config, **kwargs):

@@ -1,11 +1,14 @@
 """Tests for the sweep service: spec resolution and key parity, the
 minimal HTTP layer, server-side dedup (N concurrent clients, one
 execution), byte-identical result serving, the NDJSON event stream,
-the read endpoints, thin-client grid runs, and one real process-pool
-end-to-end run."""
+the read endpoints, thin-client grid runs, and real process-pool
+end-to-end runs (one with a killed worker)."""
 
 import asyncio
 import json
+import os
+import re
+import signal
 import threading
 import time
 import urllib.request
@@ -14,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.sweep.runner as runner_mod
+import repro.sweep.runtime as runtime_mod
 from repro.config import experiment_config
 from repro.observatory.history import HistoryLedger, RunRecord
 from repro.observatory.progress import ProgressEvent
@@ -26,9 +30,9 @@ from repro.service.client import (
 from repro.service.protocol import ProtocolError, read_request
 from repro.service.server import run_in_thread
 from repro.service.spec import ExperimentSpec, SpecError
-from repro.service.worker import count_executions
 from repro.sweep.cache import ResultCache
 from repro.sweep.keys import SIMULATOR_VERSION, run_key
+from repro.sweep.runtime import count_executions
 
 
 @pytest.fixture(autouse=True)
@@ -403,6 +407,34 @@ class TestServer:
         report = stub.client.regress()
         assert "summary" in report
 
+    def test_history_limit_bounds(self, stub):
+        ledger = HistoryLedger(path=stub.cache_root / "history.jsonl")
+        for i in range(3):
+            ledger.append(RunRecord(ts=float(i), design="O",
+                                    workload="pr", source="simulate"))
+        assert [r["ts"] for r in stub.client.history(limit=2)] == [1.0, 2.0]
+        assert len(stub.client.history(limit=9)) == 3
+        assert stub.client.history(limit=0) == []
+        for bad in (-1, "x"):
+            with pytest.raises(ServiceError) as err:
+                stub.client.history(limit=bad)
+            assert err.value.status == 400
+
+    def test_result_with_telemetry_off_when_cache_disabled(
+            self, stub, monkeypatch):
+        """A finished job held only in memory answers ``telemetry=0``
+        like a request without the flag; ``telemetry=1`` has no
+        sidecar to serve."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        key = stub.client.submit(SPEC, wait=True)["key"]
+        blob = stub.client.result_bytes(key)
+        assert json.loads(blob)["key"] == key
+        path = f"/v1/result/{key}"
+        assert stub.client._bytes(path, query={"telemetry": 0}) == blob
+        with pytest.raises(ServiceError) as err:
+            stub.client._bytes(path, query={"telemetry": 1})
+        assert err.value.status == 404
+
     def test_diff_endpoint_and_remote_adapters(self, stub):
         a = stub.client.submit({"design": "B", "workload": "pr"},
                                wait=True)
@@ -564,6 +596,41 @@ class TestProcessPoolE2E:
             warm = client.submit(spec, wait=True)
             assert warm["status"] == "cached"
             assert count_executions(str(exec_log)) == 1
+        finally:
+            handle.stop()
+
+    def test_killed_worker_fails_its_job_only(self, tmp_path,
+                                              monkeypatch, bounded):
+        """A job whose pool worker is killed (the OOM killer) ends
+        ``failed``; a resubmit runs on a fresh pool and ends ``done``."""
+        marker = tmp_path / "killed-once"
+        parent = os.getpid()
+
+        def fake(design, workload, config, **kwargs):
+            if os.getpid() != parent and not marker.exists():
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _fake_result(design=design, workload=workload.name)
+
+        monkeypatch.setattr(runner_mod, "_live_simulate", fake)
+        monkeypatch.setitem(runtime_mod._RUNTIME_COUNTERS,
+                            "warm_pools_started", 0)
+        handle = run_in_thread(workers=1,
+                               cache_root=str(tmp_path / "cache"))
+        try:
+            client = ServiceClient(handle.base_url, timeout=60.0)
+            spec = {"design": "O", "workload": "pr", "mesh": "2x2",
+                    "workload_kwargs": {"num_vertices": 128}}
+            first = bounded(lambda: client.submit(spec, wait=True))
+            assert first["status"] == "failed"
+            assert "worker pool failure" in first["error"]
+            again = bounded(lambda: client.submit(spec, wait=True))
+            assert again["status"] == "done"
+            assert again["key"] == first["key"]
+            _, text = client.metrics()
+            assert re.search(
+                r"^repro_runtime_warm_pools_started_total 2$", text,
+                re.MULTILINE)
         finally:
             handle.stop()
 
