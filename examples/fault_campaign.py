@@ -31,6 +31,12 @@ CAMPAIGN_FILE = Path(__file__).resolve().parent.parent / "campaigns" \
     / "fault_study.json"
 
 
+def unit_fails(spec) -> int:
+    """Units a point's expanded fault schedule kills."""
+    faults = spec.faults or {"events": []}
+    return sum(1 for e in faults["events"] if e.get("kind") == "unit_fail")
+
+
 def main() -> None:
     args = [a for a in sys.argv[1:] if not a.startswith("-")]
     cache = False if "--no-cache" in sys.argv[1:] else "default"
@@ -43,9 +49,7 @@ def main() -> None:
     campaign = load_campaign(CAMPAIGN_FILE)
     expansion = campaign.expand(sets={"base.workload": name})
     designs = campaign.doc["axes"]["design"]
-    fault_axis = campaign.doc["axes"]["faults"]
-    counts = [(v or {}).get("random", {}).get("unit_fails", 0)
-              for v in fault_axis]
+    counts = sorted({unit_fails(p.spec) for p in expansion.points})
     seed = repro.experiment_config().seed
 
     print(f"Failing units under {name!r} (seed {seed}, "
@@ -58,10 +62,8 @@ def main() -> None:
 
     by_design = {d: {} for d in designs}
     for outcome in report.outcomes:
-        fails = (outcome.point.spec.faults or {"events": []})
-        fails = sum(1 for e in fails["events"]
-                    if e.get("kind") == "unit_fail")
-        by_design[outcome.point.spec.design][fails] = outcome.result
+        spec = outcome.point.spec
+        by_design[spec.design][unit_fails(spec)] = outcome.result
 
     slowdowns = {d: [] for d in designs}
     for design in designs:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Where does the scheduler actually put the work?
 
-Attaches a :class:`~repro.runtime.trace.TaskTraceRecorder` to three
-designs running the same skewed KNN workload and compares, per design:
+Runs three designs on the same skewed KNN workload with telemetry on,
+reads the executor's ``task <id>`` spans (``tid`` = executing unit,
+``args`` = spawner, stolen, ...) and compares, per design:
 
 * how many tasks ran away from the unit that spawned them,
 * how far (in distance cost) the scheduler moved them, and
@@ -23,18 +24,18 @@ import repro
 from repro.analysis.plotting import box_plot, sparkline
 from repro.config import experiment_config
 from repro.core.system import build_system
-from repro.runtime.trace import TaskTraceRecorder
+from repro.telemetry import Telemetry
 
 
 def traced_run(design: str, workload):
-    system = build_system(design, experiment_config())
-    recorder = TaskTraceRecorder()
-    system.executor.recorder = recorder
+    telemetry = Telemetry()
+    system = build_system(design, experiment_config(), telemetry=telemetry)
     state = workload.setup(system)
     system.executor.run(workload.root_tasks(state), state=state,
                         on_barrier=workload.on_barrier)
+    spans = [e for e in telemetry.timeline if e.name.startswith("task ")]
     cycles = np.array([u.active_cycles for u in system.units])
-    return system, recorder, cycles
+    return system, spans, cycles
 
 
 def main() -> None:
@@ -44,12 +45,15 @@ def main() -> None:
           f"{'avg move (ns)':>14}")
     for design in ("B", "Sl", "O"):
         workload = repro.make_workload("knn")
-        system, recorder, cycles = traced_run(design, workload)
+        system, spans, cycles = traced_run(design, workload)
         cost = system.interconnect.cost_matrix
-        print(f"{design:7} {len(recorder):6} "
-              f"{recorder.migrated_fraction():9.0%} "
-              f"{recorder.stolen_fraction():7.0%} "
-              f"{recorder.mean_placement_distance(cost):14.1f}")
+        spawners = np.array([e.args["spawner"] for e in spans])
+        units = np.array([e.tid for e in spans])
+        stolen = np.array([e.args["stolen"] for e in spans])
+        print(f"{design:7} {len(spans):6} "
+              f"{np.mean(spawners != units):9.0%} "
+              f"{np.mean(stolen):7.0%} "
+              f"{np.mean(cost[spawners, units]):14.1f}")
         distributions[design] = cycles
 
     print()

@@ -194,9 +194,3 @@ class Allocator:
         region = DataRegion(name=name, elem_bytes=elem_bytes, addresses=addrs)
         self.regions[name] = region
         return region
-
-    def used_bytes(self, unit: int) -> int:
-        return int(self._cursor[unit])
-
-    def total_used_bytes(self) -> int:
-        return int(self._cursor.sum())

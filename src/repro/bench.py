@@ -246,14 +246,3 @@ def next_bench_path(root: Path) -> Path:
 def write_bench(payload: Dict, path: Path) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_bench(path: Path) -> Dict:
-    return json.loads(path.read_text())
-
-
-def speedup_between(baseline: Dict, candidate: Dict) -> float:
-    """Total-wall-seconds ratio baseline/candidate of two records
-    (>1 means the candidate is faster)."""
-    cand = candidate["totals"]["wall_s"]
-    return baseline["totals"]["wall_s"] / cand if cand else float("inf")

@@ -305,6 +305,10 @@ class SchedulerConfig:
     # paper's default alpha = d/2 (half the mesh diameter).
     hybrid_alpha: Optional[float] = None
     exchange_interval_cycles: int = 100_000
+    # Figure 4's window sizes.  No code reads them: the executor keeps
+    # plain per-unit task lists.  They stay because run keys hash every
+    # config field (canonical_dict), so dropping them would move every
+    # key; do that only with a deliberate SIMULATOR_VERSION salt bump.
     scheduling_window: int = 16
     prefetch_window: int = 8
     # Fraction of a task's memory stall hidden by hint-exact prefetching.

@@ -1,21 +1,16 @@
 """Task-based runtime: the Swarm-like programming/execution model.
 
 Implements Section 3.1 of the paper — tasks with timestamps and hints,
-bulk-synchronous execution, per-unit task queues with scheduling and
-prefetch windows, and the periodic workload-information exchange.
+bulk-synchronous execution over per-unit task lists, and the periodic
+workload-information exchange.
 """
 
 from repro.runtime.task import Task, TaskHint, TaskContext
-from repro.runtime.queue import TaskQueue
 from repro.runtime.workload_exchange import WorkloadExchange
-from repro.runtime.trace import TaskRecord, TaskTraceRecorder
 
 __all__ = [
     "Task",
     "TaskHint",
     "TaskContext",
-    "TaskQueue",
     "WorkloadExchange",
-    "TaskRecord",
-    "TaskTraceRecorder",
 ]

@@ -114,14 +114,13 @@ class BulkSyncExecutor:
         # clocks assume near-monotone arrivals).
         self._issue_spacing_ns = config.memory.service_ns
         self._issue_spread_cap_ns = 300.0
-        # Optional per-task tracing (see repro.runtime.trace).
-        self.recorder = None
         # Fault controller (repro.faults), attached by NdpSystem when a
         # schedule is configured; None keeps the healthy fast path.
         self.faults = None
         # Telemetry sink; NdpSystem swaps in a live one when enabled.
         # Per-phase hooks guard on .enabled, so the disabled path costs
-        # one attribute check per phase.
+        # one attribute check per phase (and one local bool test per
+        # task for the task spans).
         from repro.telemetry import NULL_TELEMETRY
 
         self.telemetry = NULL_TELEMETRY
@@ -417,7 +416,8 @@ class BulkSyncExecutor:
         spacing = self._issue_spacing_ns
         spread_cap = self._issue_spread_cap_ns
         steal_overhead = self._steal_overhead
-        recorder = self.recorder
+        record = self.telemetry.enabled
+        task_span = self.telemetry.task_span
         hint_lines_list = ctx.hint_lines_list
         line_of = ctx.memory_map.line_of
         access_many = memsys.access_many
@@ -469,21 +469,13 @@ class BulkSyncExecutor:
             task.func(tctx, *task.args)
             spawned = tctx.drain_spawned()
 
-            finish = unit.run_task(duration)
-            if recorder is not None:
-                from repro.runtime.trace import TaskRecord
-
-                recorder.record(TaskRecord(
-                    task_id=task.task_id,
-                    timestamp=ts,
-                    spawner_unit=task.spawner_unit,
-                    assigned_unit=uid,
-                    start_cycles=finish - duration,
-                    duration_cycles=duration,
-                    stall_ns=stall_ns,
-                    hint_lines=len(lines),
-                    stolen=task.stolen,
-                ))
+            unit.run_task(duration)
+            if record:
+                # The heap key is the task's start on its unit, so the
+                # span sits at absolute time inside its phase's span.
+                task_span(task.task_id, ts, uid, task.spawner_unit,
+                          global_now, duration, stall_ns, len(lines),
+                          task.stolen)
             trace.tasks_executed += 1
             trace.instructions += task.instructions
             on_dequeue(uid, task.booked_workload)

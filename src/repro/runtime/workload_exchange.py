@@ -135,9 +135,6 @@ class WorkloadExchange:
         v.flags.writeable = False
         return v
 
-    def snapshot_mean(self) -> float:
-        return float(self._snapshot.mean())
-
     def skew(self) -> float:
         """W_max / W_mean of the *true* counters (1.0 = balanced).
 
@@ -150,13 +147,6 @@ class WorkloadExchange:
         if mean <= 0.0:
             return 1.0
         return float(true.max()) / mean
-
-    def snapshot_skew(self) -> float:
-        """W_max / W_mean as the schedulers currently see it (stale)."""
-        mean = float(self._snapshot.mean())
-        if mean <= 0.0:
-            return 1.0
-        return float(self._snapshot.max()) / mean
 
     def reset(self) -> None:
         self._true = [0.0] * len(self._true)

@@ -107,11 +107,6 @@ class FileLock:
         self.release()
 
 
-def locked_for(path: Union[str, Path]) -> FileLock:
-    """A :class:`FileLock` on the sidecar protecting ``path``."""
-    return FileLock(lock_path_for(path))
-
-
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
     """Write ``blob`` to ``path`` via temp-file-then-rename.
 

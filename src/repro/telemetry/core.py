@@ -7,8 +7,8 @@ One ``Telemetry`` object travels with one simulated machine.  It owns
   ground-truth stat structs),
 * a :class:`~repro.telemetry.sampler.Sampler` (per-timestamp time
   series: queue depths, traveller hit rate, NoC traffic, W-skew),
-* a :class:`~repro.telemetry.timeline.Timeline` (phase spans,
-  scheduler decisions, counter tracks) exportable as Chrome
+* a :class:`~repro.telemetry.timeline.Timeline` (phase and task
+  spans, scheduler decisions, counter tracks) exportable as Chrome
   ``trace_event`` JSON.
 
 Null-sink fast path
@@ -16,10 +16,10 @@ Null-sink fast path
 ``Telemetry.disabled()`` returns a shared :data:`NULL_TELEMETRY`
 singleton whose ``enabled`` flag is False.  Every instrumented hot
 path guards on that single attribute (``if tel.enabled: ...``), so a
-disabled machine pays one branch per *phase* — not per access — and
-the sampler/timeline never see a callback.  The null object still
-exposes the full API (its hook methods are no-ops), so call sites
-never need ``None`` checks.
+disabled machine pays one branch per *phase* and one local bool test
+per task — not per access — and the sampler/timeline never see a
+callback.  The null object still exposes the full API (its hook
+methods are no-ops), so call sites never need ``None`` checks.
 """
 
 from __future__ import annotations
@@ -207,6 +207,23 @@ class Telemetry:
         self.registry.counter("run.steals").add(steals)
         self.sample(timestamp, end)
 
+    def task_span(self, task_id: int, timestamp: int, unit: int,
+                  spawner: int, start_cycles: float,
+                  duration_cycles: float, stall_ns: float,
+                  hint_lines: int, stolen: bool) -> None:
+        """One executed task: a ``task <id>`` span on its unit's track.
+
+        ``start_cycles`` is absolute run time, so the span nests inside
+        its phase's ``timestamp N`` span.  The args carry the placement
+        facts (spawner, stolen) that Figure 4's argument is about.
+        """
+        self.timeline.complete(
+            f"task {task_id}", self.cycles_to_ns(start_cycles),
+            self.cycles_to_ns(duration_cycles), tid=unit,
+            timestamp=timestamp, spawner=spawner, stolen=stolen,
+            stall_ns=stall_ns, hint_lines=hint_lines,
+        )
+
     def sample(self, timestamp: int, now_ns: Optional[float] = None,
                force: bool = False) -> None:
         """Take a sampler row and mirror key series as counter tracks."""
@@ -287,6 +304,9 @@ class NullTelemetry(Telemetry):
         pass
 
     def phase_end(self, timestamp, clock_cycles, tasks, steals) -> None:
+        pass
+
+    def task_span(self, *args: Any) -> None:
         pass
 
     def sample(self, timestamp, now_ns=None, force=False) -> None:

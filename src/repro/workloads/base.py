@@ -18,7 +18,7 @@ the application's own index structures.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List
 
 import numpy as np
 
@@ -51,13 +51,6 @@ class Workload(abc.ABC):
 
     def verify(self, state) -> None:
         """Raise AssertionError if the computed answer is wrong."""
-
-    # ------------------------------------------------------------------
-    # helpers shared by the ports
-    # ------------------------------------------------------------------
-    @staticmethod
-    def hint_for(addresses: Sequence[int]) -> TaskHint:
-        return TaskHint(addresses=np.asarray(addresses, dtype=np.int64))
 
 
 def vertex_hint(addresses: np.ndarray, v: int,

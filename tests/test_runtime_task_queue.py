@@ -1,11 +1,10 @@
-"""Unit tests for the task model, task queue, and workload exchange."""
+"""Unit tests for the task model and the workload exchange."""
 
 import numpy as np
 import pytest
 
 from repro.arch.topology import Topology
 from repro.config import TopologyConfig
-from repro.runtime.queue import TaskQueue
 from repro.runtime.task import Task, TaskContext, TaskHint
 from repro.runtime.workload_exchange import WorkloadExchange
 
@@ -53,69 +52,6 @@ class TestTaskContext:
         ctx = TaskContext(current_unit=0, timestamp=5)
         with pytest.raises(ValueError):
             ctx.enqueue_task(lambda c: None, 4, TaskHint.empty())
-
-
-class TestTaskQueue:
-    def test_fifo_order(self):
-        q = TaskQueue()
-        t1, t2 = make_task(), make_task()
-        q.enqueue(t1)
-        q.enqueue(t2)
-        assert q.dequeue() is t1
-        assert q.dequeue() is t2
-
-    def test_steal_takes_the_back(self):
-        q = TaskQueue()
-        t1, t2 = make_task(), make_task()
-        q.enqueue(t1)
-        q.enqueue(t2)
-        assert q.steal_from_back() is t2
-        assert q.steal_from_back() is t1
-        assert q.steal_from_back() is None
-
-    def test_windows(self):
-        q = TaskQueue(scheduling_window=3, prefetch_window=2)
-        tasks = [make_task() for _ in range(5)]
-        for t in tasks:
-            q.enqueue(t)
-        assert q.prefetch_candidates() == tasks[:2]
-        assert q.scheduling_candidates() == tasks[:3]
-
-    def test_remove(self):
-        q = TaskQueue()
-        t = make_task()
-        q.enqueue(t)
-        assert q.remove(t)
-        assert not q.remove(t)
-        assert len(q) == 0
-
-    def test_enqueue_front(self):
-        q = TaskQueue()
-        t1, t2 = make_task(), make_task()
-        q.enqueue(t1)
-        q.enqueue_front(t2)
-        assert q.dequeue() is t2
-
-    def test_queued_workload_uses_booked(self):
-        q = TaskQueue()
-        t = make_task()
-        t.booked_workload = 50.0
-        q.enqueue(t)
-        assert q.queued_workload() == 50.0
-
-    def test_dequeue_empty_raises(self):
-        with pytest.raises(IndexError):
-            TaskQueue().dequeue()
-
-    def test_counters(self):
-        q = TaskQueue()
-        q.enqueue(make_task())
-        q.dequeue()
-        assert q.total_enqueued == 1 and q.total_dequeued == 1
-
-    def test_bad_window_sizes(self):
-        with pytest.raises(ValueError):
-            TaskQueue(scheduling_window=-1)
 
 
 class TestWorkloadExchange:

@@ -11,12 +11,12 @@ import repro
 from repro.cli import main as cli_main
 from repro.config import experiment_config
 from repro.core.system import build_system
-from repro.runtime.trace import TaskRecord, TaskTraceRecorder
 from repro.sweep import cached_simulate, run_key
 from repro.sweep.cache import default_cache
 from repro.telemetry import (
     NULL_TELEMETRY,
     MetricRegistry,
+    NullTelemetry,
     Sampler,
     Telemetry,
     TelemetrySummary,
@@ -282,62 +282,113 @@ class TestChromeTraceExport:
 
 
 # ----------------------------------------------------------------------
-# recorder-over-timeline adapter
+# task spans: the executor's per-task probe
 # ----------------------------------------------------------------------
-class TestRecorderTimelineAdapter:
-    def test_records_become_trace_spans(self):
-        rec = TaskTraceRecorder(frequency_ghz=2.0)
-        rec.record(TaskRecord(
-            task_id=9, timestamp=1, spawner_unit=0, assigned_unit=3,
-            start_cycles=100.0, duration_cycles=50.0, stall_ns=5.0,
-            hint_lines=2, stolen=False,
-        ))
-        events = rec.timeline.events
-        assert len(events) == 1
-        assert events[0].ph == "X"
-        assert events[0].tid == 3
-        assert events[0].ts_ns == pytest.approx(50.0)   # cycles / GHz
-        assert rec.records[0].task_id == 9
+def task_spans(tel):
+    return [e for e in tel.timeline
+            if e.ph == "X" and e.name.startswith("task ")]
 
-    def test_shared_timeline_interleaves_with_telemetry(self):
+
+def spans_outside_their_phase(tel):
+    phases = {int(e.name.split()[1]): e for e in tel.timeline
+              if e.ph == "X" and e.name.startswith("timestamp ")}
+    outside = []
+    for e in task_spans(tel):
+        phase = phases[e.args["timestamp"]]
+        if not (phase.ts_ns <= e.ts_ns
+                and e.ts_ns + e.dur_ns <= phase.ts_ns + phase.dur_ns):
+            outside.append(e)
+    return outside
+
+
+class TestTaskSpans:
+    def test_task_span_converts_cycles_to_ns(self):
         tel = Telemetry()
-        system = build_system("O", small_config(), telemetry=tel)
-        system.executor.recorder = TaskTraceRecorder(
-            timeline=tel.timeline,
-            frequency_ghz=system.config.core.frequency_ghz,
+        tel.bind(frequency_ghz=2.0)
+        tel.task_span(9, 1, 3, 0, 100.0, 50.0, 5.0, 2, False)
+        (span,) = tel.timeline.events
+        assert (span.name, span.ph, span.tid) == ("task 9", "X", 3)
+        assert span.ts_ns == pytest.approx(50.0)    # cycles / GHz
+        assert span.dur_ns == pytest.approx(25.0)
+        assert span.args == {"timestamp": 1, "spawner": 0, "stolen": False,
+                             "stall_ns": 5.0, "hint_lines": 2}
+
+    @pytest.fixture(scope="class")
+    def kmeans_run(self):
+        tel = Telemetry()
+        wl = repro.make_workload("kmeans", num_points=128, iterations=2)
+        result = repro.simulate("O", wl, config=small_config(),
+                                telemetry=tel)
+        return tel, result
+
+    def test_one_span_per_executed_task(self, kmeans_run):
+        tel, result = kmeans_run
+        spans = task_spans(tel)
+        assert len(spans) == result.tasks_executed
+        assert len(spans) == tel.registry.value("scheduler.decisions")
+        assert len({e.name for e in spans}) == len(spans)
+        assert set(spans[0].args) == {
+            "timestamp", "spawner", "stolen", "stall_ns", "hint_lines"}
+        assert all(0 <= e.tid < small_config().num_units for e in spans)
+        assert tel.timeline.dropped == 0
+
+    def test_spans_lie_inside_their_phase(self, kmeans_run):
+        tel, _ = kmeans_run
+        assert spans_outside_their_phase(tel) == []
+
+    def test_kmeans_phase_counts_and_placement(self, kmeans_run):
+        tel, _ = kmeans_run
+        spans = task_spans(tel)
+        counts = {}
+        for e in spans:
+            ts = e.args["timestamp"]
+            counts[ts] = counts.get(ts, 0) + 1
+        assert counts == {0: 128, 1: 128}
+        # kmeans on a balanced system: tasks stay home.
+        migrated = sum(1 for e in spans if e.tid != e.args["spawner"])
+        assert migrated / len(spans) < 0.1
+
+    def test_faulted_spans_avoid_dead_units(self):
+        from repro.faults import FaultSchedule
+
+        tel = Telemetry()
+        wl = repro.make_workload("kmeans", num_points=128, iterations=3)
+        result = repro.simulate(
+            "O", wl, config=small_config(), telemetry=tel,
+            fault_schedule=FaultSchedule.unit_failures([1, 2]),
         )
-        wl = repro.make_workload("kmeans", num_points=64, iterations=1)
-        state = wl.setup(system)
-        system.executor.run(wl.root_tasks(state), state=state,
-                            on_barrier=wl.on_barrier)
-        names = {e.name for e in tel.timeline}
-        assert any(n.startswith("task ") for n in names)
-        assert any(n.startswith("timestamp") for n in names)
-        # the recorder still reconstructs its records from the mix
-        assert len(system.executor.recorder) == 64
+        spans = task_spans(tel)
+        assert len(spans) == result.tasks_executed
+        assert spans_outside_their_phase(tel) == []
+        # the units die at timestamp 1; nothing runs on them after that
+        assert not any(e.tid in (1, 2) for e in spans
+                       if e.args["timestamp"] >= 1)
 
+    def test_stolen_spans_bounded_by_steals(self):
+        tel = Telemetry()
+        result = repro.simulate("Sl", "knn", config=small_config(),
+                                telemetry=tel, num_points=2048,
+                                num_queries=192)
+        stolen = sum(1 for e in task_spans(tel) if e.args["stolen"])
+        # A task can be stolen more than once, so this is no equality.
+        assert 0 < stolen <= result.steals
 
-# ----------------------------------------------------------------------
-# task-queue probes
-# ----------------------------------------------------------------------
-class TestQueueTelemetry:
-    def test_attach_telemetry_mirrors_activity(self):
-        from repro.runtime.queue import TaskQueue
-        from repro.runtime.task import Task, TaskHint
+    def test_no_stolen_spans_without_stealing(self):
+        tel = Telemetry()
+        repro.simulate("C", "knn", config=small_config(), telemetry=tel,
+                       num_points=2048, num_queries=192)
+        spans = task_spans(tel)
+        assert spans
+        assert not any(e.args["stolen"] for e in spans)
 
-        reg = MetricRegistry()
-        q = TaskQueue()
-        q.attach_telemetry(reg.scope("unit.0.queue"))
-        for _ in range(3):
-            q.enqueue(Task(func=lambda ctx: None, timestamp=0,
-                           hint=TaskHint.empty()))
-        q.dequeue()
-        values = reg.collect()
-        assert values["unit.0.queue.enqueued"] == 3
-        assert values["unit.0.queue.dequeued"] == 1
-        assert values["unit.0.queue.depth"] == 2
-        q.steal_from_back()
-        assert reg.value("unit.0.queue.depth") == 1
+    def test_disabled_run_records_no_spans(self, monkeypatch):
+        def boom(self, *args):
+            raise AssertionError("task_span reached on a disabled run")
+
+        monkeypatch.setattr(NullTelemetry, "task_span", boom)
+        repro.simulate("O", "kmeans", config=small_config(),
+                       num_points=64, iterations=1)
+        assert len(NULL_TELEMETRY.timeline) == 0
 
 
 # ----------------------------------------------------------------------

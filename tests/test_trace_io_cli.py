@@ -1,79 +1,19 @@
-"""Tests for the trace recorder, the dataset file loaders, the CC
-extension workload, and the command-line interface."""
+"""Tests for the dataset file loaders, the CC extension workload, and
+the command-line interface."""
 
 import io
 import json
 
-import numpy as np
 import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.config import experiment_config
-from repro.core.system import build_system
-from repro.runtime.trace import TaskRecord, TaskTraceRecorder
 from repro.workloads.io import (
     load_matrix_market,
     load_snap_edges,
     save_snap_edges,
 )
 from repro.workloads.graph import Graph
-
-
-class TestTraceRecorder:
-    def _record(self, i=0, spawner=0, unit=0, stolen=False):
-        return TaskRecord(
-            task_id=i, timestamp=0, spawner_unit=spawner,
-            assigned_unit=unit, start_cycles=0.0, duration_cycles=10.0,
-            stall_ns=2.0, hint_lines=3, stolen=stolen,
-        )
-
-    def test_capacity_drops_oldest(self):
-        rec = TaskTraceRecorder(capacity=2)
-        for i in range(4):
-            rec.record(self._record(i))
-        assert len(rec) == 2
-        assert rec.dropped == 2
-        assert [r.task_id for r in rec] == [2, 3]
-
-    def test_migrated_and_stolen_fractions(self):
-        rec = TaskTraceRecorder()
-        rec.record(self._record(0, spawner=1, unit=1))
-        rec.record(self._record(1, spawner=1, unit=5, stolen=True))
-        assert rec.migrated_fraction() == pytest.approx(0.5)
-        assert rec.stolen_fraction() == pytest.approx(0.5)
-
-    def test_per_unit_counts(self):
-        rec = TaskTraceRecorder()
-        rec.record(self._record(0, unit=2))
-        rec.record(self._record(1, unit=2))
-        rec.record(self._record(2, unit=0))
-        counts = rec.per_unit_task_counts(4)
-        assert counts.tolist() == [1, 0, 2, 0]
-
-    def test_executor_integration(self):
-        system = build_system("O", experiment_config().scaled(2, 2))
-        recorder = TaskTraceRecorder()
-        system.executor.recorder = recorder
-        wl = repro.make_workload("kmeans", num_points=128, iterations=2)
-        state = wl.setup(system)
-        system.executor.run(wl.root_tasks(state), state=state,
-                            on_barrier=wl.on_barrier)
-        assert len(recorder) == 256
-        counts = recorder.per_phase_task_counts()
-        assert counts == {0: 128, 1: 128}
-        # kmeans on a balanced system: tasks stay home.
-        assert recorder.migrated_fraction() < 0.1
-        summary = recorder.placement_summary(
-            system.interconnect.cost_matrix)
-        assert "tasks=256" in summary
-
-    def test_rows_export(self):
-        rec = TaskTraceRecorder()
-        rec.record(self._record(7, unit=3))
-        rows = rec.to_rows()
-        assert rows[0]["task_id"] == 7
-        assert rows[0]["assigned_unit"] == 3
 
 
 SNAP_TEXT = """# Directed graph: example
