@@ -397,15 +397,20 @@ class SweepRunner:
                     self._emit(event="started", label=points[i].label,
                                index=i, done=done, total=total)
                 failed: List[int] = []
-                with runtime.activate():
-                    payloads = [
-                        runtime.worker_payload(i, points[i]) for i in order
-                    ]
+
+                def payloads():
+                    # built lazily: the pool starts on the first payload
+                    # and simulates while the parent generates the rest.
+                    for i in order:
+                        with runtime.activate():
+                            payload = runtime.worker_payload(i, points[i])
+                        yield payload
+
                 unreturned = dict.fromkeys(order)
                 try:
                     for idx, rdict, err, dt in runtime.pool(
                         jobs
-                    ).imap_unordered(_warm_worker, payloads):
+                    ).imap_unordered(_warm_worker, payloads()):
                         del unreturned[idx]
                         outcome = outcomes[idx]
                         outcome.elapsed_s = dt

@@ -49,7 +49,7 @@ import pickle
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed, wait
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -356,32 +356,25 @@ def _worker_init() -> None:
 # ----------------------------------------------------------------------
 # shared-memory workload store
 # ----------------------------------------------------------------------
-def _unregister_segment(shm) -> None:
-    """Detach a worker-side attach from the resource tracker.
-
-    ``SharedMemory(name=...)`` registers the segment with the process's
-    resource tracker, which would *unlink* it when the worker exits —
-    destroying the parent's segment mid-sweep.  The parent owns the
-    lifecycle (create / unlink); attachers must only close.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass  # tracker variants differ across platforms; best-effort
-
-
 def _load_shm_workload(name: str, size: int):
-    """Attach, unpickle and detach one stored workload (worker side)."""
-    from multiprocessing import shared_memory
+    """Map, unpickle and unmap one stored workload (worker side).
 
-    shm = shared_memory.SharedMemory(name=name)
+    The segment is opened with ``shm_open``, not ``SharedMemory(name=...)``,
+    which would register it with the resource tracker.  The parent owns
+    the segment (create / unlink); a worker registration would either
+    unlink it when the worker exits (a tracker of the worker's own) or,
+    once undone, drop the parent's registration from the tracker they
+    share, which then fails the parent's unlink.
+    """
+    import mmap
+    from _posixshmem import shm_open
+
+    fd = shm_open("/" + name, os.O_RDONLY)
     try:
-        _unregister_segment(shm)
-        return pickle.loads(bytes(shm.buf[:size]))
+        with mmap.mmap(fd, size, prot=mmap.PROT_READ) as buf:
+            return pickle.loads(buf[:size])
     finally:
-        shm.close()
+        os.close(fd)
 
 
 class SharedWorkloadStore:
@@ -587,9 +580,23 @@ class WarmPool(ProcessPoolExecutor):
 
     def imap_unordered(self, fn, items):
         """``fn(item)`` for every item, yielded in completion order.
+
+        ``items`` may be a lazy iterable: each item is submitted as soon
+        as it is produced, so workers start on the first while the
+        caller still builds the rest.  If producing an item raises, the
+        points already submitted are cancelled or waited for before the
+        error propagates, so nothing of the failed call is left running.
         Raises ``BrokenProcessPool`` once the pool breaks; closing the
         iterator early cancels the points not yet started."""
-        futures = [self.submit(fn, item) for item in items]
+        futures = []
+        try:
+            for item in items:
+                futures.append(self.submit(fn, item))
+        except Exception:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
         try:
             for future in as_completed(futures):
                 yield future.result()

@@ -160,9 +160,12 @@ def community_powerlaw_graph(
         [(bounds[c] + bounds[c + 1]) // 2 for c in range(num_hubs)],
         dtype=np.int64,
     )
-    hub_ranks = np.arange(1, num_hubs + 1, dtype=np.float64)
-    hub_weights = hub_ranks ** (-hub_skew)
-    hub_weights /= hub_weights.sum()
+    # Hub draws search this CDF with one ``rng.random()`` each: exactly
+    # what ``rng.choice(num_hubs, p=zipf_weights(...))`` computes inside
+    # (tests/test_datasets.py pins the equivalence on the installed
+    # NumPy), without the per-call validation of ``p``.
+    hub_cdf = zipf_weights(num_hubs, hub_skew).cumsum()
+    hub_cdf /= hub_cdf[-1]
 
     edges: List[Tuple[int, int]] = []
     global_repeated: List[int] = []
@@ -191,7 +194,8 @@ def community_powerlaw_graph(
             guard = 0
             while len(chosen) < intra + inter and global_repeated:
                 if rng.random() < hub_edge_fraction:
-                    cand = int(hubs[rng.choice(num_hubs, p=hub_weights)])
+                    cand = int(hubs[hub_cdf.searchsorted(
+                        rng.random(), side="right")])
                 else:
                     cand = global_repeated[rng.integers(len(global_repeated))]
                 if cand != v:

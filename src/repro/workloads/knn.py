@@ -19,6 +19,7 @@ workload in Figure 6.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -123,7 +124,7 @@ def kd_search(
         return best_d[-1] if len(best_d) >= k else np.inf
 
     def consider(i: int, d: float) -> None:
-        pos = np.searchsorted(best_d, d)
+        pos = bisect_left(best_d, d)
         best_d.insert(pos, d)
         best_i.insert(pos, i)
         if len(best_d) > k:
@@ -133,10 +134,13 @@ def kd_search(
     def recurse(node: int) -> None:
         visited.append(node)
         if tree.is_leaf(node):
-            for i in tree.leaf_members(node):
-                i = int(i)
-                scanned.append(i)
-                d = float(((tree.points[i] - query) ** 2).sum())
+            # One row-wise reduction per leaf: each row sums its d
+            # terms exactly as the per-point ``.sum()`` would, so the
+            # distances (and every tie) are bit-identical.
+            members = tree.leaf_members(node).tolist()
+            dists = ((tree.points[members] - query) ** 2).sum(axis=1)
+            scanned.extend(members)
+            for i, d in zip(members, dists.tolist()):
                 if d < worst():
                     consider(i, d)
             return
