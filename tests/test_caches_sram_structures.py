@@ -66,6 +66,32 @@ class TestL1Cache:
         l1 = L1Cache.from_config(SramConfig(), MemoryConfig())
         assert l1.num_sets == 64 * 1024 // (4 * 64)
 
+    def test_victim_order_follows_lru_refresh(self):
+        """A hit moves its line to the MRU end; a miss on a full set
+        evicts the front.  The set's contents read LRU first."""
+        l1 = L1Cache(4 * 64, 4, 64)  # one set, 4 ways
+        for line in [0, 1, 2, 3]:
+            assert l1.insert(line) is None
+        assert l1.lookup(1) and l1.lookup(0)
+        assert list(l1._sets[0]) == [2, 3, 1, 0]
+        assert l1.lookup(0)  # already MRU: order unchanged
+        assert list(l1._sets[0]) == [2, 3, 1, 0]
+        assert [l1.insert(line) for line in [4, 5, 6]] == [2, 3, 1]
+        assert list(l1._sets[0]) == [0, 4, 5, 6]
+        assert l1.insert(4) is None  # a resident line moves to MRU
+        assert list(l1._sets[0]) == [0, 5, 6, 4]
+        assert l1.insert(7) == 0
+
+    def test_sets_keep_their_own_lru_order(self):
+        l1 = L1Cache(2 * 2 * 64, 2, 64)  # two sets, 2 ways
+        for line in [0, 1, 2, 3]:
+            l1.insert(line)
+        assert l1.lookup(0)
+        assert l1.insert(4) == 2   # set 0: [0, 2] -> LRU is 2
+        assert l1.insert(5) == 1   # set 1: [1, 3] -> LRU is 1
+        assert {i: list(s) for i, s in sorted(l1._sets.items())} == {
+            0: [0, 4], 1: [3, 5]}
+
     def test_hit_rate(self):
         l1 = L1Cache(4096, 4)
         l1.lookup(1)
@@ -91,6 +117,23 @@ class TestPrefetchBuffer:
         assert buf.lookup(1)       # a hit...
         buf.insert(3)              # ...but 1 is still the oldest
         assert not buf.contains(1)
+
+    def test_victim_order_is_insertion_order(self):
+        """Oldest insert leaves first; hits and duplicate inserts leave
+        the order alone and a duplicate is not issued again."""
+        buf = PrefetchBuffer(3 * 64, 64)
+        for line in [1, 2, 3]:
+            buf.insert(line)
+        assert buf.lookup(1) and not buf.lookup(9)
+        buf.insert(2)
+        assert list(buf._fifo) == [1, 2, 3]
+        buf.insert(4)
+        assert list(buf._fifo) == [2, 3, 4]
+        buf.insert(5)
+        buf.insert(1)
+        assert list(buf._fifo) == [4, 5, 1]
+        assert (buf.stats.issued, buf.stats.evictions,
+                buf.stats.buffer_hits) == (6, 3, 1)
 
     def test_duplicate_insert_is_noop(self):
         buf = PrefetchBuffer(4 * 64, 64)

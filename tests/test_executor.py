@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.arch.ndp_unit import NdpUnit, build_units
 from repro.config import experiment_config
 from repro.core.system import build_system
 from repro.runtime.executor import _interleave_by_spawner
@@ -178,6 +181,55 @@ class TestAccounting:
         trace = system.executor.run(tasks)
         unit = system.units[tasks[0].assigned_unit]
         assert unit.core_active[0] > 0 and unit.core_active[1] > 0
+
+
+def bare_unit(cores=3):
+    unit = build_units(experiment_config())[0]
+    return NdpUnit(0, cores, unit.l1, unit.prefetch)
+
+
+class TestNdpUnitClocks:
+    def test_run_task_takes_lowest_index_core_on_ties(self):
+        unit = bare_unit()
+        assert [unit.run_task(d) for d in (10.0, 10.0, 5.0)] == \
+            [10.0, 10.0, 5.0]
+        assert unit.run_task(7.0) == 12.0        # core 2 was free first
+        assert unit.run_task(1.0) == 11.0        # cores 0, 1 tie: core 0
+        assert unit.run_task(1.0) == 11.0        # core 1 (10 < 11)
+        assert list(unit.core_free_at) == [11.0, 11.0, 12.0]
+        assert list(unit.core_active) == [11.0, 11.0, 12.0]
+        assert unit.active_cycles == 34.0 and unit.tasks_executed == 6
+
+    def test_clock_queries_and_reset(self):
+        unit = bare_unit()
+        for d in (4.0, 9.0, 2.5):
+            unit.run_task(d)
+        busy, free = unit.busy_until(), unit.earliest_free()
+        assert (busy, free) == (9.0, 2.5)
+        assert type(busy) is float and type(free) is float
+        unit.reset_clocks(3.0)
+        assert list(unit.core_free_at) == [3.0, 3.0, 3.0]
+        assert list(unit.core_active) == [4.0, 9.0, 2.5]
+        # start_floor lower-bounds the start; the pick is still core 0.
+        assert unit.run_task(1.0, start_floor=5.0) == 6.0
+        assert list(unit.core_free_at) == [6.0, 3.0, 3.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(durations=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+           cores=st.integers(1, 4))
+    def test_property_pick_is_argmin(self, durations, cores):
+        """Each task lands on ``np.argmin`` of the clocks before it
+        (small integer durations force many ties)."""
+        unit = bare_unit(cores)
+        active = np.zeros(cores)
+        for d in durations:
+            core = int(np.argmin(np.array(unit.core_free_at)))
+            expected = unit.core_free_at[core] + d
+            assert unit.run_task(float(d)) == expected
+            active[core] += d
+            assert list(unit.core_active) == active.tolist()
+        assert unit.busy_until() == max(unit.core_free_at)
+        assert unit.earliest_free() == min(unit.core_free_at)
 
 
 class TestDeterminism:
