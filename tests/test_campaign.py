@@ -437,7 +437,7 @@ class TestLoadAndReport:
             campaign = load_campaign(path)
             counts[campaign.name] = len(campaign.expand().points)
         assert counts == {"full_matrix": 48, "bench_suite": 6,
-                          "fault_study": 10, "smoke": 2}
+                          "fault_study": 10, "smoke": 2, "mesh_8x8": 3}
 
     def test_report_round_trip(self, tmp_path):
         campaign = load_campaign(CAMPAIGNS / "smoke.json")
