@@ -5,16 +5,15 @@ cores of a unit drain a shared task queue, and the paper's primary data
 are read-only within a timestamp, so a shared model is equivalent for
 hit-rate purposes and halves the simulation state).
 
-The cache maps 64 B cachelines.  It is intentionally simple — dict-of-
-sets with move-to-front LRU — because the simulator looks lines up at
-task granularity, not per instruction.
+The cache maps 64 B cachelines.  It is intentionally simple — a dict
+of sets, each a plain list in LRU order — because the simulator looks
+lines up at task granularity, not per instruction.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.config import MemoryConfig, SramConfig
 
@@ -49,8 +48,9 @@ class L1Cache:
             raise ValueError("cache too small")
         self.associativity = associativity
         self.line_bytes = line_bytes
-        # set index -> OrderedDict of line -> None, LRU at the front.
-        self._sets: Dict[int, OrderedDict] = {}
+        # set index -> list of lines, LRU at the front.  A list beats
+        # an OrderedDict here: a set holds ``associativity`` lines.
+        self._sets: Dict[int, List[int]] = {}
         self.stats = L1Stats()
 
     def _set_of(self, line: int) -> int:
@@ -60,7 +60,9 @@ class L1Cache:
         """Probe the cache; refreshes LRU order on a hit."""
         s = self._sets.get(self._set_of(line))
         if s is not None and line in s:
-            s.move_to_end(line)
+            if s[-1] != line:
+                s.remove(line)
+                s.append(line)
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -71,20 +73,23 @@ class L1Cache:
         idx = self._set_of(line)
         s = self._sets.get(idx)
         if s is None:
-            s = OrderedDict()
-            self._sets[idx] = s
+            s = self._sets[idx] = []
         if line in s:
-            s.move_to_end(line)
+            if s[-1] != line:
+                s.remove(line)
+                s.append(line)
             return None
         victim = None
         if len(s) >= self.associativity:
-            victim, _ = s.popitem(last=False)
-        s[line] = None
+            victim = s[0]
+            del s[0]
+        s.append(line)
         return victim
 
     def batch_state(self):
         """Internal state for the fused access kernel's probe loop:
-        ``(sets dict, num_sets, associativity, stats)``.
+        ``(sets dict of LRU-ordered lists, num_sets, associativity,
+        stats)``.
 
         The kernel inlines :meth:`lookup`/:meth:`insert` per hint line
         (same hash, same LRU updates, same eviction choices) and flushes

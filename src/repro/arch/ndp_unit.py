@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
 from repro.arch.l1cache import L1Cache
 from repro.arch.prefetch import PrefetchBuffer
 from repro.config import SystemConfig
@@ -29,18 +27,19 @@ class NdpUnit:
     l1: L1Cache
     prefetch: PrefetchBuffer
     # Absolute cycle at which each core becomes free within the current
-    # timestamp phase.
-    core_free_at: np.ndarray = field(default=None)  # type: ignore[assignment]
+    # timestamp phase.  Per-core state is a plain float list: it is read
+    # item by item once per task, where list access beats ndarray.
+    core_free_at: List[float] = field(default=None)  # type: ignore[assignment]
     # Cycles each core actually spent executing tasks (Figure 9 metric).
     active_cycles: float = 0.0
-    core_active: np.ndarray = field(default=None)  # type: ignore[assignment]
+    core_active: List[float] = field(default=None)  # type: ignore[assignment]
     tasks_executed: int = 0
 
     def __post_init__(self) -> None:
         if self.core_free_at is None:
-            self.core_free_at = np.zeros(self.num_cores, dtype=np.float64)
+            self.core_free_at = [0.0] * self.num_cores
         if self.core_active is None:
-            self.core_active = np.zeros(self.num_cores, dtype=np.float64)
+            self.core_active = [0.0] * self.num_cores
 
     # ------------------------------------------------------------------
     def run_task(self, duration_cycles: float, start_floor: float = 0.0) -> float:
@@ -49,19 +48,13 @@ class NdpUnit:
         Returns the completion time of the task.  ``start_floor`` lower-
         bounds the start (e.g. the phase start after a barrier).
         """
-        # First-minimum scan: identical pick to np.argmin, without the
-        # ufunc dispatch overhead (units have a handful of cores and
-        # this is the hottest per-task call in the executor).
+        # index() finds the first minimum: np.argmin's pick on ties.
         free = self.core_free_at
-        core = 0
-        best = free[0]
-        for c in range(1, self.num_cores):
-            if free[c] < best:
-                best = free[c]
-                core = c
-        start = max(float(best), start_floor)
+        best = min(free)
+        core = free.index(best)
+        start = max(best, start_floor)
         finish = start + duration_cycles
-        self.core_free_at[core] = finish
+        free[core] = finish
         self.active_cycles += duration_cycles
         self.core_active[core] += duration_cycles
         self.tasks_executed += 1
@@ -69,14 +62,14 @@ class NdpUnit:
 
     def busy_until(self) -> float:
         """Cycle at which the last core finishes its queued work."""
-        return float(self.core_free_at.max())
+        return max(self.core_free_at)
 
     def earliest_free(self) -> float:
-        return float(self.core_free_at.min())
+        return min(self.core_free_at)
 
     def reset_clocks(self, now: float = 0.0) -> None:
         """Re-align the cores at a barrier."""
-        self.core_free_at[:] = now
+        self.core_free_at[:] = [now] * self.num_cores
 
     def end_timestamp(self) -> None:
         """Bulk invalidation at the timestamp barrier (Section 4.4).

@@ -14,7 +14,7 @@ lines within the window are fetched once and hit cheaply.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
 
 from repro.config import MemoryConfig, SramConfig
@@ -37,7 +37,8 @@ class PrefetchBuffer:
 
     def __init__(self, capacity_bytes: int, line_bytes: int = 64):
         self.capacity_lines = max(1, capacity_bytes // line_bytes)
-        self._fifo: OrderedDict = OrderedDict()
+        # Oldest line at the front; a full deque drops it on append.
+        self._fifo: deque = deque(maxlen=self.capacity_lines)
         self.stats = PrefetchStats()
 
     def lookup(self, line: int) -> bool:
@@ -51,15 +52,14 @@ class PrefetchBuffer:
         """Install a prefetched line, evicting the oldest if full."""
         if line in self._fifo:
             return
-        if len(self._fifo) >= self.capacity_lines:
-            self._fifo.popitem(last=False)
+        if len(self._fifo) == self.capacity_lines:
             self.stats.evictions += 1
-        self._fifo[line] = None
+        self._fifo.append(line)
         self.stats.issued += 1
 
     def batch_state(self):
         """Internal state for the fused access kernel's probe loop:
-        ``(fifo dict, capacity_lines, stats)``.  Same contract as
+        ``(fifo deque, capacity_lines, stats)``.  Same contract as
         :meth:`repro.arch.l1cache.L1Cache.batch_state`.
         """
         return self._fifo, self.capacity_lines, self.stats

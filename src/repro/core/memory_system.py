@@ -11,9 +11,10 @@ For every data access the simulator resolves:
 4. without a cache: a direct round trip to the home memory.
 
 :meth:`MemorySystem.access_many` resolves a task's whole hint batch in
-one fused pass, returns the summed latency in nanoseconds and books
-every hop, DRAM event, and SRAM event into the run's counters — those
-counters are precisely the quantities behind Figures 7 and 8.
+one fused pass (and, after it, the task's output write), returns the
+summed latency in nanoseconds and books every hop, DRAM event, and SRAM
+event into the run's counters — those counters are precisely the
+quantities behind Figures 7 and 8.
 
 DRAM service contention
 -----------------------
@@ -28,7 +29,6 @@ traffic across ``C + 1`` channels.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -231,6 +231,7 @@ class MemorySystem:
         now_ns: float,
         spacing_ns: float = 0.0,
         cap_ns: float = 0.0,
+        write_line: int = -1,
     ) -> float:
         """Resolve a whole hint batch of reads; return the summed latency.
 
@@ -254,6 +255,14 @@ class MemorySystem:
         is never cut off: a reachable home has finite cost, so the
         nearest location (the cost argmin) is reachable too.  An
         attached link meter records every message.
+
+        ``write_line`` (``-1``: none) is the task's output write, booked
+        after the reads with the same tables: one line-sized message to
+        the home, no stall.  Stores retire through a write buffer into
+        idle channel slots, so they neither stall the task nor delay
+        demand reads, and move no service clock; their traffic and DRAM
+        energy are still charged.  A store to an unreachable home is
+        lost (counted, nothing moves).
         """
         if isinstance(lines, np.ndarray):
             line_list = lines.tolist()
@@ -261,7 +270,7 @@ class MemorySystem:
             line_list = lines  # already plain ints; read-only below
         else:
             line_list = [int(x) for x in lines]
-        if not line_list:
+        if not line_list and write_line < 0:
             return 0.0
         noc = self.interconnect
         cm = self.camp_mapper
@@ -330,7 +339,9 @@ class MemorySystem:
             s_idx = line % l1_nsets
             l1_set = l1_sets.get(s_idx)
             if l1_set is not None and line in l1_set:
-                l1_set.move_to_end(line)
+                if l1_set[-1] != line:
+                    l1_set.remove(line)
+                    l1_set.append(line)
                 l1_hits += 1
                 stall += hit_ns
                 continue
@@ -567,21 +578,50 @@ class MemorySystem:
                             record(home, nearest, line_bits)
             # prefetch.insert: the line just missed the FIFO and nothing
             # above touched it, so the membership re-check is settled.
-            if len(pf_fifo) >= pf_cap:
-                pf_fifo.popitem(last=False)
+            # The deque's maxlen drops the oldest line on a full append.
+            if len(pf_fifo) == pf_cap:
                 pf_evicts += 1
-            pf_fifo[line] = None
+            pf_fifo.append(line)
             # l1.insert: ditto for the set (evicted victim is unused).
             if l1_set is None:
-                l1_set = l1_sets[s_idx] = OrderedDict()
-            if len(l1_set) >= l1_assoc:
-                l1_set.popitem(last=False)
-            l1_set[line] = None
+                l1_set = l1_sets[s_idx] = []
+            elif len(l1_set) >= l1_assoc:
+                del l1_set[0]
+            l1_set.append(line)
             stall += lat
 
+        writes = lost_writes = 0
+        if write_line >= 0:
+            entry = memo.get(write_line)
+            home = (entry[0] if entry is not None
+                    else self.memory_map.home_of_line(write_line))
+            if blocked[home]:
+                # Lost store: the home cannot be written right now.
+                # The write buffer absorbs it, so the task does not
+                # stall.
+                lost_writes = 1
+            else:
+                writes = 1
+                msgs += 1
+                c = cls_req[home]
+                if c == 2:
+                    h = hops_req[home]
+                    inter_hops += h
+                    inter_bits += line_bits * h
+                    intra += 2
+                    intra_bits += 2 * line_bits
+                elif c == 1:
+                    intra += 1
+                    intra_bits += line_bits
+                else:
+                    local += 1
+                if record is not None:
+                    record(requester, home, line_bits)
+
         self.total_queue_delay_ns = tqd
-        if unreachable:
-            self._resilience.unreachable_accesses += unreachable
+        if unreachable or lost_writes:
+            self._resilience.unreachable_accesses += (
+                unreachable + lost_writes)
         l1_stats.hits += l1_hits
         l1_stats.misses += l1_acc - l1_hits
         pf_stats.buffer_hits += pf_hits
@@ -598,6 +638,7 @@ class MemorySystem:
             cache_fills=fills,
             cache_reads=cache_reads,
             tag_accesses_in_dram=tag_dram,
+            writes=writes,
         )
         self.traffic.add_bulk(
             messages=msgs,
@@ -615,40 +656,10 @@ class MemorySystem:
     def write(self, requester: int, line: int, now_ns: float = 0.0) -> float:
         """Write one line to its home (writes bypass the caches).
 
-        Returns 0: stores retire through a write buffer into idle
-        channel slots, so they neither stall the task nor delay demand
-        reads; their traffic and DRAM energy are still charged.
+        The same booking as ``access_many``'s ``write_line`` with no
+        reads; returns 0 (stores never stall).
         """
-        home = self.memory_map.home_of_line(line)
-        if self._blocked_rows()[requester][home]:
-            # Lost store: the home cannot be written right now.  The
-            # write buffer absorbs it, so the task does not stall.
-            self._resilience.unreachable_accesses += 1
-            return 0.0
-        # One line-sized message to the home, booked against the NoC
-        # tables; the buffered write takes an idle DRAM slot, so no
-        # service clock moves.
-        noc = self.interconnect
-        bits = self.config.memory.line_bits
-        if noc.link_meter is not None:
-            noc.link_meter.record(requester, home, bits)
-        _, cls, hops = noc.fast_tables()
-        t = self.traffic
-        t.messages += 1
-        c = cls[requester][home]
-        if c == 2:
-            h = hops[requester][home]
-            t.inter_hops += h
-            t.inter_bits += bits * h
-            t.intra_transfers += 2
-            t.intra_bits += 2 * bits
-        elif c == 1:
-            t.intra_transfers += 1
-            t.intra_bits += bits
-        else:
-            t.local_accesses += 1
-        self.dram_stats.writes += 1
-        return 0.0
+        return self.access_many(requester, (), now_ns, write_line=line)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -421,7 +421,6 @@ class BulkSyncExecutor:
         hint_lines_list = ctx.hint_lines_list
         line_of = ctx.memory_map.line_of
         access_many = memsys.access_many
-        mem_write = memsys.write
         on_dequeue = self.exchange.on_dequeue
         advance = self.exchange.advance
         heappop = heapq.heappop
@@ -446,17 +445,16 @@ class BulkSyncExecutor:
             # Resolve memory accesses (prefetch-path = demand-path).
             # The prefetch unit issues the hint addresses back to back,
             # so arrivals smear at the issue rate instead of forming a
-            # single burst at the serving channels.
+            # single burst at the serving channels.  The task's output
+            # write (the main element's record, one of the hint lines)
+            # goes straight to the home, booked after the reads.
             now_ns = global_now / freq
             lines = hint_lines_list(task)
+            addrs = task.hint.addresses
             stall_ns = access_many(
                 uid, lines, now_ns, spacing, spread_cap,
+                line_of(int(addrs[0])) if len(addrs) else -1,
             )
-            if task.hint.num_addresses:
-                # The task's output write (the main element's record)
-                # goes straight to the home.
-                main_line = line_of(int(task.hint.addresses[0]))
-                mem_write(uid, main_line, now_ns)
 
             stall_cycles = stall_ns * freq * hide_keep
             duration = task.compute_cycles + stall_cycles
