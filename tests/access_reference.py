@@ -1,8 +1,8 @@
 """Per-line reference access flow and reference inputs for the access tests.
 
 The simulator resolves reads only in hint batches
-(``MemorySystem.access_many``, one fused kernel) and writes through
-``MemorySystem.write``.  :func:`access` and :func:`write` are the plain
+(``MemorySystem.access_many``, one fused kernel, which also books the
+task's output write).  :func:`access` and :func:`write` are the plain
 per-line form of the same flow (Section 4.4: L1, prefetch buffer,
 nearest camp, home), acting on a ``MemorySystem`` ``ms`` through its
 stat structs, DRAM clocks and the interconnect's per-pair methods.  The
