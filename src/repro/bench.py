@@ -139,8 +139,8 @@ def bench_warm_sweep(
     filling) and a second (steady state — memos hot).
 
     Unlike :func:`bench_points` the workloads are *not* pre-shared:
-    amortizing workload generation and derived-table construction
-    across points is exactly what the warm runtime claims to do, so it
+    amortizing workload generation and pool startup across points is
+    exactly what the warm runtime claims to do, so it
     stays inside the timed region.  Both passes must agree bit-for-bit
     with plain :func:`~repro.simulate.simulate` of every point
     (``identical``) — a disagreement means the memo layer broke

@@ -108,19 +108,6 @@ def _apply_design(config: SystemConfig, design: DesignPoint) -> SystemConfig:
     return cfg.validate()
 
 
-def _sweep_memos():
-    """The warm-runtime memo caches, or None for a cold build.
-
-    Inert by default: only processes inside an enabled warm scope (a
-    :class:`~repro.sweep.runtime.WorkerRuntime` pool worker, or a
-    parent ``with runtime.activate():`` block) ever get a non-None
-    answer, so direct builds stay byte-for-byte the cold code path.
-    """
-    from repro.sweep.runtime import active_memos
-
-    return active_memos()
-
-
 class NdpSystem:
     """A fully assembled simulated NDP machine."""
 
@@ -139,13 +126,7 @@ class NdpSystem:
 
         has_cache = config.cache.style is not CacheStyle.NONE
         num_groups = config.cache.num_groups() if has_cache else 1
-        memos = _sweep_memos()
-        if memos is not None:
-            # Topology is immutable after construction, so warm scopes
-            # share one instance per (topology config, groups).
-            self.topology = memos.topology_for(config.topology, num_groups)
-        else:
-            self.topology = Topology(config.topology, num_groups=num_groups)
+        self.topology = Topology(config.topology, num_groups=num_groups)
         self.interconnect = Interconnect(self.topology, config.noc, config.memory)
         self.dram = DramChannel(config.memory)
         self.memory_map = MemoryMap(self.topology, config.memory)
@@ -203,11 +184,6 @@ class NdpSystem:
         self.energy_model = EnergyModel(
             config, self.interconnect, self.dram, self.sram
         )
-        if memos is not None:
-            # Seed NoC fast tables and camp home/nearest tables from
-            # earlier runs on the same machine shape (pure derived
-            # data — identical to what this run would compute itself).
-            memos.attach(self)
 
         # Fault-injection subsystem: only a non-empty schedule pays any
         # cost — without one the machine is byte-identical to a build

@@ -10,13 +10,14 @@ Two layers:
 
 * :class:`MetricFamily` + :func:`render_exposition` — the generic
   renderer (also unit-testable without a server);
-* :func:`runtime_metric_families` — the warm-runtime view: per-process
-  memo hit/miss counters (:class:`~repro.sweep.runtime.ProcessMemos`),
-  shared-workload-store segment accounting, and LPT-dispatch counts,
-  all read from :func:`repro.sweep.runtime.runtime_counters`.  These
-  are *server-process* numbers: pool workers keep their own memos, so
-  the exported memo counters describe the parent's warm scope (the
-  honest scope for a pull endpoint).
+* :func:`runtime_metric_families` — the warm-runtime view: the
+  per-process workload-memo hit/miss counters (one ``kind`` per
+  :class:`~repro.sweep.runtime.MemoStats` field), shared-workload-store
+  segment accounting, and LPT-dispatch counts, all read from
+  :func:`repro.sweep.runtime.runtime_counters`.  These are
+  *server-process* numbers: pool workers keep their own memos, so the
+  exported memo counters describe the parent's warm scope (the honest
+  scope for a pull endpoint).
 
 Everything here is read-only observability — scraping allocates
 nothing in the simulator and cannot perturb run keys or results.
@@ -24,7 +25,7 @@ nothing in the simulator and cannot perturb run keys or results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Tuple
 
 #: the content type Prometheus scrapers expect for text exposition.
@@ -91,16 +92,14 @@ def runtime_metric_families() -> List[MetricFamily]:
     runtime_counters` — never instantiates memos or pools, so a scrape
     of an idle server reports zeros instead of allocating state.
     """
-    from repro.sweep.runtime import runtime_counters
+    from repro.sweep.runtime import MemoStats, runtime_counters
 
     snap = runtime_counters()
     memo_events = MetricFamily(
         "repro_runtime_memo_events_total", "counter",
-        "Warm-scope memo events by kind — MemoStats field names "
-        "(this process only; pool workers keep their own memos).")
-    for kind in ("workload_hits", "workload_misses", "topology_hits",
-                 "topology_misses", "noc_hits", "camp_seeds",
-                 "camp_harvests", "line_seeds", "line_harvests"):
+        "Warm-scope workload-memo events by kind — MemoStats field "
+        "names (this process only; pool workers keep their own memos).")
+    for kind in (f.name for f in fields(MemoStats)):
         memo_events.add(snap.get(f"memo_{kind}", 0), kind=kind)
     families = [
         memo_events,

@@ -75,16 +75,6 @@ def simulate(
     t0 = time.perf_counter()
     result = system.run(wl, verify=verify)
     wall_s = time.perf_counter() - t0
-    # Warm-runtime donation (docs/architecture.md §15): inside a warm
-    # scope the finished machine's derived tables (NoC fast tables,
-    # camp home/nearest tables) feed the process memos for later
-    # points.  A cold process skips this entirely, and fault-touched
-    # state is never donated.
-    from repro.core.system import _sweep_memos
-
-    memos = _sweep_memos()
-    if memos is not None:
-        memos.harvest(system)
     # Cross-run bookkeeping (docs/observability.md): one compact line
     # in the history ledger.  Best-effort and non-semantic — the result
     # object, run keys, and cached bytes are untouched, and a disabled

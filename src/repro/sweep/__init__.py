@@ -14,7 +14,7 @@ scripts build a campaign document and run it through
   multiprocessing grid runner with per-point failure capture and
   typed progress events;
 * :mod:`repro.sweep.runtime` — the warm worker runtime: persistent
-  pools, per-process memo caches, the shared-memory workload store
+  pools, a per-process workload memo, the shared-memory workload store
   and history-informed LPT point ordering.
 
 See ``docs/experiments.md`` for the end-to-end workflow.

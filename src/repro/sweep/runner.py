@@ -267,7 +267,7 @@ class SweepRunner:
     ``runtime`` selects the execution context (see
     :mod:`repro.sweep.runtime`): the default ``None`` builds a private
     warm :class:`~repro.sweep.runtime.WorkerRuntime` for the run
-    (persistent pool, per-process memo caches, shared-memory workload
+    (persistent pool, per-process workload memo, shared-memory workload
     store, history-informed LPT dispatch — all bit-identical to plain
     :func:`~repro.simulate.simulate`) and closes it afterwards; an
     injected runtime is shared across calls and left open, so
@@ -360,8 +360,8 @@ class SweepRunner:
                 pending.append(i)
 
         # 2. simulate the misses (parallel when it pays) on the warm
-        # runtime: per-process memo caches, the shared workload store,
-        # a persistent pool, and LPT dispatch ordering — all
+        # runtime: the per-process workload memo, the shared workload
+        # store, a persistent pool, and LPT dispatch ordering — all
         # result-neutral.
         jobs = self.jobs if self.jobs is not None else os.cpu_count() or 1
         jobs = max(1, min(jobs, len(pending)))

@@ -1,19 +1,18 @@
-"""The warm worker runtime: persistent pools and cross-point memos.
+"""The warm worker runtime: persistent pools and a workload memo.
 
-A cold sweep pays the same fixed costs at every point: workloads are
-re-materialized from their factory specs, topology objects and NoC
-fast tables are rebuilt, camp-location tables are re-primed line by
-line — even though most points of the 48-cell matrix share all of
-them.  This module makes the 2nd..Nth points skip that work without
-changing a single simulated value:
+A cold sweep pays the same fixed costs at every point: a process pool
+is started, and every workload is re-materialized from its factory
+spec and re-pickled into each worker payload — even though most
+points of the 48-cell matrix share one of a handful of workloads.
+This module makes the 2nd..Nth points skip that work without changing
+a single simulated value:
 
-* :class:`ProcessMemos` — per-process memo caches for materialized
-  workloads (keyed by the existing ``workload_token``), shared
-  :class:`~repro.arch.topology.Topology` instances, healthy-mesh NoC
-  fast tables, and camp home/nearest tables.  Every memoized value is
-  a pure function of the config and the workload spec (no RNG or clock
-  state), so warm results are bit-identical to cold ones; anything
-  touched by a fault epoch is never donated back.
+* :class:`ProcessMemos` — the per-process workload memo: materialized
+  workloads keyed by the existing ``workload_token``.  Workload
+  generation is seeded from the factory kwargs alone, so warm results
+  are bit-identical to cold ones.  The simulated machine is not
+  memoized: every point builds its topology, NoC tables and camp
+  tables afresh, so a warm build and a cold build run the same code.
 * :class:`SharedWorkloadStore` — parent-side
   ``multiprocessing.shared_memory`` segments holding each workload's
   pickle exactly once; workers attach zero-copy instead of receiving
@@ -29,15 +28,14 @@ changing a single simulated value:
   point ordering (predicted-slowest first), shrinking pool tail
   latency on the dispatch side.
 
-The memos are *opt-in by scope*: nothing in the simulator consults
-them unless the process is inside an enabled scope (a worker of a
-:class:`WorkerRuntime` pool, or a ``with runtime.activate():`` block
-in the parent).  A cold build — the default for direct
-:func:`repro.simulate.simulate` calls and for every existing test —
-is byte-for-byte the pre-runtime code path.
+The memo is *opt-in by scope*: workload resolution consults it only
+inside an enabled scope (a worker of a :class:`WorkerRuntime` pool,
+or a ``with runtime.activate():`` block in the parent).  Outside one
+— the default for direct :func:`repro.simulate.simulate` calls and
+for every existing test — each point materializes its own workload.
 
-See docs/architecture.md §15 for the memo keys, the shared-memory
-lifecycle and the invalidation rules.
+See docs/architecture.md §15 for the memo key, the shared-memory
+lifecycle and what stays per-run.
 """
 
 from __future__ import annotations
@@ -60,14 +58,11 @@ from repro.workloads.base import make_workload
 #: the CI leak check greps /dev/shm for it after the test suite.
 SHM_PREFIX = "repro_wl_"
 
-#: memo capacity bounds — generous for real sweeps (8 workloads, a
-#: handful of mesh sizes) while keeping a pathological driver from
-#: growing worker memory without bound.
+#: memo capacity bounds — generous for real sweeps (8 workloads)
+#: while keeping a pathological driver from growing worker memory
+#: without bound.
 MAX_WORKLOAD_MEMOS = 16
 MAX_SHM_SEGMENTS = 32
-#: camp tables beyond this many memoized lines are not harvested (the
-#: per-line tables are the largest memo class by far).
-MAX_CAMP_LINES = 200_000
 
 
 # ----------------------------------------------------------------------
@@ -104,70 +99,34 @@ def runtime_counters() -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# per-process memo caches
+# the per-process workload memo
 # ----------------------------------------------------------------------
 @dataclass
 class MemoStats:
-    """Hit/miss counters of one process's memo caches (observability
-    only — never consulted by the simulation)."""
+    """Hit/miss counters of one process's workload memo
+    (observability only — never consulted by the simulation).  The
+    metrics plane exports one ``kind`` label per field."""
 
     workload_hits: int = 0
     workload_misses: int = 0
-    topology_hits: int = 0
-    topology_misses: int = 0
-    noc_hits: int = 0
-    camp_seeds: int = 0
-    camp_harvests: int = 0
-    line_seeds: int = 0
-    line_harvests: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"workloads {self.workload_hits}h/{self.workload_misses}m, "
-            f"topology {self.topology_hits}h/{self.topology_misses}m, "
-            f"noc {self.noc_hits}h, camp {self.camp_seeds}s/"
-            f"{self.camp_harvests}w, lines {self.line_seeds}s/"
-            f"{self.line_harvests}w"
-        )
 
 
 class ProcessMemos:
-    """Cross-point memo caches held by one (worker or parent) process.
+    """The cross-point workload memo held by one (worker or parent)
+    process.
 
-    Every entry is deterministic derived data:
-
-    * ``workloads`` — materialized workload instances keyed by the
-      stable hash of their :func:`~repro.sweep.keys.workload_token`
-      (the exact identity run keys use).  Workload generation is
-      seeded from the factory kwargs alone, so the same token always
-      materializes the same object.
-    * ``topologies`` — immutable :class:`~repro.arch.topology.Topology`
-      instances keyed by (topology-config fields, num_groups).
-    * ``noc_tables`` — the healthy-mesh ``fast_tables`` keyed by (topology key, inter/intra hop latency).  Only
-      harvested and only seeded at ``fault_epoch == 0``; a fault
-      transition nulls the interconnect's own copy and bumps the
-      epoch, so faulted tables can never be donated.
-    * ``camp_tables`` — ``(loc_cache, nearest_cache)`` dict pairs
-      keyed by the machine key (topology+memory+cache+noc sections).
-      Seeded as shallow copies into a fresh mapper; harvested back
-      only from mappers that stayed at ``epoch == 0`` (never cleared,
-      no alive-mask) on a fault-free interconnect.
-    * ``line_memos`` — the memory system's per-line
-      ``(home, nearest, is_home)`` memo (the batched read path's
-      flattened tables), keyed like ``camp_tables`` and guarded by the
-      same epoch rules plus the memory system's own memo-epoch tuple.
+    ``workloads`` holds materialized workload instances keyed by the
+    stable hash of their :func:`~repro.sweep.keys.workload_token` (the
+    exact identity run keys use).  Workload generation is seeded from
+    the factory kwargs alone, so the same token always materializes
+    the same object.  The machine itself is always built cold: its
+    derived tables (NoC fast tables, camp home/nearest tables, the
+    memory system's per-line memo) live and die with one run.
     """
 
     def __init__(self) -> None:
         self.workloads: "OrderedDict[str, Any]" = OrderedDict()
-        self.topologies: Dict[Tuple, Any] = {}
-        self.noc_tables: Dict[Tuple, Tuple] = {}
-        self.camp_tables: Dict[str, Tuple[dict, dict]] = {}
-        self.line_memos: Dict[str, dict] = {}
         self.stats = MemoStats()
-        #: machine-key memo keyed on id() of a config (configs are
-        #: frozen; id reuse after GC only costs a recompute).
-        self._machine_keys: Dict[int, Tuple[Any, str]] = {}
 
     # -- workloads -----------------------------------------------------
     def remember_workload(self, token: str, workload: Any) -> None:
@@ -193,116 +152,6 @@ class ProcessMemos:
         self.stats.workload_misses += 1
         return workload
 
-    # -- machine keys --------------------------------------------------
-    def machine_key(self, config) -> str:
-        """Stable digest of the config sections the machine-shape
-        memos depend on (topology, memory, cache, noc) — scheduler
-        policy and core parameters deliberately excluded, so e.g. the
-        C and O design points share camp tables."""
-        hit = self._machine_keys.get(id(config))
-        if hit is not None and hit[0] is config:
-            return hit[1]
-        sections = config.canonical_dict()
-        key = stable_hash({
-            name: sections.get(name)
-            for name in ("topology", "memory", "cache", "noc")
-        })
-        self._machine_keys[id(config)] = (config, key)
-        return key
-
-    @staticmethod
-    def _topology_key(topo_config, num_groups: int) -> Tuple:
-        import dataclasses
-
-        return (dataclasses.astuple(topo_config), int(num_groups))
-
-    def topology_for(self, topo_config, num_groups: int):
-        """A shared immutable Topology for (config, groups)."""
-        from repro.arch.topology import Topology
-
-        key = self._topology_key(topo_config, num_groups)
-        hit = self.topologies.get(key)
-        if hit is not None:
-            self.stats.topology_hits += 1
-            return hit
-        topo = Topology(topo_config, num_groups=num_groups)
-        self.topologies[key] = topo
-        self.stats.topology_misses += 1
-        return topo
-
-    def _noc_key(self, system) -> Tuple:
-        topo = system.config.topology
-        noc = system.config.noc
-        return (
-            self._topology_key(topo, system.topology.num_groups),
-            float(noc.inter_hop_ns),
-            float(noc.intra_hop_ns),
-        )
-
-    # -- attach / harvest ----------------------------------------------
-    def attach(self, system) -> None:
-        """Seed a freshly built machine from the memos (bit-identical:
-        every seeded value is exactly what the run would compute)."""
-        icn = system.interconnect
-        if icn.fault_epoch == 0 and icn._fast_tables is None:
-            hit = self.noc_tables.get(self._noc_key(system))
-            if hit is not None:
-                icn._fast_tables = hit
-                self.stats.noc_hits += 1
-        mapper = system.camp_mapper
-        if (mapper is not None and mapper.epoch == 0
-                and not system.telemetry.enabled):
-            # telemetry runs stay cold: the camp.memo_lines gauge
-            # reports the memo footprint, which seeding would inflate.
-            hit = self.camp_tables.get(self.machine_key(system.config))
-            if hit is not None:
-                mapper._loc_cache = dict(hit[0])
-                mapper._nearest_cache = dict(hit[1])
-                self.stats.camp_seeds += 1
-        ms = system.memory_system
-        if (icn.fault_epoch == 0 and not system.telemetry.enabled
-                and (mapper is None or mapper.epoch == 0)
-                and not ms._line_memo):
-            hit = self.line_memos.get(self.machine_key(system.config))
-            if hit is not None:
-                ms._line_memo = dict(hit)
-                # pin the memo epoch the fused kernel would compute, or
-                # its first access clears the seed as "stale".
-                ms._memo_epoch = (
-                    mapper.epoch if mapper is not None else -1,
-                    icn.fault_epoch,
-                )
-                self.stats.line_seeds += 1
-
-    def harvest(self, system) -> None:
-        """Donate a finished machine's derived tables back to the
-        memos.  Anything a fault epoch ever touched is skipped — the
-        interconnect nulls its tables and the mapper bumps its epoch
-        on every fault transition, so this check is airtight."""
-        icn = system.interconnect
-        if icn.fault_epoch == 0 and icn._fast_tables is not None:
-            self.noc_tables.setdefault(self._noc_key(system),
-                                       icn._fast_tables)
-        mapper = system.camp_mapper
-        if (mapper is not None and mapper.epoch == 0
-                and mapper._alive is None and icn.fault_epoch == 0
-                and not system.telemetry.enabled
-                and len(mapper._nearest_cache) <= MAX_CAMP_LINES):
-            self.camp_tables[self.machine_key(system.config)] = (
-                mapper._loc_cache, mapper._nearest_cache,
-            )
-            self.stats.camp_harvests += 1
-        ms = system.memory_system
-        if (icn.fault_epoch == 0 and not system.telemetry.enabled
-                and (mapper is None
-                     or (mapper.epoch == 0 and mapper._alive is None))
-                and ms._memo_epoch == (
-                    mapper.epoch if mapper is not None else -1, 0)
-                and 0 < len(ms._line_memo) <= MAX_CAMP_LINES):
-            self.line_memos[self.machine_key(system.config)] = \
-                ms._line_memo
-            self.stats.line_harvests += 1
-
 
 # ----------------------------------------------------------------------
 # warm scope: the memos are inert unless a scope enables them
@@ -312,7 +161,7 @@ _SCOPE_DEPTH = 0
 
 
 def process_memos() -> ProcessMemos:
-    """This process's memo caches (created on first use).  The data
+    """This process's workload memo (created on first use).  The data
     outlives scopes — re-entering a warm scope resumes warm."""
     global _MEMOS
     if _MEMOS is None:
@@ -322,8 +171,8 @@ def process_memos() -> ProcessMemos:
 
 def active_memos() -> Optional[ProcessMemos]:
     """The memos, or None when this process is in a cold scope.
-    Every simulator hook goes through this gate, so cold behaviour is
-    exactly the pre-runtime code path."""
+    Workload resolution goes through this gate, so a cold scope
+    materializes every point's workload itself."""
     return _MEMOS if _SCOPE_DEPTH > 0 else None
 
 

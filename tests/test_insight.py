@@ -4,6 +4,7 @@ non-semantics, the Prometheus metrics plane (unit + live /v1/metrics),
 telemetry schema versioning in the diff engine, and the zero-overhead
 guard on the disabled-telemetry path."""
 
+import dataclasses
 import json
 
 import pytest
@@ -37,6 +38,7 @@ from repro.observatory.progress import ProgressEvent
 from repro.service.spec import ExperimentSpec
 from repro.sweep import cached_simulate, run_key
 from repro.sweep.cache import default_cache
+from repro.sweep.runtime import MemoStats
 from repro.telemetry import NULL_TELEMETRY, TelemetrySummary
 from repro.telemetry.core import SUMMARY_VERSION
 
@@ -353,6 +355,13 @@ class TestMetricsPlane:
         # a scrape of an idle process renders without error
         text = render_exposition(families)
         assert 'kind="workload_hits"' in text
+
+    def test_memo_event_kinds_are_memo_stats_fields(self):
+        (memo_events,) = [f for f in runtime_metric_families()
+                          if f.name == "repro_runtime_memo_events_total"]
+        kinds = [labels["kind"] for labels, _ in memo_events.samples]
+        assert kinds == [f.name for f in dataclasses.fields(MemoStats)]
+        assert kinds == ["workload_hits", "workload_misses"]
 
 
 @pytest.fixture
