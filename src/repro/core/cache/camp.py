@@ -104,7 +104,10 @@ class CampMapper:
         # Per-line nearest-location memo (hot path: one lookup per
         # memory access and per scheduler scoring):
         #   line -> (nearest unit per requester, is-home flag per
-        #            requester, distance-to-nearest per unit)
+        #            requester, distance-to-nearest per unit,
+        #            the first two again as plain Python lists)
+        # The lists feed the access kernel's line memo as they are, so
+        # callers must not mutate them.
         self._nearest_cache: dict = {}
         # Unit liveness under faults; None while every unit is healthy.
         self._alive: "np.ndarray | None" = None
@@ -199,7 +202,8 @@ class CampMapper:
 
     def _nearest_tables(self, line: int, cost_matrix: np.ndarray):
         """Memoized per-line tables: for every requester, the nearest
-        allowed location, whether it is the home, and its distance.
+        allowed location, whether it is the home, and its distance,
+        then the nearest and is-home tables as Python lists.
 
         All inputs are run-static (the cost matrix is built once, the
         camp mapping is deterministic), so the tables are computed once
@@ -216,11 +220,13 @@ class CampMapper:
         costs = cost_matrix[:, locs]                 # (N, G)
         idx = np.argmin(costs, axis=1)               # (N,)
         nearest = locs[idx]
-        home = self.home_unit(line)
+        is_home = nearest == self.home_unit(line)
         tables = (
             nearest,
-            nearest == home,
+            is_home,
             costs[np.arange(len(idx)), idx],
+            nearest.tolist(),
+            is_home.tolist(),
         )
         self._nearest_cache[line] = tables
         return tables
@@ -232,8 +238,8 @@ class CampMapper:
         Returns ``(unit, is_home)``.  Traveller probes only this single
         nearest location (Section 4.3).
         """
-        nearest, is_home, _ = self._nearest_tables(line, cost_matrix)
-        return int(nearest[requester]), bool(is_home[requester])
+        tables = self._nearest_tables(line, cost_matrix)
+        return tables[3][requester], tables[4][requester]
 
     # ------------------------------------------------------------------
     # vectorised interface (scheduler scoring)
@@ -308,11 +314,13 @@ class CampMapper:
             np.minimum(dist, costs[g], out=dist)
         is_home = nearest == homes[:, None]
         loc_cache = self._loc_cache
-        for ln, loc, near, at_home, row in zip(
-                missing, locs, nearest, is_home, dist):
+        # One flattening per block for the list forms of the tables.
+        for ln, loc, near, at_home, row, near_list, home_list in zip(
+                missing, locs, nearest, is_home, dist,
+                nearest.tolist(), is_home.tolist()):
             if ln not in loc_cache:
                 loc_cache[ln] = loc
-            cache[ln] = (near, at_home, row)
+            cache[ln] = (near, at_home, row, near_list, home_list)
 
     # ------------------------------------------------------------------
     # metadata sizing (Section 4.3)

@@ -198,28 +198,28 @@ class MemorySystem:
         """Ensure every line's (home, nearest, is-home) memo entry exists.
 
         Memo validity is tied to the camp-mapping epoch and the link-
-        fault epoch; both are checked by the caller.  Camp tables are
-        filled array-at-a-time via :meth:`CampMapper.prime_lines` and
-        then flattened to Python lists for the sequential kernel.
+        fault epoch; both are checked by the caller.  Homes come from
+        the scalar :meth:`MemoryMap.home_of_line` (a batch holds few
+        missing lines, where an array round trip costs more); camp
+        tables are filled array-at-a-time via
+        :meth:`CampMapper.prime_lines`, which also stores their list
+        forms, shared here as they are.
         """
         memo = self._line_memo
         missing = [ln for ln in line_list if ln not in memo]
         if not missing:
             return
-        homes = self.memory_map.homes_of_lines(
-            np.asarray(missing, dtype=np.int64)
-        ).tolist()
+        home_of_line = self.memory_map.home_of_line
         if self.style is CacheStyle.NONE:
-            for ln, home in zip(missing, homes):
-                memo[ln] = (home, None, None)
+            for ln in missing:
+                memo[ln] = (home_of_line(ln), None, None)
             return
         cm = self.camp_mapper
         cm.prime_lines(missing, self._cost)
-        tables = cm._nearest_tables
-        cost = self._cost
-        for ln, home in zip(missing, homes):
-            nearest, is_home, _ = tables(ln, cost)
-            memo[ln] = (home, nearest.tolist(), is_home.tolist())
+        tables = cm._nearest_cache
+        for ln in missing:
+            entry = tables[ln]
+            memo[ln] = (home_of_line(ln), entry[3], entry[4])
 
     # ------------------------------------------------------------------
     # read path

@@ -12,13 +12,17 @@ A workload owns a (seeded, deterministic) dataset and knows how to
 
 Task *hints* list the physical addresses of every primary-data element
 the task touches, exactly as the paper's programmers supply them from
-the application's own index structures.
+the application's own index structures.  The scheduler and the access
+kernel memoize what they derive from a hint on the hint object, so a
+workload that runs an element more than once builds one hint per
+element and reuses it (:class:`ElementHints`): the first-touch work is
+then done once per element per run, not once per task.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -61,6 +65,41 @@ def vertex_hint(addresses: np.ndarray, v: int,
     out[0] = addresses[v]
     out[1:] = addresses[neighbors]
     return TaskHint(addresses=out)
+
+
+class ElementHints:
+    """One :class:`TaskHint` per primary-data element, built by
+    ``build(i)`` on first use and shared by every task of element ``i``
+    (root and spawned) for the rest of the run.
+
+    Lifetime: one run.  Keep the table on the run state that
+    :meth:`Workload.setup` returns, never on the workload instance or
+    anything else a second run could reach.  Some of the scheduler's
+    hint memos (``_hmean``, ``_ldpick`` and, without camps, ``_wsum``)
+    are keyed only on ``SchedulerContext.cost_epoch``, which restarts
+    at 0 on every machine, so a hint carried into another run would
+    silently read the previous machine's rows.
+    """
+
+    __slots__ = ("_hints", "_build")
+
+    def __init__(self, count: int, build: Callable[[int], TaskHint]):
+        self._hints: List[Optional[TaskHint]] = [None] * count
+        self._build = build
+
+    def __getitem__(self, i: int) -> TaskHint:
+        hint = self._hints[i]
+        if hint is None:
+            hint = self._hints[i] = self._build(i)
+        return hint
+
+
+def vertex_hints(graph, addresses: np.ndarray) -> ElementHints:
+    """Per-vertex :func:`vertex_hint` table of ``graph`` (pr, sssp, cc)."""
+    return ElementHints(
+        graph.num_vertices,
+        lambda v: vertex_hint(addresses, v, graph.neighbors(v)),
+    )
 
 
 #: name -> zero-argument factory producing the default-sized workload.

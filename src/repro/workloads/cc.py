@@ -18,7 +18,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.runtime.task import Task
-from repro.workloads.base import Workload, register_workload, vertex_hint
+from repro.workloads.base import (
+    ElementHints, Workload, register_workload, vertex_hints,
+)
 from repro.workloads.datasets import community_powerlaw_graph
 from repro.workloads.graph import Graph
 
@@ -35,6 +37,7 @@ class CcState:
     in_next: np.ndarray
     max_rounds: int
     home_of: np.ndarray
+    hints: ElementHints       # one TaskHint per vertex for the run
 
 
 def _spawn(ctx, st: CcState, v: int) -> None:
@@ -42,7 +45,7 @@ def _spawn(ctx, st: CcState, v: int) -> None:
     ctx.enqueue_task(
         _task_cc,
         ctx.timestamp + 1,
-        vertex_hint(st.addresses, v, neigh),
+        st.hints[v],
         v,
         compute_cycles=_BASE_CYCLES + _PER_NEIGHBOR_CYCLES * len(neigh),
     )
@@ -95,6 +98,7 @@ class ConnectedComponentsWorkload(Workload):
             in_next=np.zeros(g.num_vertices, dtype=bool),
             max_rounds=self.max_rounds,
             home_of=system.memory_map.home_units(region.addresses),
+            hints=vertex_hints(g, region.addresses),
         )
 
     def root_tasks(self, state: CcState) -> List[Task]:
@@ -106,7 +110,7 @@ class ConnectedComponentsWorkload(Workload):
                 Task(
                     func=_task_cc,
                     timestamp=0,
-                    hint=vertex_hint(state.addresses, v, neigh),
+                    hint=state.hints[v],
                     args=(v,),
                     compute_cycles=(
                         _BASE_CYCLES + _PER_NEIGHBOR_CYCLES * len(neigh)

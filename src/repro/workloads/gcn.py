@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.runtime.task import Task, TaskHint
-from repro.workloads.base import Workload, register_workload
+from repro.workloads.base import ElementHints, Workload, register_workload
 from repro.workloads.datasets import community_powerlaw_graph
 from repro.workloads.graph import Graph
 
@@ -29,31 +29,34 @@ _PER_NEIGHBOR_CYCLES = 12.0
 _PER_FEATURE_SQ_CYCLES = 1.0  # dense (F x F) multiply term
 
 
-def _row_addrs(state: "GcnState", vertices: np.ndarray) -> np.ndarray:
-    """All cacheline addresses of the given vertices' feature rows.
+def _rows_hint(graph: Graph, addresses: np.ndarray, lines_per_row: int,
+               v: int) -> TaskHint:
+    """Every cacheline of the feature rows of ``v`` and its neighbors,
+    ``v`` first.
 
     A feature row wider than one cacheline spans ``lines_per_row``
     lines; the hint must name each of them (the task reads the whole
     row).
     """
-    base = state.addresses[vertices]
-    if state.lines_per_row == 1:
-        return base
-    offs = 64 * np.arange(state.lines_per_row, dtype=np.int64)
-    return (base[:, None] + offs[None, :]).reshape(-1)
+    members = np.concatenate(([v], graph.neighbors(v))).astype(np.int64)
+    base = addresses[members]
+    if lines_per_row == 1:
+        return TaskHint(addresses=base)
+    offs = 64 * np.arange(lines_per_row, dtype=np.int64)
+    return TaskHint(addresses=(base[:, None] + offs[None, :]).reshape(-1))
 
 
 @dataclass
 class GcnState:
     graph: Graph
     addresses: np.ndarray     # first line of each vertex's feature row
-    lines_per_row: int
     feats: np.ndarray         # (V, F) current activations
     next_feats: np.ndarray
     weights: List[np.ndarray]
     biases: List[np.ndarray]
     num_layers: int
     home_of: np.ndarray
+    hints: ElementHints       # one TaskHint per vertex for the run
 
 
 def _layer_cycles(degree: int, feature_dim: int) -> float:
@@ -75,12 +78,10 @@ def _task_gcn(ctx, v: int) -> None:
     st.next_feats[v] = np.maximum(out, 0.0)  # ReLU
 
     if layer + 1 < st.num_layers:
-        members = np.concatenate(([v], neigh)).astype(np.int64)
-        addrs = _row_addrs(st, members)
         ctx.enqueue_task(
             _task_gcn,
             layer + 1,
-            TaskHint(addresses=addrs),
+            st.hints[v],
             v,
             compute_cycles=_layer_cycles(len(neigh), st.feats.shape[1]),
         )
@@ -123,16 +124,21 @@ class GcnWorkload(Workload):
         # span multiple lines.
         elem_bytes = max(64, self.feature_dim * 4)
         region = alloc.alloc("gcn_features", g.num_vertices, elem_bytes=elem_bytes, layout=self.layout)
+        addresses = region.addresses
+        lines_per_row = elem_bytes // 64
         return GcnState(
             graph=g,
-            addresses=region.addresses,
-            lines_per_row=elem_bytes // 64,
+            addresses=addresses,
             feats=self.init_feats.copy(),
             next_feats=self.init_feats.copy(),
             weights=self.weights,
             biases=self.biases,
             num_layers=self.num_layers,
-            home_of=system.memory_map.home_units(region.addresses),
+            home_of=system.memory_map.home_units(addresses),
+            hints=ElementHints(
+                g.num_vertices,
+                lambda v: _rows_hint(g, addresses, lines_per_row, v),
+            ),
         )
 
     def root_tasks(self, state: GcnState) -> List[Task]:
@@ -140,13 +146,11 @@ class GcnWorkload(Workload):
         tasks = []
         for v in range(g.num_vertices):
             neigh = g.neighbors(v)
-            members = np.concatenate(([v], neigh)).astype(np.int64)
-            addrs = _row_addrs(state, members)
             tasks.append(
                 Task(
                     func=_task_gcn,
                     timestamp=0,
-                    hint=TaskHint(addresses=addrs),
+                    hint=state.hints[v],
                     args=(v,),
                     compute_cycles=_layer_cycles(len(neigh), self.feature_dim),
                     spawner_unit=int(state.home_of[v]),

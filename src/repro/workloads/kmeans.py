@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.runtime.task import Task, TaskHint
-from repro.workloads.base import Workload, register_workload
+from repro.workloads.base import ElementHints, Workload, register_workload
 from repro.workloads.datasets import PointSet, clustered_points
 
 _BASE_CYCLES = 30.0
@@ -35,6 +35,7 @@ class KMeansState:
     counts: np.ndarray        # (k,)
     max_iters: int
     home_of: np.ndarray
+    hints: ElementHints       # one TaskHint per point for the run
 
 
 def _task_kmeans(ctx, i: int) -> None:
@@ -50,7 +51,7 @@ def _task_kmeans(ctx, i: int) -> None:
         ctx.enqueue_task(
             _task_kmeans,
             ctx.timestamp + 1,
-            TaskHint(addresses=np.array([st.addresses[i]])),
+            st.hints[i],
             i,
             compute_cycles=_BASE_CYCLES + _PER_CENTROID_CYCLES * len(st.centroids),
         )
@@ -83,15 +84,20 @@ class KMeansWorkload(Workload):
         alloc = system.allocator()
         region = alloc.alloc("kmeans_points", ds.count, elem_bytes=64, layout=self.layout)
         k, d = self.init_centroids.shape
+        addresses = region.addresses
         return KMeansState(
             points=ds.points,
-            addresses=region.addresses,
+            addresses=addresses,
             centroids=self.init_centroids.copy(),
             assignments=np.full(ds.count, -1, dtype=np.int64),
             sums=np.zeros((k, d)),
             counts=np.zeros(k, dtype=np.int64),
             max_iters=self.iterations,
-            home_of=system.memory_map.home_units(region.addresses),
+            home_of=system.memory_map.home_units(addresses),
+            hints=ElementHints(
+                ds.count,
+                lambda i: TaskHint(addresses=np.array([addresses[i]])),
+            ),
         )
 
     def root_tasks(self, state: KMeansState) -> List[Task]:
@@ -101,7 +107,7 @@ class KMeansWorkload(Workload):
                 Task(
                     func=_task_kmeans,
                     timestamp=0,
-                    hint=TaskHint(addresses=np.array([state.addresses[i]])),
+                    hint=state.hints[i],
                     args=(i,),
                     compute_cycles=(
                         _BASE_CYCLES + _PER_CENTROID_CYCLES * self.clusters

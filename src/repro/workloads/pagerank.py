@@ -15,7 +15,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.runtime.task import Task
-from repro.workloads.base import Workload, register_workload, vertex_hint
+from repro.workloads.base import (
+    ElementHints, Workload, register_workload, vertex_hints,
+)
 from repro.workloads.datasets import community_powerlaw_graph
 from repro.workloads.graph import Graph
 
@@ -37,12 +39,9 @@ class PageRankState:
     home_of: np.ndarray          # vertex -> home unit (spawner metadata)
     #: ``inv`` is curr / out_degree, refreshed at each barrier — tasks
     #: gather single contributions from it, elementwise-identical to
-    #: dividing the gathered operands per task.  ``hints`` holds one
-    #: persistent TaskHint per vertex: the hint addresses are identical
-    #: every iteration, and reusing the object lets the per-hint memos
-    #: (lines, homes, scoring rows) live for the whole run.
+    #: dividing the gathered operands per task.
     inv: np.ndarray
-    hints: List
+    hints: ElementHints       # one TaskHint per vertex for the run
 
 
 def _task_page_rank(ctx, v: int) -> None:
@@ -114,7 +113,7 @@ class PageRankWorkload(Workload):
             max_iters=self.iterations,
             home_of=system.memory_map.home_units(region.addresses),
             inv=curr / out_degree,
-            hints=[],
+            hints=vertex_hints(g, region.addresses),
         )
 
     def root_tasks(self, state: PageRankState) -> List[Task]:
@@ -122,13 +121,11 @@ class PageRankWorkload(Workload):
         tasks = []
         for v in range(g.num_vertices):
             neighbors = g.neighbors(v)
-            hint = vertex_hint(state.addresses, v, neighbors)
-            state.hints.append(hint)
             tasks.append(
                 Task(
                     func=_task_page_rank,
                     timestamp=0,
-                    hint=hint,
+                    hint=state.hints[v],
                     args=(v,),
                     compute_cycles=(
                         _BASE_CYCLES + _PER_NEIGHBOR_CYCLES * len(neighbors)

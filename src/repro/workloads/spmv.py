@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.runtime.task import Task, TaskHint
-from repro.workloads.base import Workload, register_workload
+from repro.workloads.base import ElementHints, Workload, register_workload
 from repro.workloads.datasets import SparseMatrix, skewed_sparse_matrix
 
 _BASE_CYCLES = 30.0
@@ -37,11 +37,14 @@ class SpmvState:
     y: np.ndarray             # output accumulator
     max_iters: int
     home_of_row: np.ndarray
+    hints: ElementHints       # one TaskHint per row for the run
 
 
-def _row_hint(st: SpmvState, i: int) -> np.ndarray:
-    cols, _ = st.matrix.row_slice(i)
-    return np.concatenate((st.row_lines[i], st.vec_addrs[cols]))
+def _row_hint(matrix: SparseMatrix, row_lines: list, vec_addrs: np.ndarray,
+              i: int) -> TaskHint:
+    """Row ``i``'s own segment lines, then its vector entries."""
+    cols, _ = matrix.row_slice(i)
+    return TaskHint(addresses=np.concatenate((row_lines[i], vec_addrs[cols])))
 
 
 def _task_spmv(ctx, i: int) -> None:
@@ -53,7 +56,7 @@ def _task_spmv(ctx, i: int) -> None:
         ctx.enqueue_task(
             _task_spmv,
             ctx.timestamp + 1,
-            TaskHint(addresses=_row_hint(st, i)),
+            st.hints[i],
             i,
             compute_cycles=_BASE_CYCLES + _PER_NNZ_CYCLES * len(cols),
         )
@@ -94,15 +97,18 @@ class SpmvWorkload(Workload):
             row_lines.append(base + 64 * np.arange(seg_lines[i], dtype=np.int64))
         # Vector entries are 8 B each, packed 8 per line, round-robin.
         vec_region = alloc.alloc("spmv_vector", m.cols, elem_bytes=8, layout=self.layout)
+        vec_addrs = vec_region.addresses
         return SpmvState(
             matrix=m,
             row_addrs=rows_region.addresses,
             row_lines=row_lines,
-            vec_addrs=vec_region.addresses,
+            vec_addrs=vec_addrs,
             x=m.vector.copy(),
             y=np.zeros(m.rows),
             max_iters=self.iterations,
             home_of_row=system.memory_map.home_units(rows_region.addresses),
+            hints=ElementHints(
+                m.rows, lambda i: _row_hint(m, row_lines, vec_addrs, i)),
         )
 
     def root_tasks(self, state: SpmvState) -> List[Task]:
@@ -114,7 +120,7 @@ class SpmvWorkload(Workload):
                 Task(
                     func=_task_spmv,
                     timestamp=0,
-                    hint=TaskHint(addresses=_row_hint(state, i)),
+                    hint=state.hints[i],
                     args=(i,),
                     compute_cycles=_BASE_CYCLES + _PER_NNZ_CYCLES * len(cols),
                     spawner_unit=int(state.home_of_row[i]),

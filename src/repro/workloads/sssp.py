@@ -16,7 +16,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.runtime.task import Task
-from repro.workloads.base import Workload, register_workload, vertex_hint
+from repro.workloads.base import (
+    ElementHints, Workload, register_workload, vertex_hints,
+)
 from repro.workloads.datasets import community_powerlaw_graph, random_weights
 from repro.workloads.graph import Graph
 
@@ -34,6 +36,7 @@ class SsspState:
     source: int
     max_rounds: int
     home_of: np.ndarray
+    hints: ElementHints       # one TaskHint per vertex for the run
 
 
 def _spawn(ctx, st: SsspState, u: int) -> None:
@@ -42,7 +45,7 @@ def _spawn(ctx, st: SsspState, u: int) -> None:
     ctx.enqueue_task(
         _task_sssp,
         ctx.timestamp + 1,
-        vertex_hint(st.addresses, u, neigh),
+        st.hints[u],
         u,
         compute_cycles=_BASE_CYCLES + _PER_NEIGHBOR_CYCLES * len(neigh),
     )
@@ -109,6 +112,7 @@ class SsspWorkload(Workload):
             source=self.source,
             max_rounds=self.max_rounds,
             home_of=system.memory_map.home_units(region.addresses),
+            hints=vertex_hints(g, region.addresses),
         )
 
     def root_tasks(self, state: SsspState) -> List[Task]:
@@ -118,7 +122,7 @@ class SsspWorkload(Workload):
             Task(
                 func=_task_sssp,
                 timestamp=0,
-                hint=vertex_hint(state.addresses, v, neigh),
+                hint=state.hints[v],
                 args=(v,),
                 compute_cycles=_BASE_CYCLES + _PER_NEIGHBOR_CYCLES * len(neigh),
                 spawner_unit=int(state.home_of[v]),

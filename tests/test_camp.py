@@ -153,8 +153,12 @@ class TestNearestLocation:
         for line in lines:
             got = primed._nearest_cache[line]
             want = scalar._nearest_tables(line, cost)
-            for a, b in zip(got, want):
+            for a, b in zip(got[:3], want[:3]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+            # The list forms the access kernel shares, flattened per
+            # block by the batch fill and per line by the scalar path.
+            assert got[3:] == want[3:] == (want[0].tolist(),
+                                           want[1].tolist())
             assert np.array_equal(primed._loc_cache[line],
                                   scalar.locations(line))
             assert not primed.locations(line).flags.writeable

@@ -51,6 +51,17 @@ class TestMemoryMap:
         line = memmap.line_of(memmap.unit_capacity + 128)
         assert memmap.home_of_line(line) == 1
 
+    def test_scalar_home_of_line_matches_vectorised(self, memmap):
+        """The access kernel's line memo takes homes from the scalar
+        helper, the scheduler from the array one: they must agree,
+        up to the top line of the address space."""
+        top = memmap.line_of(memmap.total_capacity - 1)
+        rng = np.random.default_rng(11)
+        lines = np.append(rng.integers(0, top + 1, size=500), [0, top])
+        assert memmap.homes_of_lines(lines).tolist() == [
+            memmap.home_of_line(int(ln)) for ln in lines]
+        assert memmap.home_of_line(top) == memmap.topology.num_units - 1
+
 
 class TestAllocator:
     def test_round_robin_spreads_elements(self, memmap):

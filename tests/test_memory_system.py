@@ -228,6 +228,67 @@ class TestFaultState:
         assert ms.dram_stats.reads == 2
 
 
+class TestLineMemo:
+    """Every access-kernel line memo entry is ``(home, nearest list,
+    is-home list)``: the camp mapper's tables as lists, shared with
+    the mapper's own entry rather than copied."""
+
+    @staticmethod
+    def _lines(system, count=300):
+        rng = np.random.default_rng(5)
+        units = rng.integers(system.config.num_units, size=count)
+        offsets = rng.integers(4096, size=count)
+        return sorted({line_in_unit(system, int(u), int(i))
+                       for u, i in zip(units, offsets)})
+
+    @staticmethod
+    def _check(system, lines) -> dict:
+        memo = system.memory_system._line_memo
+        cm = system.camp_mapper
+        cost = system.interconnect.cost_matrix
+        home_of_line = system.memory_map.home_of_line
+        assert set(lines) <= memo.keys()
+        for ln, entry in memo.items():
+            tables = cm._nearest_tables(ln, cost)
+            assert entry == (home_of_line(ln),
+                             *[t.tolist() for t in tables[:2]])
+            assert entry[1] is tables[3] and entry[2] is tables[4]
+        return dict(memo)
+
+    @pytest.mark.parametrize("design", ["C", "O"])
+    def test_entries_are_the_camp_tables(self, design):
+        system = make_system(design)
+        ms, cm = system.memory_system, system.camp_mapper
+        lines = self._lines(system)
+        # Small batches (a few missing lines each), then one block.
+        for start in range(0, 40, 4):
+            ms.access_many(start % 7, lines[start:start + 4], 0.0)
+        ms.access_many(5, lines, 0.0)
+        healthy = self._check(system, lines)
+
+        cm.clear_cache()  # epoch bump: the memo starts over
+        ms.access_many(3, lines[::2], 0.0)
+        assert ms._line_memo.keys() == set(lines[::2])
+        self._check(system, lines[::2])
+
+        alive = np.ones(system.config.num_units, dtype=bool)
+        alive[[1, 9]] = False
+        cm.set_alive_mask(alive)  # per-line table path
+        ms.access_many(2, lines, 0.0)
+        masked = self._check(system, lines)
+        assert masked != healthy
+        assert all(1 not in entry[1] and 9 not in entry[1]
+                   or entry[0] in (1, 9) for entry in masked.values())
+
+    def test_cacheless_entries_are_homes(self):
+        system = make_system("B")
+        lines = self._lines(system)
+        system.memory_system.access_many(0, lines, 0.0)
+        home_of_line = system.memory_map.home_of_line
+        assert system.memory_system._line_memo == {
+            ln: (home_of_line(ln), None, None) for ln in lines}
+
+
 #: :data:`PARTITION` plus a dead unit and a slow vault outside the
 #: cut-off stack 0, where camps stay reachable, so the camp remap and
 #: the slow vault shape camp probes and camp hits as well as home reads.

@@ -7,6 +7,8 @@ bodies end to end — any misordering of phases, lost task, or stale
 double-buffer shows up as a wrong answer.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,116 @@ class TestWorkloadShapes:
         r = repro.simulate("B", wl)
         # Far fewer waves than the worst-case bound.
         assert r.timestamps_executed < wl.max_rounds
+
+
+def _neighbors_hint(state, v):
+    """The per-task vertex hint pr, sssp and cc built before hints
+    were shared per element: own record, then the neighbors'."""
+    neigh = state.graph.neighbors(v)
+    out = np.empty(neigh.shape[0] + 1, dtype=np.int64)
+    out[0] = state.addresses[v]
+    out[1:] = state.addresses[neigh]
+    return out
+
+
+def _gcn_hint(state, v, lines_per_row):
+    """The per-task gcn hint: every line of the feature rows of ``v``
+    and of its neighbors, ``v`` first."""
+    members = np.concatenate(([v], state.graph.neighbors(v))).astype(np.int64)
+    base = state.addresses[members]
+    offs = 64 * np.arange(lines_per_row, dtype=np.int64)
+    return (base[:, None] + offs[None, :]).reshape(-1)
+
+
+def _spmv_hint(state, i):
+    """The per-task spmv hint: the row's segment lines, then its
+    vector entries."""
+    cols, _ = state.matrix.row_slice(i)
+    return np.concatenate((state.row_lines[i], state.vec_addrs[cols]))
+
+
+#: name -> (small instance with repeat visits, reference hint builder)
+REVISITING = {
+    "pr": (lambda: PageRankWorkload(num_vertices=256, iterations=3),
+           _neighbors_hint),
+    "sssp": (lambda: SsspWorkload(num_vertices=256, max_rounds=8),
+             _neighbors_hint),
+    "cc": (lambda: repro.make_workload("cc", num_vertices=256),
+           _neighbors_hint),
+    "gcn": (lambda: GcnWorkload(num_vertices=128, feature_dim=32),
+            lambda state, v: _gcn_hint(state, v, lines_per_row=2)),
+    "kmeans": (lambda: KMeansWorkload(num_points=256, iterations=3),
+               lambda state, i: np.array([state.addresses[i]])),
+    "spmv": (lambda: SpmvWorkload(rows=128, iterations=3), _spmv_hint),
+}
+
+
+class TestElementHints:
+    """Workloads that run an element more than once give all of its
+    tasks one shared hint object, so the scheduler's and the access
+    kernel's per-hint memos are filled once per element per run."""
+
+    @pytest.mark.parametrize("name", sorted(REVISITING))
+    def test_one_hint_object_per_element(self, name, monkeypatch):
+        from repro.runtime.task import TaskContext
+
+        make, reference = REVISITING[name]
+        wl = make()
+        seen = []
+        states = []
+        setup, root_tasks = wl.setup, wl.root_tasks
+
+        def recording_setup(system):
+            states.append(setup(system))
+            return states[-1]
+
+        def recording_roots(state):
+            roots = root_tasks(state)
+            seen.extend(roots)
+            return roots
+
+        enqueue = TaskContext.enqueue_task
+
+        def recording_enqueue(self, *args, **kwargs):
+            task = enqueue(self, *args, **kwargs)
+            seen.append(task)
+            return task
+
+        monkeypatch.setattr(wl, "setup", recording_setup)
+        monkeypatch.setattr(wl, "root_tasks", recording_roots)
+        monkeypatch.setattr(TaskContext, "enqueue_task", recording_enqueue)
+        repro.simulate("O", wl, experiment_config().scaled(2, 2),
+                       verify=True)
+
+        by_element = {}
+        for task in seen:
+            by_element.setdefault(task.args[0], []).append(task.hint)
+        assert len(seen) > len(by_element)  # elements do run again
+        (state,) = states
+        for element, hints in by_element.items():
+            assert all(hint is hints[0] for hint in hints), element
+            want = reference(state, element)
+            assert hints[0].addresses.dtype == np.int64
+            assert np.array_equal(hints[0].addresses, want), element
+
+    @pytest.mark.parametrize("name", sorted(REVISITING))
+    def test_hints_do_not_outlive_a_run(self, name):
+        """Hint memos keyed on the scheduler's cost epoch (which
+        restarts at 0 on every machine) must never carry over: one
+        instance run on several machines in a row gives exactly the
+        results of fresh instances."""
+        from repro.sweep.serialize import result_to_dict
+
+        make, _ = REVISITING[name]
+        base = experiment_config()
+        points = [("B", base.scaled(4, 4)), ("B", base.scaled(8, 8)),
+                  ("Sh", base.scaled(4, 4)), ("O", base.scaled(4, 4))]
+        reused = make()
+        for design, cfg in points:
+            again = result_to_dict(repro.simulate(design, reused, cfg))
+            fresh = result_to_dict(repro.simulate(design, make(), cfg))
+            assert json.dumps(again, sort_keys=True) == \
+                json.dumps(fresh, sort_keys=True), (design, cfg.topology)
 
 
 class TestKdTree:
