@@ -1,113 +1,51 @@
 """Shared infrastructure for the per-figure benchmark modules.
 
 Every module in ``benchmarks/`` regenerates one table or figure of the
-paper: it runs the required (design, workload, config) simulations,
-prints the same rows/series the paper plots, and sanity-checks the
-qualitative *shape* (who wins, roughly by how much, where the trend
-bends).  Absolute numbers are not expected to match the paper — the
-substrate is a reduced-scale Python simulator, not the authors' zsim
-testbed; see EXPERIMENTS.md for the per-figure comparison.
+paper: it reads the results of a committed campaign under
+``campaigns/``, prints the same rows/series the paper plots, and
+sanity-checks the qualitative *shape* (who wins, roughly by how much,
+where the trend bends).  Absolute numbers are not expected to match the
+paper — the substrate is a reduced-scale Python simulator, not the
+authors' zsim testbed; see EXPERIMENTS.md for the per-figure comparison.
 
-Simulations are memoized at two levels: per session (the overview
-figures 6/7/8/9 share one run matrix instead of re-simulating) and on
-disk through the content-addressed result cache in ``.repro_cache/``
-(``repro.sweep``), so a re-run of the whole benchmark suite with
+Figures 2 and 6–9 read one session run of ``campaigns/full_matrix.json``;
+Figures 10–18 each run their own ``campaigns/figNN_*.json``.  Every
+campaign goes through :func:`repro.campaign.run_campaign` on one warm
+worker pool shared by the session (``conftest.py``) and the
+content-addressed result cache in ``.repro_cache/``, so a re-run with
 unchanged configs replays from the cache in seconds.  Set
 ``REPRO_NO_CACHE`` to force live simulations.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Optional, Tuple
+from pathlib import Path
+from typing import Any, Dict
 
 import repro
-from repro.analysis.metrics import RunResult
-from repro.config import SystemConfig, experiment_config
-from repro.sweep import cached_simulate
-from repro.workloads.base import Workload
+from repro.campaign import load_campaign, run_campaign
 
 #: figure order used throughout the paper
 DESIGNS = ("B", "Sm", "Sl", "Sh", "C", "O")
 ALL_WORKLOADS = repro.ALL_WORKLOADS
 DETAIL_WORKLOADS = repro.DETAIL_WORKLOADS
 
-_run_cache: Dict[Tuple, RunResult] = {}
-_workload_cache: Dict[str, Workload] = {}
+CAMPAIGNS = Path(__file__).resolve().parent.parent / "campaigns"
 
 
-def get_workload(name: str) -> Workload:
-    """One shared workload instance per name (same dataset everywhere)."""
-    if name not in _workload_cache:
-        _workload_cache[name] = repro.make_workload(name)
-    return _workload_cache[name]
-
-
-def run(design: str, workload: str,
-        config: Optional[SystemConfig] = None,
-        config_key: Tuple = ()) -> RunResult:
-    """Memoized simulation of one (design, workload, config) point.
-
-    ``config_key`` only distinguishes the in-session memo entries; the
-    on-disk cache keys on the full config content, so it needs no help.
-    """
-    key = (design, workload) + tuple(config_key)
-    if key not in _run_cache:
-        _run_cache[key] = cached_simulate(
-            design, get_workload(workload), config
-        )
-    return _run_cache[key]
-
-
-def run_all_designs(workload: str) -> Dict[str, RunResult]:
-    """The default-config run matrix row for one workload."""
-    return {d: run(d, workload) for d in DESIGNS}
-
-
-def scheduler_config(**kwargs) -> SystemConfig:
-    """experiment_config with scheduler fields overridden."""
-    cfg = experiment_config()
-    return cfg.with_(
-        scheduler=dataclasses.replace(cfg.scheduler, **kwargs)
-    ).validate()
-
-
-def cache_config(**kwargs) -> SystemConfig:
-    """experiment_config with Traveller Cache fields overridden."""
-    cfg = experiment_config()
-    return cfg.with_(
-        cache=dataclasses.replace(cfg.cache, **kwargs)
-    ).validate()
-
-
-#: Per-unit memory used by the cache-pressure sweeps (Figures 11/14/15).
-#: At the reproduction's dataset sizes, full 512 MB units leave even the
-#: smallest cache fraction overprovisioned; scaling the memory puts the
-#: cache/working-set ratio back in the paper's regime (EXPERIMENTS.md).
-SCALED_UNIT_BYTES = 512 * 1024
-
-
-def pressured_cache_config(**cache_overrides) -> SystemConfig:
-    """experiment_config with scaled per-unit memory (cache-set
-    pressure) and optional Traveller Cache overrides."""
-    from repro.config import MemoryConfig
-
-    cfg = experiment_config(
-        memory=MemoryConfig(
-            capacity_per_unit=SCALED_UNIT_BYTES, service_ns=0.0
-        )
-    )
-    if cache_overrides:
-        cfg = cfg.with_(
-            cache=dataclasses.replace(cfg.cache, **cache_overrides)
-        )
-    return cfg.validate()
-
-
-def once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing.
-
-    The simulations are long (seconds); statistical repetition would
-    multiply the suite's runtime for no insight.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+def campaign_results(name: str, runtime: Any) -> Dict[Any, Any]:
+    """Run ``campaigns/<name>.json`` on ``runtime`` and nest its results
+    by the points' axis values, first axis outermost: ``full_matrix``
+    gives ``{workload: {design: RunResult}}``."""
+    campaign = load_campaign(CAMPAIGNS / f"{name}.json")
+    report = run_campaign(campaign, campaign.expand(), runtime=runtime)
+    assert not report.failures, [
+        (o.point.label, o.error) for o in report.failures]
+    grid: Dict[Any, Any] = {}
+    for outcome in report.outcomes:
+        *outer, last = outcome.point.assignments.values()
+        node = grid
+        for value in outer:
+            node = node.setdefault(value, {})
+        node[last] = outcome.result
+    return grid

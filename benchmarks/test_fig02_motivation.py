@@ -9,18 +9,11 @@ Shape to reproduce: LDM reduces hops relative to the baseline but
 but moves tasks away from their data, so its hops exceed LDM's.
 """
 
-import numpy as np
-
 from repro.analysis.stats import quartiles
 
-from .common import once, run
 
-
-def test_fig02_motivation_tradeoff(benchmark):
-    def simulate():
-        return {d: run(d, "pr") for d in ("B", "Sm", "Sl")}
-
-    res = once(benchmark, simulate)
+def test_fig02_motivation_tradeoff(full_matrix):
+    res = full_matrix["pr"]
     base, ldm, ws = res["B"], res["Sm"], res["Sl"]
 
     print("\nFigure 2 (left): interconnect hops, Page Rank")

@@ -10,18 +10,14 @@ insensitive to the design; Sm and C collapse on knn/spmv because they
 lack any load balancing.
 """
 
-import repro
 from repro.analysis.stats import geomean
 from repro.core.host import HostModel
 
-from .common import ALL_WORKLOADS, DESIGNS, once, run_all_designs
+from .common import ALL_WORKLOADS, DESIGNS
 
 
-def test_fig06_overall_speedup(benchmark):
-    def simulate():
-        return {w: run_all_designs(w) for w in ALL_WORKLOADS}
-
-    rows = once(benchmark, simulate)
+def test_fig06_overall_speedup(full_matrix):
+    rows = full_matrix
 
     print("\nFigure 6: speedup over B")
     header = "workload " + "".join(f"{d:>7}" for d in DESIGNS)

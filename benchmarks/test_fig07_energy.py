@@ -10,14 +10,11 @@ hot-data workloads where the cache wins big (the paper reports a 24.6%
 mean reduction across its full-size runs).
 """
 
-from .common import ALL_WORKLOADS, DESIGNS, once, run_all_designs
+from .common import ALL_WORKLOADS, DESIGNS
 
 
-def test_fig07_energy_breakdown(benchmark):
-    def simulate():
-        return {w: run_all_designs(w) for w in ALL_WORKLOADS}
-
-    rows = once(benchmark, simulate)
+def test_fig07_energy_breakdown(full_matrix):
+    rows = full_matrix
 
     print("\nFigure 7: energy normalized to B "
           "(core+SRAM / DRAM / interconnect / static)")

@@ -7,14 +7,11 @@ paper — with O slightly above C because its load balancing moves some
 tasks off the shortest-distance unit.
 """
 
-from .common import DETAIL_WORKLOADS, DESIGNS, once, run_all_designs
+from .common import DETAIL_WORKLOADS, DESIGNS
 
 
-def test_fig08_remote_access_hops(benchmark):
-    def simulate():
-        return {w: run_all_designs(w) for w in DETAIL_WORKLOADS}
-
-    rows = once(benchmark, simulate)
+def test_fig08_remote_access_hops(full_matrix):
+    rows = full_matrix
 
     print("\nFigure 8: inter-stack hops normalized to B")
     print("workload " + "".join(f"{d:>7}" for d in DESIGNS))

@@ -10,18 +10,13 @@ and the hybrid designs are much flatter; on knn the no-balance designs
 have extreme tails.
 """
 
-import numpy as np
-
-from .common import DETAIL_WORKLOADS, DESIGNS, once, run_all_designs
+from .common import DETAIL_WORKLOADS, DESIGNS
 
 _PERCENTILES = (0, 25, 50, 75, 100)
 
 
-def test_fig09_active_cycle_distribution(benchmark):
-    def simulate():
-        return {w: run_all_designs(w) for w in DETAIL_WORKLOADS}
-
-    rows = once(benchmark, simulate)
+def test_fig09_active_cycle_distribution(full_matrix):
+    rows = full_matrix
 
     print("\nFigure 9: sorted per-core active cycles (normalized to "
           "B's mean core)")

@@ -11,28 +11,23 @@ over B widens with scale.
 
 import repro
 from repro.config import experiment_config
-from repro.workloads.pagerank import PageRankWorkload
 
-from .common import once
+from .common import campaign_results
 
 MESHES = ((2, 2), (4, 4), (8, 8))
 VERTICES_PER_UNIT = 16
 DESIGNS = ("B", "Sl", "O")
 
 
-def test_fig10_scalability(benchmark):
-    def simulate():
-        out = {}
-        for rows, cols in MESHES:
-            cfg = experiment_config().scaled(rows, cols)
-            n = VERTICES_PER_UNIT * cfg.num_units
-            wl = PageRankWorkload(num_vertices=n, iterations=3)
-            out[(rows, cols)] = {
-                d: repro.simulate(d, wl, cfg) for d in DESIGNS
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig10_scalability(runtime):
+    grid = campaign_results("fig10_scalability", runtime)
+    res = {}
+    for rows, cols in MESHES:
+        # One graph size per mesh, and it grows with the machine.
+        ((n, by_design),) = grid[f"{rows}x{cols}"].items()
+        cfg = experiment_config().scaled(rows, cols)
+        assert n == VERTICES_PER_UNIT * cfg.num_units
+        res[(rows, cols)] = by_design
 
     print("\nFigure 10a: speedup over B at each scale")
     print("mesh     " + "".join(f"{d:>7}" for d in DESIGNS))

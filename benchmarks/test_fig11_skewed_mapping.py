@@ -14,38 +14,18 @@ and never loses to the identical mapping; the paper measures a 12%
 average hop saving at its full-scale working sets.
 """
 
-from repro.config import CampMapping
-
-from .common import DETAIL_WORKLOADS, once, pressured_cache_config, run
-
-_RATIO = 256  # 2 kB cache region per unit: real set pressure
+from .common import DETAIL_WORKLOADS, campaign_results
 
 
-def _config(mapping: CampMapping):
-    return pressured_cache_config(camp_mapping=mapping,
-                                  capacity_ratio=_RATIO)
-
-
-def test_fig11_skewed_vs_identical(benchmark):
-    skewed_cfg = _config(CampMapping.SKEWED)
-    identical_cfg = _config(CampMapping.IDENTICAL)
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = (
-                run("C", w, skewed_cfg, config_key=("skewed-press",)),
-                run("C", w, identical_cfg, config_key=("identical-press",)),
-            )
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig11_skewed_vs_identical(runtime):
+    # 2 kB cache region per unit (1/256): real set pressure
+    res = campaign_results("fig11_skewed_mapping", runtime)
 
     print("\nFigure 11: hops with skewed mapping, normalized to identical "
           "(under cache-set pressure)")
     ratios = []
     for w in DETAIL_WORKLOADS:
-        skewed, identical = res[w]
+        skewed, identical = res[w]["skewed"], res[w]["identical"]
         denom = identical.inter_hops or 1
         ratio = skewed.inter_hops / denom
         ratios.append(ratio)
@@ -63,6 +43,6 @@ def test_fig11_skewed_vs_identical(benchmark):
     assert mean_ratio <= 1.02
     # The workload with the hardest set contention (knn's tree+points
     # footprint) shows the paper's saving directly.
-    knn_skewed, knn_identical = res["knn"]
+    knn_skewed, knn_identical = res["knn"]["skewed"], res["knn"]["identical"]
     assert knn_skewed.inter_hops < knn_identical.inter_hops
     assert knn_skewed.cache.evictions <= knn_identical.cache.evictions

@@ -8,24 +8,13 @@ energy, but add DRAM cache insertions; the combined effect is small,
 and C=3 is a good middle point (the paper's default).
 """
 
-from .common import DETAIL_WORKLOADS, cache_config, once, run
+from .common import DETAIL_WORKLOADS, campaign_results
 
 CAMPS = (1, 3, 7, 15)
 
 
-def test_fig12_camp_location_count(benchmark):
-    configs = {c: cache_config(num_camps=c) for c in CAMPS}
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = {
-                c: run("O", w, configs[c], config_key=(f"camps{c}",))
-                for c in CAMPS
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig12_camp_location_count(runtime):
+    res = campaign_results("fig12_camp_count", runtime)
 
     print("\nFigure 12: DRAM + interconnect energy vs camp count "
           "(normalized to C=1)")

@@ -14,24 +14,15 @@ differ in where data and tags live:
 import repro
 from repro.config import CacheStyle
 
-from .common import DETAIL_WORKLOADS, cache_config, once, run
+from .common import DETAIL_WORKLOADS, campaign_results
 
 STYLES = (CacheStyle.TRAVELLER, CacheStyle.SRAM, CacheStyle.DRAM_TAG)
 
 
-def test_fig13_cache_style_comparison(benchmark):
-    configs = {s: cache_config(style=s) for s in STYLES}
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = {
-                s: run("O", w, configs[s], config_key=(s.value,))
-                for s in STYLES
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig13_cache_style_comparison(runtime):
+    grid = campaign_results("fig13_cache_styles", runtime)
+    res = {w: {s: by_style[s.value] for s in STYLES}
+           for w, by_style in grid.items()}
 
     print("\nFigure 13a/b: speedup and DRAM energy vs the Traveller Cache")
     for w in DETAIL_WORKLOADS:

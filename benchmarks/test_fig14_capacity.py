@@ -12,28 +12,13 @@ Shape to reproduce: larger caches keep more data and cut more remote
 hops, with diminishing returns once the hot set fits.
 """
 
-from .common import DETAIL_WORKLOADS, once, pressured_cache_config, run
+from .common import DETAIL_WORKLOADS, campaign_results
 
 RATIOS = (512, 256, 128, 64, 32, 16)
 
 
-def _config(ratio: int):
-    return pressured_cache_config(capacity_ratio=ratio)
-
-
-def test_fig14_cache_capacity(benchmark):
-    configs = {r: _config(r) for r in RATIOS}
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = {
-                r: run("O", w, configs[r], config_key=(f"cap{r}",))
-                for r in RATIOS
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig14_cache_capacity(runtime):
+    res = campaign_results("fig14_capacity", runtime)
 
     print("\nFigure 14: hops vs cache capacity (normalized to 1/512)")
     print("workload " + "".join(f"{'1/' + str(r):>8}" for r in RATIOS))

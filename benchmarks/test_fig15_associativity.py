@@ -8,28 +8,13 @@ Shape to reproduce: direct-mapped caches lose hops to conflicts; a
 little further gain at 8/16 ways.
 """
 
-from .common import DETAIL_WORKLOADS, once, pressured_cache_config, run
+from .common import DETAIL_WORKLOADS, campaign_results
 
 WAYS = (1, 2, 4, 8, 16)
 
 
-def _config(ways: int):
-    return pressured_cache_config(associativity=ways)
-
-
-def test_fig15_associativity(benchmark):
-    configs = {a: _config(a) for a in WAYS}
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = {
-                a: run("O", w, configs[a], config_key=(f"assoc{a}",))
-                for a in WAYS
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig15_associativity(runtime):
+    res = campaign_results("fig15_associativity", runtime)
 
     print("\nFigure 15: hops vs associativity (normalized to 1-way)")
     print("workload " + "".join(f"{a:>7}w" for a in WAYS))

@@ -9,24 +9,13 @@ design is overall insensitive, and 40% is a reasonable balance — which
 is exactly why the paper picks it.
 """
 
-from .common import DETAIL_WORKLOADS, cache_config, once, run
+from .common import DETAIL_WORKLOADS, campaign_results
 
 BYPASS = (0.0, 0.2, 0.4, 0.6, 0.8)
 
 
-def test_fig16_bypass_probability(benchmark):
-    configs = {b: cache_config(bypass_probability=b) for b in BYPASS}
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = {
-                b: run("O", w, configs[b], config_key=(f"bypass{b}",))
-                for b in BYPASS
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig16_bypass_probability(runtime):
+    res = campaign_results("fig16_bypass", runtime)
 
     print("\nFigure 16: DRAM / interconnect energy vs bypass probability "
           "(normalized to bypass=0)")

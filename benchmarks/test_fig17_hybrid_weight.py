@@ -8,24 +8,13 @@ tasks travel further for balance), while performance first improves
 and then saturates around the paper's default alpha = d/2 = 3.
 """
 
-from .common import DETAIL_WORKLOADS, once, run, scheduler_config
+from .common import DETAIL_WORKLOADS, campaign_results
 
 ALPHAS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0)
 
 
-def test_fig17_hybrid_weight(benchmark):
-    configs = {a: scheduler_config(hybrid_alpha=a) for a in ALPHAS}
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = {
-                a: run("O", w, configs[a], config_key=(f"alpha{a}",))
-                for a in ALPHAS
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig17_hybrid_weight(runtime):
+    res = campaign_results("fig17_hybrid_weight", runtime)
 
     print("\nFigure 17: hops and speedup vs alpha (normalized to alpha=0)")
     for w in DETAIL_WORKLOADS:

@@ -10,26 +10,13 @@ Shape to reproduce: performance is insensitive across a wide range of
 intervals.
 """
 
-from .common import DETAIL_WORKLOADS, once, run, scheduler_config
+from .common import DETAIL_WORKLOADS, campaign_results
 
 INTERVALS = (62, 125, 250, 500, 1000, 2000)
 
 
-def test_fig18_exchange_interval(benchmark):
-    configs = {
-        i: scheduler_config(exchange_interval_cycles=i) for i in INTERVALS
-    }
-
-    def simulate():
-        out = {}
-        for w in DETAIL_WORKLOADS:
-            out[w] = {
-                i: run("O", w, configs[i], config_key=(f"interval{i}",))
-                for i in INTERVALS
-            }
-        return out
-
-    res = once(benchmark, simulate)
+def test_fig18_exchange_interval(runtime):
+    res = campaign_results("fig18_exchange_interval", runtime)
 
     print("\nFigure 18: speedup vs exchange interval "
           "(normalized to the shortest interval)")

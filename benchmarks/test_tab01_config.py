@@ -4,23 +4,14 @@ Renders the Table 1 summary from the live configuration objects and
 checks every headline number against the paper's text.
 """
 
-import pytest
-
 import repro
 from repro.config import GB, MB, default_config, describe_config
 
-from .common import once
 
-
-def test_tab01_system_configuration(benchmark):
+def test_tab01_system_configuration():
     cfg = default_config()
-
-    def render():
-        text = describe_config(cfg)
-        print("\n" + text)
-        return text
-
-    text = once(benchmark, render)
+    text = describe_config(cfg)
+    print("\n" + text)
 
     # The quantities Table 1 prints, verified against the live objects.
     assert cfg.topology.num_stacks == 16
@@ -44,19 +35,14 @@ def test_tab01_system_configuration(benchmark):
     assert "4x4 stacks" in text
 
 
-def test_tab01_tag_storage_matches_section_4_3(benchmark):
+def test_tab01_tag_storage_matches_section_4_3():
     """Section 4.3's arithmetic: 32768 sets, 10-bit tags, ~160 kB SRAM."""
-
-    def compute():
-        system = repro.build_system("O", default_config())
-        mapper = system.camp_mapper
-        print(f"\nsets/unit        : {mapper.num_sets}")
-        print(f"tag bits/block   : {mapper.tag_bits_per_block()}")
-        print(f"tag SRAM per unit: {mapper.tag_storage_bytes() / 1024:.0f} kB")
-        print(f"tag SRAM area    : {system.sram.tag_area_mm2():.2f} mm^2")
-        return mapper
-
-    mapper = once(benchmark, compute)
+    system = repro.build_system("O", default_config())
+    mapper = system.camp_mapper
+    print(f"\nsets/unit        : {mapper.num_sets}")
+    print(f"tag bits/block   : {mapper.tag_bits_per_block()}")
+    print(f"tag SRAM per unit: {mapper.tag_storage_bytes() / 1024:.0f} kB")
+    print(f"tag SRAM area    : {system.sram.tag_area_mm2():.2f} mm^2")
     assert mapper.num_sets == 32768
     assert mapper.tag_bits_per_block() == 10
     assert 150 <= mapper.tag_storage_bytes() / 1024 <= 170

@@ -11,8 +11,6 @@ from repro.core.scheduler.hybrid import HybridScheduler
 from repro.core.scheduler.lowest_distance import LowestDistanceScheduler
 from repro.core.scheduler.work_stealing import WorkStealingScheduler
 
-from .common import once
-
 EXPECTED = {
     "B": (SchedulingPolicy.COLOCATE, CacheStyle.NONE, ColocateScheduler),
     "Sm": (SchedulingPolicy.LOWEST_DISTANCE, CacheStyle.NONE,
@@ -26,18 +24,14 @@ EXPECTED = {
 }
 
 
-def test_tab02_design_matrix(benchmark):
-    def build_all():
-        systems = {}
-        print()
-        for name, point in repro.DESIGN_POINTS.items():
-            system = repro.build_system(name)
-            systems[name] = system
-            print(f"{name:3} {point.policy.value:16} "
-                  f"cache={point.cache.value:10} {point.description}")
-        return systems
-
-    systems = once(benchmark, build_all)
+def test_tab02_design_matrix():
+    systems = {}
+    print()
+    for name, point in repro.DESIGN_POINTS.items():
+        system = repro.build_system(name)
+        systems[name] = system
+        print(f"{name:3} {point.policy.value:16} "
+              f"cache={point.cache.value:10} {point.description}")
 
     for name, (policy, cache, sched_cls) in EXPECTED.items():
         point = repro.DESIGN_POINTS[name]

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.topology import Topology
+from repro.arch.topology import Topology, xy_route
 from repro.config import MemoryConfig, NocConfig
 
 
@@ -145,18 +145,8 @@ class LinkMeter:
                 key = (here, nxt)
                 self.link_flits[key] = self.link_flits.get(key, 0) + flits
             return
-        r, c = topo.stack_coords(s_src)
-        r_dst, c_dst = topo.stack_coords(s_dst)
-        here = s_src
-        while (r, c) != (r_dst, c_dst):
-            if c != c_dst:
-                c += 1 if c_dst > c else -1
-            else:
-                r += 1 if r_dst > r else -1
-            nxt = topo.stack_at(r, c)
-            key = (here, nxt)
+        for key in xy_route(s_src, s_dst, topo.config.mesh_cols):
             self.link_flits[key] = self.link_flits.get(key, 0) + flits
-            here = nxt
 
     # ------------------------------------------------------------------
     def stack_matrix(self) -> np.ndarray:

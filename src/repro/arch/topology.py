@@ -15,11 +15,28 @@ quadrants shown in Figure 5.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import TopologyConfig
+
+
+def xy_route(src: int, dst: int, cols: int) -> Iterator[Tuple[int, int]]:
+    """Directed links ``(here, next)`` of the dimension-ordered XY route
+    (columns first, then rows) between two stacks numbered row-major
+    on a mesh ``cols`` stacks wide."""
+    r, c = divmod(src, cols)
+    r_dst, c_dst = divmod(dst, cols)
+    here = src
+    while (r, c) != (r_dst, c_dst):
+        if c != c_dst:
+            c += 1 if c_dst > c else -1
+        else:
+            r += 1 if r_dst > r else -1
+        nxt = r * cols + c
+        yield here, nxt
+        here = nxt
 
 
 def _morton_key(row: int, col: int, bits: int = 8) -> int:
@@ -66,7 +83,7 @@ class Topology:
              for s in range(self.num_stacks)],
             dtype=np.int64,
         )
-        # (row, col) -> stack id, for walking routes over the mesh.
+        # (row, col) -> stack id, for neighbour lookups.
         self._stack_at: Dict[Tuple[int, int], int] = {
             (int(r), int(c)): s
             for s, (r, c) in enumerate(self._stack_coords)
@@ -121,10 +138,6 @@ class Topology:
         """(row, col) mesh coordinates of ``stack``."""
         r, c = self._stack_coords[stack]
         return int(r), int(c)
-
-    def stack_at(self, row: int, col: int) -> int:
-        """Stack id at mesh coordinates ``(row, col)``."""
-        return self._stack_at[(row, col)]
 
     def adjacent_stacks(self, stack: int) -> List[int]:
         """Mesh neighbours of ``stack`` (one hop away), in N/S/W/E order."""

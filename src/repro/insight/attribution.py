@@ -58,8 +58,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.arch.topology import xy_route
 from repro.config import SystemConfig, experiment_config
 
 #: classification order — also the deterministic tie-break: on equal
@@ -136,21 +137,6 @@ def mesh_link_count(rows: int, cols: int) -> int:
     return 2 * (rows * (cols - 1) + cols * (rows - 1))
 
 
-def _xy_route(src: int, dst: int, cols: int) -> Iterator[Tuple[int, int]]:
-    """Directed links of the XY (columns-first) route between stacks."""
-    r, c = divmod(src, cols)
-    r_dst, c_dst = divmod(dst, cols)
-    here = src
-    while (r, c) != (r_dst, c_dst):
-        if c != c_dst:
-            c += 1 if c_dst > c else -1
-        else:
-            r += 1 if r_dst > r else -1
-        nxt = r * cols + c
-        yield here, nxt
-        here = nxt
-
-
 def link_loads_from_unit_matrix(
     matrix: Sequence[Sequence[float]], units_per_stack: int,
     mesh_rows: int, mesh_cols: int,
@@ -177,7 +163,7 @@ def link_loads_from_unit_matrix(
             pair = (s_src, s_dst)
             stack_pair[pair] = stack_pair.get(pair, 0.0) + float(count)
     for (s_src, s_dst), count in stack_pair.items():
-        for link in _xy_route(s_src, s_dst, mesh_cols):
+        for link in xy_route(s_src, s_dst, mesh_cols):
             loads[link] = loads.get(link, 0.0) + count
     return loads
 

@@ -437,7 +437,16 @@ class TestLoadAndReport:
             campaign = load_campaign(path)
             counts[campaign.name] = len(campaign.expand().points)
         assert counts == {"full_matrix": 48, "bench_suite": 6,
-                          "fault_study": 10, "smoke": 2, "mesh_8x8": 3}
+                          "fault_study": 10, "smoke": 2, "mesh_8x8": 3,
+                          "fig10_scalability": 9,
+                          "fig11_skewed_mapping": 10,
+                          "fig12_camp_count": 20,
+                          "fig13_cache_styles": 15,
+                          "fig14_capacity": 30,
+                          "fig15_associativity": 25,
+                          "fig16_bypass": 25,
+                          "fig17_hybrid_weight": 30,
+                          "fig18_exchange_interval": 30}
 
     def test_report_round_trip(self, tmp_path):
         campaign = load_campaign(CAMPAIGNS / "smoke.json")

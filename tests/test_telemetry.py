@@ -169,10 +169,17 @@ class TestTotalsMatchRunResult:
         assert result.telemetry.counters["traveller.hits"] == \
             result.cache.hits
 
-    def test_per_unit_counters_sum_to_totals(self):
+    @pytest.fixture(scope="class")
+    def pr_run(self):
+        """One O/pr run with default telemetry, shared by the tests
+        below that only read it."""
         tel = Telemetry()
         result = repro.simulate("O", "pr", config=small_config(),
                                 telemetry=tel)
+        return tel, result
+
+    def test_per_unit_counters_sum_to_totals(self, pr_run):
+        tel, result = pr_run
         counters = tel.registry.collect()
         n = small_config().num_units
         per_unit = sum(counters[f"unit.{u}.traveller.hits"]
@@ -181,10 +188,8 @@ class TestTotalsMatchRunResult:
         tasks = sum(counters[f"unit.{u}.tasks_executed"] for u in range(n))
         assert tasks == result.tasks_executed
 
-    def test_link_meter_consistent_with_traffic(self):
-        tel = Telemetry()
-        result = repro.simulate("O", "pr", config=small_config(),
-                                telemetry=tel)
+    def test_link_meter_consistent_with_traffic(self, pr_run):
+        tel, _ = pr_run
         meter = tel.link_meter
         assert meter is not None
         # every directed stack link has a mesh edge's worth of flits;
@@ -192,9 +197,8 @@ class TestTotalsMatchRunResult:
         assert meter.total_link_flits() > 0
         assert meter.stack_matrix().sum() == meter.total_link_flits()
 
-    def test_queue_depth_series_covers_units(self):
-        tel = Telemetry()
-        repro.simulate("O", "pr", config=small_config(), telemetry=tel)
+    def test_queue_depth_series_covers_units(self, pr_run):
+        tel, _ = pr_run
         depth = tel.sampler.series("queue.depth")
         assert depth.matrix().shape[1] == small_config().num_units
         assert len(depth) >= 1
