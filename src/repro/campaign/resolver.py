@@ -68,7 +68,8 @@ class SpecError(ValueError):
 def coerce_field(section: Any, name: str, value: Any) -> Any:
     """Coerce a JSON value onto a config dataclass field's type.
 
-    Enums accept their ``.value`` strings; scalar fields reject
+    Enums accept their ``.value`` strings; float fields return a
+    ``float`` (integers included); scalar fields reject
     clearly-wrong JSON types up front (a string where a number belongs)
     with a path-qualified message instead of letting
     ``dataclasses.replace`` produce something the config's
@@ -97,9 +98,13 @@ def coerce_field(section: Any, name: str, value: Any) -> Any:
     if target is int and not (isinstance(value, int)
                               and not isinstance(value, bool)):
         raise SpecError(f"config.{name}: expected int, got {value!r}")
-    if target is float and not (isinstance(value, (int, float))
-                                and not isinstance(value, bool)):
-        raise SpecError(f"config.{name}: expected float, got {value!r}")
+    if target is float:
+        if not (isinstance(value, (int, float))
+                and not isinstance(value, bool)):
+            raise SpecError(f"config.{name}: expected float, got {value!r}")
+        # A JSON integer in a float field is that float: ``3`` and
+        # ``3.0`` must resolve to one config and one run key.
+        return float(value)
     if target is bool and not isinstance(value, bool):
         raise SpecError(f"config.{name}: expected bool, got {value!r}")
     if target is str and not isinstance(value, str):

@@ -268,6 +268,8 @@ class CampaignSpec:
         if axes:
             combos = [dict(zip(axes.keys(), values))
                       for values in itertools.product(*axes.values())]
+        elif doc.get("include"):
+            combos = []  # include-only: the includes are the points
         else:
             combos = [{}]
 

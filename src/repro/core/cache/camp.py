@@ -99,16 +99,29 @@ class CampMapper:
         else:
             self._multipliers = [_SKEWED_MULTIPLIERS[0]] * groups
 
-        # Per-line location cache: line -> int64 array of C+1 unit ids.
+        # Per-line location cache of locations(): line -> int64 array
+        # of C+1 unit ids.
         self._loc_cache: dict = {}
         # Per-line nearest-location memo (hot path: one lookup per
-        # memory access and per scheduler scoring):
-        #   line -> (nearest unit per requester, is-home flag per
-        #            requester, distance-to-nearest per unit,
-        #            the first two again as plain Python lists)
-        # The lists feed the access kernel's line memo as they are, so
-        # callers must not mutate them.
+        # memory access and per scheduler scoring), one nearest
+        # location per requester *stack* (see _nearest_tables):
+        #   line -> (home unit, the line's locations as a tuple with -1
+        #            for a dead group, nearest location per stack as a
+        #            plain Python list, row slot)
+        # The access kernel's line memo shares these entries as they
+        # are, so callers must not mutate them.
         self._nearest_cache: dict = {}
+        # Row store for distance_rows, indexed by an entry's slot:
+        # _slot_dist[k, s] is the cost from stack s's non-location
+        # units to their pick; _slot_locs[k] the line's locations with
+        # a dead group's -1 replaced by the home.  Rows past
+        # _slots_used are free.
+        self._slot_dist = np.empty((0, topology.num_stacks))
+        self._slot_locs = np.empty((0, groups), dtype=np.int64)
+        self._slots_used = 0
+        # (cost-matrix buffer, its (N, S) stack-cost table), dropped
+        # with the memo (see _stack_cost_table).
+        self._stack_costs: "tuple | None" = None
         # Unit liveness under faults; None while every unit is healthy.
         self._alive: "np.ndarray | None" = None
         #: identity/version pair for externally memoized derived data
@@ -122,9 +135,9 @@ class CampMapper:
     # ------------------------------------------------------------------
     @property
     def memo_entries(self) -> int:
-        """Lines with memoized location tables (a telemetry gauge: the
+        """Lines with memoized nearest tables (a telemetry gauge: the
         working-set footprint the camp mapper has resolved so far)."""
-        return len(self._loc_cache)
+        return len(self._nearest_cache)
 
     def home_unit(self, line: int) -> int:
         return self.memory_map.home_of_line(line)
@@ -142,7 +155,7 @@ class CampMapper:
         """
         if alive is not None and bool(np.all(alive)):
             alive = None
-        dropped = len(self._loc_cache)
+        dropped = len(self._loc_cache.keys() | self._nearest_cache.keys())
         self._alive = alive
         self.clear_cache()
         return dropped
@@ -200,10 +213,51 @@ class CampMapper:
         """Cache-set index: the low address bits, as in a normal cache."""
         return line % self.num_sets
 
+    def _stack_cost_table(self, cost_matrix: np.ndarray) -> np.ndarray:
+        """``(N, S)`` contiguous: ``[l, s]`` is the cost from every unit
+        of stack ``s`` other than ``l`` itself to unit ``l``.
+
+        The cost matrix is ``d_local`` on its diagonal, ``d_intra``
+        between two units of one stack and a function of the stack pair
+        otherwise, so all units of a stack that are not ``l`` see one
+        cost to ``l``: row ``s`` is the cost row of the stack's first
+        unit, with its own (diagonal) entry replaced by the cost from
+        the stack's second unit (a stack's units are consecutive unit
+        ids).  Built once per cost-matrix buffer and epoch: a fault
+        transition rewrites the buffer in place and then clears the
+        memo (:meth:`set_alive_mask`).
+        """
+        buf = cost_matrix
+        while buf.base is not None:
+            buf = buf.base
+        cached = self._stack_costs
+        if cached is not None and cached[0] is buf:
+            return cached[1]
+        topo = self.topology
+        ups = topo.units_per_stack
+        first = np.empty(topo.num_stacks, dtype=np.int64)
+        first[topo.stack_of_unit[::ups]] = np.arange(0, topo.num_units, ups)
+        rows = cost_matrix[first]                    # (S, N)
+        if ups > 1:
+            rows[np.arange(first.size), first] = cost_matrix[first + 1, first]
+        table = np.ascontiguousarray(rows.T)
+        self._stack_costs = (buf, table)
+        return table
+
     def _nearest_tables(self, line: int, cost_matrix: np.ndarray):
-        """Memoized per-line tables: for every requester, the nearest
-        allowed location, whether it is the home, and its distance,
-        then the nearest and is-home tables as Python lists.
+        """Memoized per-line tables, one entry per requester stack.
+
+        Returns ``(home, locations, nearest, slot)``: the home unit, the
+        line's location tuple (``-1`` for a dead group), for a
+        requester of each stack that is not itself one of the
+        locations the nearest location (the first minimum of the cost
+        over the locations in group order), and the line's row in the
+        store :meth:`distance_rows` reads.  Every non-location unit of
+        a stack sees the same costs (:meth:`_stack_cost_table`), so it
+        makes the same pick.  A requester that *is* a location reads
+        itself at ``d_local``, the unique minimum
+        (:meth:`nearest_location`).  A pick is the home exactly when it
+        equals ``home``.
 
         All inputs are run-static (the cost matrix is built once, the
         camp mapping is deterministic), so the tables are computed once
@@ -213,23 +267,34 @@ class CampMapper:
         if cached is not None:
             return cached
         locs = self.locations(line)
+        valid = locs
         if self._alive is not None:
-            valid = locs[locs >= 0]
-            if valid.size < locs.size:
-                locs = valid  # dead groups contribute no location
-        costs = cost_matrix[:, locs]                 # (N, G)
-        idx = np.argmin(costs, axis=1)               # (N,)
-        nearest = locs[idx]
-        is_home = nearest == self.home_unit(line)
-        tables = (
-            nearest,
-            is_home,
-            costs[np.arange(len(idx)), idx],
-            nearest.tolist(),
-            is_home.tolist(),
-        )
+            valid = locs[locs >= 0]  # dead groups contribute no location
+        costs = self._stack_cost_table(cost_matrix)[valid]   # (G, S)
+        idx = np.argmin(costs, axis=0)                       # (S,)
+        home = self.home_unit(line)
+        slot = self._store_rows(costs[idx, np.arange(idx.size)][None],
+                                np.where(locs >= 0, locs, home)[None])
+        tables = (home, tuple(locs.tolist()), valid[idx].tolist(), slot)
         self._nearest_cache[line] = tables
         return tables
+
+    def _store_rows(self, dist: np.ndarray, locs: np.ndarray) -> int:
+        """Append rows to the slot store (doubling it when full);
+        return the first new slot."""
+        start = self._slots_used
+        end = start + dist.shape[0]
+        if end > self._slot_dist.shape[0]:
+            cap = max(end, 2 * self._slot_dist.shape[0], 1024)
+            for name in ("_slot_dist", "_slot_locs"):
+                old = getattr(self, name)
+                grown = np.empty((cap, old.shape[1]), dtype=old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, name, grown)
+        self._slot_dist[start:end] = dist
+        self._slot_locs[start:end] = locs
+        self._slots_used = end
+        return start
 
     def nearest_location(self, line: int, requester: int,
                          cost_matrix: np.ndarray) -> Tuple[int, bool]:
@@ -238,8 +303,33 @@ class CampMapper:
         Returns ``(unit, is_home)``.  Traveller probes only this single
         nearest location (Section 4.3).
         """
-        tables = self._nearest_tables(line, cost_matrix)
-        return tables[3][requester], tables[4][requester]
+        home, locs, nearest, _ = self._nearest_tables(line, cost_matrix)
+        if requester not in locs:
+            requester = nearest[self.topology.stack_of(requester)]
+        return requester, requester == home
+
+    def distance_rows(self, lines, cost_matrix: np.ndarray) -> np.ndarray:
+        """``(len(lines), N)``: row ``i``, column ``u`` is the distance
+        from unit ``u`` to the nearest location of ``lines[i]``.
+
+        Expanded from the per-stack rows on every call (the rows are N
+        wide, the memo is not): each unit reads its stack's distance,
+        and a line's own locations read the cost matrix's diagonal.
+        These are the very costs the argmin compared, so the values are
+        exact.
+        """
+        tables = self._nearest_cache
+        try:
+            slots = [tables[ln][3] for ln in lines]
+        except KeyError:
+            self.prime_lines(lines, cost_matrix)
+            slots = [tables[ln][3] for ln in lines]
+        rows = self._slot_dist.take(slots, axis=0).take(
+            self.topology.stack_of_unit, axis=1)             # (L, N)
+        locs = self._slot_locs.take(slots, axis=0)           # (L, G)
+        rows[np.arange(len(slots))[:, None], locs] = \
+            cost_matrix.diagonal()[locs]
+        return rows
 
     # ------------------------------------------------------------------
     # vectorised interface (scheduler scoring)
@@ -255,12 +345,12 @@ class CampMapper:
     def prime_lines(self, lines, cost_matrix: np.ndarray) -> None:
         """Fill the per-line memo tables for a whole batch at once.
 
-        Array-at-a-time version of :meth:`locations` +
-        :meth:`_nearest_tables` for every not-yet-memoized line in
-        ``lines`` (an iterable of Python ints).  The hash, the argmin
-        tie-break (first minimum), and the stored values are exactly
-        those of the per-line path — the tables land in the same memo
-        dicts, so per-line and batch consumers see identical data.
+        Array-at-a-time version of :meth:`_nearest_tables` for every
+        not-yet-memoized line in ``lines`` (an iterable of Python
+        ints).  The hash, the argmin tie-break (first minimum), and the
+        stored values are exactly those of the per-line path — the
+        tables land in the same memo dict, so per-line and batch
+        consumers see identical data.
         Under an alive-mask the per-group probing makes vectorization
         awkward; that rare case falls back to the per-line fill.
         """
@@ -272,15 +362,16 @@ class CampMapper:
             for ln in missing:
                 self._nearest_tables(ln, cost_matrix)
             return
+        by_unit = self._stack_cost_table(cost_matrix)
         # Slices of a few thousand lines bound the (groups, lines,
-        # units) temporaries; the tables do not depend on the slicing.
+        # stacks) temporaries; the tables do not depend on the slicing.
         step = max(1, _PRIME_ELEMENTS // (self.num_groups
-                                          * cost_matrix.shape[0]))
+                                          * by_unit.shape[1]))
         for start in range(0, len(missing), step):
-            self._prime_missing(missing[start:start + step], cost_matrix)
+            self._prime_missing(missing[start:start + step], by_unit)
 
     def _prime_missing(self, missing: List[int],
-                       cost_matrix: np.ndarray) -> None:
+                       by_unit: np.ndarray) -> None:
         """Compute and memoize the tables of not-yet-memoized lines."""
         cache = self._nearest_cache
         arr = np.asarray(missing, dtype=np.int64)
@@ -295,32 +386,24 @@ class CampMapper:
             locs[:, g] = g * upg + (h % np.uint64(upg)).astype(np.int64)
         # The home's group contributes the home itself, not a camp.
         locs[np.arange(batch), home_groups] = homes
-        locs.flags.writeable = False
-        # costs[g, b, u] = cost_matrix[u, locs[b, g]]: one contiguous
-        # (line, requester) plane per group.  The first minimum over
-        # the few groups is unrolled (np.argmin's tie rule: only a
-        # strictly smaller cost moves the pick); argmin along a short
-        # axis would pay per-row overhead.  Gathering many lines is
-        # faster from a contiguous copy of the transpose.
-        by_unit = cost_matrix.T
-        if batch >= 64:
-            by_unit = np.ascontiguousarray(by_unit)
-        costs = by_unit[locs.T]                          # (G, B, N)
+        # costs[g, b, s] = by_unit[locs[b, g], s]: one contiguous
+        # (line, stack) plane per group.  The first minimum over the
+        # few groups is unrolled (np.argmin's tie rule: only a strictly
+        # smaller cost moves the pick); argmin along a short axis would
+        # pay per-row overhead.
+        costs = by_unit[locs.T]                          # (G, B, S)
         dist = costs[0].copy()
         nearest = np.repeat(locs[:, :1], dist.shape[1], axis=1)
         for g in range(1, self.num_groups):
             better = costs[g] < dist
             nearest = np.where(better, locs[:, g:g + 1], nearest)
             np.minimum(dist, costs[g], out=dist)
-        is_home = nearest == homes[:, None]
-        loc_cache = self._loc_cache
-        # One flattening per block for the list forms of the tables.
-        for ln, loc, near, at_home, row, near_list, home_list in zip(
-                missing, locs, nearest, is_home, dist,
-                nearest.tolist(), is_home.tolist()):
-            if ln not in loc_cache:
-                loc_cache[ln] = loc
-            cache[ln] = (near, at_home, row, near_list, home_list)
+        start = self._store_rows(dist, locs)
+        # One flattening per block for the tuple and list forms.
+        cache.update(zip(missing, zip(homes.tolist(),
+                                      map(tuple, locs.tolist()),
+                                      nearest.tolist(),
+                                      range(start, start + batch))))
 
     # ------------------------------------------------------------------
     # metadata sizing (Section 4.3)
@@ -355,4 +438,6 @@ class CampMapper:
         """Drop the memoized per-line location and nearest tables."""
         self._loc_cache.clear()
         self._nearest_cache.clear()
+        self._slots_used = 0
+        self._stack_costs = None
         self.epoch += 1

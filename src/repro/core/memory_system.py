@@ -89,12 +89,14 @@ class MemorySystem:
         self._dram_free_ns = [0.0] * config.num_units
         # Total queuing delay observed (diagnostics / tests).
         self.total_queue_delay_ns = 0.0
-        # Fused-kernel per-line memo: line -> (home unit,
-        # per-requester nearest camp list, per-requester is-home list);
-        # the camp lists are None for CacheStyle.NONE.  Valid for one
-        # (camp-mapping epoch, link-fault epoch) pair.
+        # Fused-kernel per-line memo: line -> (home unit, location
+        # tuple, nearest location per requester stack, row slot), the
+        # camp mapper's own entries; (home, None, None, None) for
+        # CacheStyle.NONE.
+        # Valid for one (camp-mapping epoch, link-fault epoch) pair.
         self._line_memo: dict = {}
         self._memo_epoch: tuple = (-1, -1)
+        self._stack_of_unit = interconnect.topology.stack_of_unit.tolist()
         # Per-requester (L1, prefetch) batch-state tuples, filled on
         # first use: the containers are cleared in place at barriers
         # (never recreated), so the references stay valid for the run.
@@ -195,31 +197,30 @@ class MemorySystem:
         return 2.0 * diameter_ns + self.dram.access_latency_ns
 
     def _prime_line_memo(self, line_list: List[int]) -> None:
-        """Ensure every line's (home, nearest, is-home) memo entry exists.
+        """Ensure every line's (home, locations, nearest, slot) memo
+        entry exists.
 
         Memo validity is tied to the camp-mapping epoch and the link-
-        fault epoch; both are checked by the caller.  Homes come from
+        fault epoch; both are checked by the caller.  With a cache the
+        entries are the camp mapper's own, filled array-at-a-time by
+        :meth:`CampMapper.prime_lines`; without one, homes come from
         the scalar :meth:`MemoryMap.home_of_line` (a batch holds few
-        missing lines, where an array round trip costs more); camp
-        tables are filled array-at-a-time via
-        :meth:`CampMapper.prime_lines`, which also stores their list
-        forms, shared here as they are.
+        missing lines, where an array round trip costs more).
         """
         memo = self._line_memo
         missing = [ln for ln in line_list if ln not in memo]
         if not missing:
             return
-        home_of_line = self.memory_map.home_of_line
         if self.style is CacheStyle.NONE:
+            home_of_line = self.memory_map.home_of_line
             for ln in missing:
-                memo[ln] = (home_of_line(ln), None, None)
+                memo[ln] = (home_of_line(ln), None, None, None)
             return
         cm = self.camp_mapper
         cm.prime_lines(missing, self._cost)
         tables = cm._nearest_cache
         for ln in missing:
-            entry = tables[ln]
-            memo[ln] = (home_of_line(ln), entry[3], entry[4])
+            memo[ln] = tables[ln]
 
     # ------------------------------------------------------------------
     # read path
@@ -251,7 +252,10 @@ class MemorySystem:
         or partitioned away times out (:meth:`_unreachable_penalty_ns`)
         and moves, reads and installs nothing; DRAM latency is read per
         serving unit (slow vaults); routes, link latencies and camp
-        remaps are in the NoC tables and the line memo.  A camp detour
+        remaps are in the NoC tables and the line memo.  The memo holds
+        one nearest location per requester stack: a requester that is
+        itself one of the line's locations reads itself instead
+        (:meth:`CampMapper.nearest_location`).  A camp detour
         is never cut off: a reachable home has finite cost, so the
         nearest location (the cost argmin) is reachable too.  An
         attached link meter records every message.
@@ -280,6 +284,7 @@ class MemorySystem:
             self._memo_epoch = epoch
         self._prime_line_memo(line_list)
         blocked = self._blocked_rows()[requester]
+        req_stack = self._stack_of_unit[requester]
 
         ustate = self._unit_state[requester]
         if ustate is None:
@@ -350,16 +355,22 @@ class MemorySystem:
                 pf_hits += 1
                 stall += hit_ns
                 continue
-            home, near_row, ishome_row = memo[line]
+            home, locs, near_row, _ = memo[line]
             if blocked[home]:
                 # The home vault is dead or partitioned away: the access
                 # times out.  Nothing is cached and no traffic moved.
                 unreachable += 1
                 stall += self._unreachable_penalty_ns()
                 continue
-            if no_cache or ishome_row[requester]:
+            if no_cache:
+                nearest = home
+            elif requester in locs:
+                nearest = requester
+            else:
+                nearest = near_row[req_stack]
+            if nearest == home:
                 if not no_cache:
-                    caches[near_row[requester]].stats.home_direct += 1
+                    caches[home].stats.home_direct += 1
                 # Direct: request + response transfers, one DRAM read
                 # at the home, round trip + queue + access.
                 msgs += 2
@@ -391,7 +402,6 @@ class MemorySystem:
                     record(requester, home, _REQUEST_BITS)
                     record(home, requester, line_bits)
             else:
-                nearest = near_row[requester]
                 cache = caches[nearest]
                 ow_rn = ow_req[nearest]
                 c_rn = cls_req[nearest]   # symmetric: == cls[nearest][req]

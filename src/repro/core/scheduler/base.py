@@ -226,17 +226,16 @@ class SchedulerContext:
         for bucket in stale.values():
             for _, line_list in bucket.values():
                 lines.update(line_list)
-        cm.prime_lines(lines, self.cost_matrix)
-        tables = cm._nearest_cache
+        cost = self.cost_matrix
+        cm.prime_lines(lines, cost)
         n = self.num_units
         for size, bucket in stale.items():
             entries = list(bucket.values())
             for part in gather_slices(len(entries), size * n):
                 group = entries[part]
-                stacked = np.array([
-                    tables[ln][2] for _, line_list in group
-                    for ln in line_list
-                ]).reshape(len(group), size, n)
+                stacked = cm.distance_rows([
+                    ln for _, line_list in group for ln in line_list
+                ], cost).reshape(len(group), size, n)
                 # Reducing the middle axis accumulates line by line, the
                 # same elementwise order as the per-hint (L, N) reduction.
                 rows = np.add.reduce(stacked, axis=1)
@@ -362,16 +361,13 @@ class SchedulerContext:
         cached = getattr(task.hint, "_crow", None)
         if cached is not None and cached[0] == key:
             return cached[1]
-        line_list = self.hint_lines(task).tolist()
-        cost = self.cost_matrix
-        cm.prime_lines(line_list, cost)
-        tables = cm._nearest_cache
         # One C-level reduction over the stacked per-line distance rows.
         # np.add.reduce along the outer axis accumulates row by row in
         # order, which is bit-identical to an `acc += row` loop (all
         # rows are non-negative, so a 0.0 start cannot flip a -0.0).
         row = np.add.reduce(
-            np.array([tables[ln][2] for ln in line_list]), axis=0
+            cm.distance_rows(self.hint_lines_list(task), self.cost_matrix),
+            axis=0,
         )
         task.hint._crow = (key, row)
         return row

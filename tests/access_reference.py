@@ -9,6 +9,11 @@ stat structs, DRAM clocks and the interconnect's per-pair methods.  The
 kernel oracle in ``test_memory_system.py`` runs both on twin machines
 and compares their whole state.
 
+The nearest location is the unit-wide argmin of the requester's cost
+row over the line's locations (:func:`nearest_location`), not the camp
+mapper's per-stack tables the kernel reads, so the oracle checks those
+tables too.
+
 The flow keeps the camp-detour cut for link faults, which the kernel
 does not have: ``test_reachable_home_has_reachable_nearest_camp`` shows
 it cannot fire.
@@ -18,6 +23,8 @@ it cannot fire.
 stack 0 off a 2x2 mesh, slows one surviving link, kills one unit (camp
 remap) and slows one vault.
 """
+
+import numpy as np
 
 from repro.config import CacheStyle
 from repro.core.cache.dram_tag_cache import DramTagCache
@@ -115,14 +122,20 @@ def _direct_home_access(ms, requester: int, line: int,
     )
 
 
+def nearest_location(ms, requester: int, line: int) -> int:
+    """The line's living location with the least cost from
+    ``requester``, the first in group order on a tie (``np.argmin``)."""
+    locs = [int(u) for u in ms.camp_mapper.locations(line) if u >= 0]
+    return locs[int(np.argmin(ms._cost[requester, locs]))]
+
+
 def _cached_access(ms, requester: int, line: int, now_ns: float) -> float:
     """The Traveller access flow: probe nearest camp, fall to home."""
     assert ms.camp_mapper is not None
     noc = ms.interconnect
-    nearest, is_home = ms.camp_mapper.nearest_location(
-        line, requester, ms._cost
-    )
     home = ms.memory_map.home_of_line(line)
+    nearest = nearest_location(ms, requester, line)
+    is_home = nearest == home
     cache = ms.caches[nearest]
 
     if is_home:

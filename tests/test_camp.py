@@ -150,18 +150,24 @@ class TestNearestLocation:
                             MemoryConfig()).cost_matrix
         lines = list(range(0, 20_000, 7)) + [123_456_789, 42]
         primed.prime_lines(lines, cost)
+        stacks = primed.topology.num_stacks
         for line in lines:
             got = primed._nearest_cache[line]
             want = scalar._nearest_tables(line, cost)
-            for a, b in zip(got[:3], want[:3]):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            # The list forms the access kernel shares, flattened per
-            # block by the batch fill and per line by the scalar path.
-            assert got[3:] == want[3:] == (want[0].tolist(),
-                                           want[1].tolist())
-            assert np.array_equal(primed._loc_cache[line],
-                                  scalar.locations(line))
+            # The home, the location tuple and the per-stack nearest
+            # list the access kernel shares, flattened per block by the
+            # batch fill and per line by the scalar path.
+            assert got[:3] == want[:3]
+            assert [type(x) for x in got] == [int, tuple, list, int]
+            assert got[0] == scalar.home_unit(line)
+            assert got[1] == tuple(scalar.locations(line).tolist())
             assert not primed.locations(line).flags.writeable
+            assert len(got[2]) == stacks
+            # The distance row behind the slot, bit for bit.
+            for store in ("_slot_dist", "_slot_locs"):
+                a = getattr(primed, store)[got[3]]
+                b = getattr(scalar, store)[want[3]]
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_requester_in_home_group_gets_home(self, mapper):
         """Within the home's group the only allowed location is the
@@ -171,6 +177,87 @@ class TestNearestLocation:
         noc = Interconnect(mapper.topology, NocConfig(), MemoryConfig())
         unit, is_home = mapper.nearest_location(line, home, noc.cost_matrix)
         assert unit == home and is_home
+
+
+def _slow_crossbar() -> NocConfig:
+    """A mesh hop cheaper than a crossbar hop: a location's stack-mates
+    may then prefer a location in the next stack to it."""
+    return NocConfig(intra_hop_ns=1.5, inter_hop_ns=1.0)
+
+
+class TestStackTables:
+    """The per-stack tables, read through :meth:`nearest_location` and
+    :meth:`distance_rows`, give every unit the first-minimum argmin of
+    its own cost row over the line's locations."""
+
+    @staticmethod
+    def check(mapper, cost) -> int:
+        """Compare every (line, requester) pair for two lines homed at
+        each unit; return how many requesters that are not a location
+        sit in a stack with one and still pick another location."""
+        topo = mapper.topology
+        stack_of = topo.stack_of_unit
+        per_unit = mapper.memory_map.unit_capacity // 64
+        lines = [u * per_unit + k for u in range(topo.num_units)
+                 for k in (3, 9_001)]
+        rows = mapper.distance_rows(lines, cost)
+        assert rows.shape == (len(lines), topo.num_units)
+        others = 0
+        for i, line in enumerate(lines):
+            locs = [int(u) for u in mapper.locations(line) if u >= 0]
+            home = mapper.home_unit(line)
+            loc_stacks = {int(stack_of[u]) for u in locs}
+            for u in range(topo.num_units):
+                want = locs[int(np.argmin(cost[u, locs]))]
+                assert mapper.nearest_location(line, u, cost) == (
+                    want, want == home)
+                assert rows[i, u] == cost[u, want]
+                if (u not in locs and int(stack_of[u]) in loc_stacks
+                        and int(stack_of[want]) != int(stack_of[u])):
+                    others += 1
+        return others
+
+    @pytest.mark.parametrize("shape", [(2, 2, 8), (3, 5, 8), (4, 4, 8),
+                                       (4, 4, 1)])
+    def test_per_unit_view_is_unit_wide_argmin(self, shape):
+        mapper = make_mapper(topo_cfg=TopologyConfig(*shape))
+        noc = Interconnect(mapper.topology, NocConfig(), MemoryConfig())
+        self.check(mapper, noc.cost_matrix)
+
+        alive = np.ones(mapper.topology.num_units, dtype=bool)
+        alive[[1, 2, mapper.topology.num_units - 1]] = False
+        mapper.set_alive_mask(alive)
+        self.check(mapper, noc.cost_matrix)
+
+        # A cut-off stack 0 and a slow link: unreachable locations cost
+        # inf and the rerouted ones more, under the same alive mask.
+        noc.set_link_faults([(0, 1)] + ([(0, shape[1])]
+                                        if shape[0] > 1 else []),
+                            {(1, 2): 3.0} if shape[1] > 2 else {})
+        mapper.set_alive_mask(alive)  # the fault controller's remap
+        self.check(mapper, noc.cost_matrix)
+        mapper.set_alive_mask(None)
+        self.check(mapper, noc.cost_matrix)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 8), (3, 5, 8)])
+    def test_slow_crossbar_splits_a_stack(self, shape):
+        """With inter_hop_ns below intra_hop_ns a location reads itself
+        while its stack-mates pick a location in another stack."""
+        mapper = make_mapper(topo_cfg=TopologyConfig(*shape))
+        noc = Interconnect(mapper.topology, _slow_crossbar(), MemoryConfig())
+        assert self.check(mapper, noc.cost_matrix) > 0
+
+    def test_stack_cost_table_built_once_per_epoch(self, mapper):
+        cost = Interconnect(mapper.topology, NocConfig(),
+                            MemoryConfig()).cost_matrix
+        table = mapper._stack_cost_table(cost)
+        assert table.shape == (mapper.topology.num_units,
+                               mapper.topology.num_stacks)
+        assert table.flags.c_contiguous
+        mapper.prime_lines(range(500), cost)
+        assert mapper._stack_cost_table(cost.view()) is table
+        mapper.clear_cache()
+        assert mapper._stack_cost_table(cost) is not table
 
 
 class TestValidation:

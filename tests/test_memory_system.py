@@ -13,6 +13,12 @@ from tests import access_reference as reference
 from tests.access_reference import PARTITION
 
 
+def slow_crossbar_config():
+    """Table 1 with a mesh hop (1 ns) cheaper than a crossbar hop."""
+    cfg = default_config()
+    return cfg.with_(noc=dataclasses.replace(cfg.noc, inter_hop_ns=1.0))
+
+
 def make_system(design="O", mesh=(2, 2), service_ns=0.0) -> NdpSystem:
     cfg = default_config().scaled(*mesh)
     cfg = cfg.with_(memory=dataclasses.replace(cfg.memory,
@@ -229,9 +235,9 @@ class TestFaultState:
 
 
 class TestLineMemo:
-    """Every access-kernel line memo entry is ``(home, nearest list,
-    is-home list)``: the camp mapper's tables as lists, shared with
-    the mapper's own entry rather than copied."""
+    """Every access-kernel line memo entry is ``(home, location tuple,
+    nearest list, row slot)`` with one nearest location per requester
+    stack: the camp mapper's own entry, shared rather than copied."""
 
     @staticmethod
     def _lines(system, count=300):
@@ -247,12 +253,13 @@ class TestLineMemo:
         cm = system.camp_mapper
         cost = system.interconnect.cost_matrix
         home_of_line = system.memory_map.home_of_line
+        stacks = system.topology.num_stacks
         assert set(lines) <= memo.keys()
         for ln, entry in memo.items():
-            tables = cm._nearest_tables(ln, cost)
-            assert entry == (home_of_line(ln),
-                             *[t.tolist() for t in tables[:2]])
-            assert entry[1] is tables[3] and entry[2] is tables[4]
+            assert entry is cm._nearest_tables(ln, cost)
+            assert entry[0] == home_of_line(ln)
+            assert entry[1] == tuple(cm.locations(ln).tolist())
+            assert len(entry[2]) == stacks
         return dict(memo)
 
     @pytest.mark.parametrize("design", ["C", "O"])
@@ -277,8 +284,9 @@ class TestLineMemo:
         ms.access_many(2, lines, 0.0)
         masked = self._check(system, lines)
         assert masked != healthy
-        assert all(1 not in entry[1] and 9 not in entry[1]
-                   or entry[0] in (1, 9) for entry in masked.values())
+        assert all(1 not in entry[i] and 9 not in entry[i]
+                   or entry[0] in (1, 9)
+                   for entry in masked.values() for i in (1, 2))
 
     def test_cacheless_entries_are_homes(self):
         system = make_system("B")
@@ -286,7 +294,7 @@ class TestLineMemo:
         system.memory_system.access_many(0, lines, 0.0)
         home_of_line = system.memory_map.home_of_line
         assert system.memory_system._line_memo == {
-            ln: (home_of_line(ln), None, None) for ln in lines}
+            ln: (home_of_line(ln), None, None, None) for ln in lines}
 
 
 #: :data:`PARTITION` plus a dead unit and a slow vault outside the
@@ -312,8 +320,8 @@ class TestFusedKernelOracle:
     """
 
     @staticmethod
-    def machine(design, replacement, base=default_config):
-        cfg = base().scaled(2, 2)
+    def machine(design, replacement, base=default_config, mesh=(2, 2)):
+        cfg = base().scaled(*mesh)
         cfg = cfg.with_(cache=dataclasses.replace(cfg.cache,
                                                   replacement=replacement))
         return build_system(design, cfg)
@@ -434,6 +442,27 @@ class TestFusedKernelOracle:
     def test_experiment_sizes_equal_access_loop(self, design, replacement):
         """The figures' regime: an 8-set 4-way L1 and a 4-line FIFO."""
         self.check_healthy(design, replacement, experiment_config)
+
+    @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
+    @pytest.mark.parametrize("design", ["C", "O"])
+    @pytest.mark.parametrize("mesh, base", [
+        ((3, 5), default_config),
+        ((2, 2), slow_crossbar_config),
+        ((3, 5), slow_crossbar_config),
+    ], ids=["3x5", "2x2-slow-crossbar", "3x5-slow-crossbar"])
+    def test_mesh_shapes_equal_access_loop(self, design, replacement,
+                                           mesh, base):
+        """A non-square mesh, whose camp groups of 30 units split
+        stacks, and a mesh hop cheaper than a crossbar hop, where a
+        camp location reads itself while its stack-mates read another
+        location.  On 3x5 the line pool spreads over 120 units' camps,
+        so no camp set fills; evictions are the other tests' part."""
+        fused = self.machine(design, replacement, base, mesh)
+        oracle = self.machine(design, replacement, base, mesh)
+        self.drive(fused, oracle)
+        stats = fused.memory_system.cache_stats()
+        assert stats.hits > 0 and stats.home_direct > 0
+        assert self.state(fused) == self.state(oracle)
 
     @pytest.mark.parametrize("replacement", list(ReplacementPolicy))
     @pytest.mark.parametrize("style", list(CacheStyle))
