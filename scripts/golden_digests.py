@@ -2,9 +2,11 @@
 
 Runs ``campaigns/full_matrix.json`` (48 points),
 ``campaigns/fault_study.json`` (10 points),
-``campaigns/mesh_8x8.json`` (3 points on an 8x8 mesh) and
-``campaigns/mesh_shapes.json`` (4 points on 16x16 and 3x5 meshes) cold — the
-result cache is disabled, so every point is simulated — and digests each point's
+``campaigns/mesh_8x8.json`` (3 points on an 8x8 mesh),
+``campaigns/mesh_shapes.json`` (4 points on 16x16 and 3x5 meshes) and
+``campaigns/link_faults.json`` (4 points on 4x4 and 3x5 meshes whose links
+fail and recover mid-run) cold — the result cache is disabled, so every
+point is simulated — and digests each point's
 ``RunResult`` as the SHA-256 of its sorted-key ``result_to_dict`` JSON,
 the same digest ``tests/golden/exact_digests.json`` pins for the small
 parity matrix.  ``tests/golden/campaign_digests.json`` holds the
@@ -27,7 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-CAMPAIGNS = ("full_matrix", "fault_study", "mesh_8x8", "mesh_shapes")
+CAMPAIGNS = ("full_matrix", "fault_study", "mesh_8x8", "mesh_shapes",
+             "link_faults")
 GOLDEN = ROOT / "tests" / "golden" / "campaign_digests.json"
 
 

@@ -1,5 +1,9 @@
 """Unit tests for the interconnect model: costs, latency, traffic, energy."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -231,3 +235,61 @@ class TestLinkFaults:
     def test_all_one_multipliers_mean_no_faults(self, noc):
         noc.set_link_faults([], degraded={(0, 1): 1.0})
         assert not noc.has_link_faults
+
+
+#: the scalar NoC API pinned pair by pair: mesh -> its stack rows/cols.
+PINNED_MESHES = {"2x2": (2, 2), "3x5": (3, 5), "4x4": (4, 4)}
+NOC_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "exact_digests.json").read_text()
+)
+
+
+def _noc_states(noc):
+    """Yield ``(state name, noc)`` through five link-fault states:
+    healthy, link (0, 1) dead, link (0, 1) degraded 3x, stack 0 cut off
+    from the mesh, and healthy again after ``clear_link_faults``."""
+    cols = noc.topology.config.mesh_cols
+    yield "healthy", noc
+    noc.set_link_faults([(0, 1)])
+    yield "dead", noc
+    noc.set_link_faults([], degraded={(0, 1): 3.0})
+    yield "degraded", noc
+    noc.set_link_faults([(0, 1), (0, cols)])
+    yield "isolated", noc
+    noc.clear_link_faults()
+    yield "cleared", noc
+
+
+def _scalar_api_digest(noc) -> str:
+    """SHA-256 over every unit pair's one-way latency, effective hops
+    and reachability, then the cost matrix bytes."""
+    n = noc.topology.num_units
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    h = hashlib.sha256()
+    h.update(np.array([noc.one_way_latency_ns(a, b) for a, b in pairs],
+                      dtype=np.float64).tobytes())
+    h.update(np.array([noc.effective_hops(a, b) for a, b in pairs],
+                      dtype=np.int64).tobytes())
+    h.update(np.array([noc.is_reachable(a, b) for a, b in pairs],
+                      dtype=bool).tobytes())
+    h.update(np.ascontiguousarray(noc.cost_matrix).tobytes())
+    return h.hexdigest()
+
+
+def noc_api_digests(mesh: str) -> dict:
+    """``{"noc/<mesh>/<state>": digest}`` for one mesh shape."""
+    rows, cols = PINNED_MESHES[mesh]
+    noc = Interconnect(Topology(TopologyConfig(rows, cols), num_groups=1),
+                       NocConfig(), MemoryConfig())
+    return {f"noc/{mesh}/{state}": _scalar_api_digest(noc)
+            for state, noc in _noc_states(noc)}
+
+
+@pytest.mark.parametrize("mesh", sorted(PINNED_MESHES))
+def test_scalar_api_pinned_pair_by_pair(mesh):
+    """Every unit pair's ``one_way_latency_ns``, ``effective_hops`` and
+    ``is_reachable``, and the cost matrix, match frozen digests in each
+    link-fault state — a wrong table entry fails here even when no
+    simulated point reads it."""
+    digests = noc_api_digests(mesh)
+    assert digests == {k: NOC_GOLDEN[k] for k in digests}
