@@ -1,8 +1,8 @@
 """Memory-network topology: stacks in a 2D mesh, units behind crossbars.
 
 This module owns the *geometry* of the NDP system (Figure 1/5 in the
-paper): where every NDP unit sits, how many inter-stack mesh hops separate
-any two units, and how the units are numbered into ``C + 1`` localized
+paper): where every NDP unit sits, how many mesh hops separate any two
+stacks, and how the units are numbered into ``C + 1`` localized
 *camp groups* (Section 4.2).
 
 Unit numbering follows the paper: units are numbered consecutively,
@@ -108,9 +108,9 @@ class Topology:
             np.arange(self.num_units) // self.units_per_group
         ).astype(np.int64)
 
-        self._inter_hops = self._build_hop_matrix()
-        self._same_stack = self._stack_of_unit[:, None] == self._stack_of_unit[None, :]
-        self._same_unit = np.eye(self.num_units, dtype=bool)
+        # (S, S) Manhattan mesh hops between stacks.
+        rc = self._stack_coords
+        self._mesh_hops = np.abs(rc[:, None, :] - rc[None, :, :]).sum(axis=2)
 
     # ------------------------------------------------------------------
     # basic lookups
@@ -176,43 +176,27 @@ class Topology:
     # ------------------------------------------------------------------
     # distances
     # ------------------------------------------------------------------
-    def _build_hop_matrix(self) -> np.ndarray:
-        coords = self._stack_coords[self._stack_of_unit]
-        rows = coords[:, 0]
-        cols = coords[:, 1]
-        hops = (
-            np.abs(rows[:, None] - rows[None, :])
-            + np.abs(cols[:, None] - cols[None, :])
-        )
-        return hops.astype(np.int64)
-
     @property
-    def inter_hops(self) -> np.ndarray:
-        """(N, N) matrix of inter-stack mesh hops between units.
+    def mesh_hops(self) -> np.ndarray:
+        """(S, S) matrix of mesh hops between stacks (read-only view).
 
-        Zero for units in the same stack (their traffic rides the
-        crossbar, not the mesh).
+        Units in one stack are zero hops apart: their traffic rides the
+        crossbar, not the mesh.
         """
-        v = self._inter_hops.view()
-        v.flags.writeable = False
-        return v
-
-    @property
-    def same_stack(self) -> np.ndarray:
-        """(N, N) boolean matrix: units share a stack."""
-        v = self._same_stack.view()
+        v = self._mesh_hops.view()
         v.flags.writeable = False
         return v
 
     def hops_between(self, a: int, b: int) -> int:
         """Inter-stack mesh hops between units ``a`` and ``b``."""
-        return int(self._inter_hops[a, b])
+        sou = self._stack_of_unit
+        return int(self._mesh_hops[sou[a], sou[b]])
 
     def is_local(self, a: int, b: int) -> bool:
         return a == b
 
     def is_intra_stack(self, a: int, b: int) -> bool:
-        return a != b and bool(self._same_stack[a, b])
+        return a != b and self.stack_of(a) == self.stack_of(b)
 
     @property
     def diameter(self) -> int:

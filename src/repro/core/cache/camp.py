@@ -355,7 +355,8 @@ class CampMapper:
         awkward; that rare case falls back to the per-line fill.
         """
         cache = self._nearest_cache
-        missing = [ln for ln in lines if ln not in cache]
+        # In order, once each: a repeated line would fill a dead slot.
+        missing = [ln for ln in dict.fromkeys(lines) if ln not in cache]
         if not missing:
             return
         if self._alive is not None:

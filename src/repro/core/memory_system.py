@@ -79,8 +79,8 @@ class MemorySystem:
         # Fault state, attached by the FaultController when active.
         self._alive: Optional[np.ndarray] = None
         self._resilience = None  # faults.ResilienceStats, duck-typed
-        # [requester][home] unreachable flags (see _blocked_rows), for
-        # one (set_fault_state call, link-fault epoch) pair.
+        # [requester stack][home] unreachable flags (see _blocked_rows),
+        # for one (set_fault_state call, link-fault epoch) pair.
         self._blocked: Optional[List[List[bool]]] = None
         self._blocked_epoch = -1
         # Per-unit DRAM channel service clock (absolute ns).  A plain
@@ -96,6 +96,10 @@ class MemorySystem:
         # Valid for one (camp-mapping epoch, link-fault epoch) pair.
         self._line_memo: dict = {}
         self._memo_epoch: tuple = (-1, -1)
+        # [source stack][destination stack] one-way inter-stack latency
+        # and mesh hops, as nested lists (list indexing beats ndarray
+        # item access in the kernel); refreshed with the line memo.
+        self._stack_rows: tuple = ([], [])
         self._stack_of_unit = interconnect.topology.stack_of_unit.tolist()
         # Per-requester (L1, prefetch) batch-state tuples, filled on
         # first use: the containers are cleared in place at barriers
@@ -162,20 +166,23 @@ class MemorySystem:
         return dropped
 
     def _blocked_rows(self) -> List[List[bool]]:
-        """``[requester][home]``: the home cannot serve the requester.
+        """``[requester stack][home]``: the home cannot serve a
+        requester in that stack.
 
         A home is blocked while it is dead or partitioned away from the
-        requester, and only while fault state is attached.  Rebuilt
-        after :meth:`set_fault_state` and after link-fault transitions.
+        requester's stack, and only while fault state is attached.
+        Rebuilt after :meth:`set_fault_state` and after link-fault
+        transitions.
         """
         noc = self.interconnect
         if self._blocked is None or self._blocked_epoch != noc.fault_epoch:
             n = self.config.num_units
+            topo = noc.topology
             if self._resilience is None or (
                     self._alive is None and not noc.has_link_faults):
-                self._blocked = [[False] * n] * n
+                self._blocked = [[False] * n] * topo.num_stacks
             else:
-                blocked = np.asarray(noc.fast_tables()[2]) < 0
+                blocked = noc.stack_hops[:, topo.stack_of_unit] < 0
                 if self._alive is not None:
                     blocked |= ~self._alive
                 self._blocked = blocked.tolist()
@@ -282,9 +289,14 @@ class MemorySystem:
         if epoch != self._memo_epoch:
             self._line_memo.clear()
             self._memo_epoch = epoch
+            self._stack_rows = (
+                (noc.stack_mesh_ns + 2 * noc.noc.intra_hop_ns).tolist(),
+                noc.stack_hops.tolist(),
+            )
         self._prime_line_memo(line_list)
-        blocked = self._blocked_rows()[requester]
-        req_stack = self._stack_of_unit[requester]
+        stack_of = self._stack_of_unit
+        req_stack = stack_of[requester]
+        blocked = self._blocked_rows()[req_stack]
 
         ustate = self._unit_state[requester]
         if ustate is None:
@@ -300,10 +312,13 @@ class MemorySystem:
         dram_ns = self.dram.unit_latencies(self.config.num_units)
         service = self._service_ns
         free = self._dram_free_ns
-        ow, cls, hops = noc.fast_tables()
-        ow_req = ow[requester]
-        cls_req = cls[requester]
-        hops_req = hops[requester]
+        # A message is inter-stack when the stacks differ (row entries
+        # below), intra-stack when only the units differ (one crossbar
+        # hop), local otherwise.
+        ow, hops = self._stack_rows
+        ow_req = ow[req_stack]
+        hops_req = hops[req_stack]
+        intra_ns = noc.noc.intra_hop_ns
         caches = self.caches
         memo = self._line_memo
         meter = noc.link_meter
@@ -374,20 +389,22 @@ class MemorySystem:
                 # Direct: request + response transfers, one DRAM read
                 # at the home, round trip + queue + access.
                 msgs += 2
-                c = cls_req[home]
-                if c == 2:
-                    h = hops_req[home]
+                s_home = stack_of[home]
+                if s_home != req_stack:
+                    h = hops_req[s_home]
                     inter_hops += 2 * h
                     inter_bits += rt_bits * h
                     intra += 4
                     intra_bits += 2 * rt_bits
-                elif c == 1:
+                    owv = ow_req[s_home]
+                elif home != requester:
                     intra += 2
                     intra_bits += rt_bits
+                    owv = intra_ns
                 else:
                     local += 2
+                    owv = 0.0
                 reads += 1
-                owv = ow_req[home]
                 arrival = now + owv
                 free_at = free[home]
                 delay = free_at - arrival
@@ -403,20 +420,27 @@ class MemorySystem:
                     record(home, requester, line_bits)
             else:
                 cache = caches[nearest]
-                ow_rn = ow_req[nearest]
-                c_rn = cls_req[nearest]   # symmetric: == cls[nearest][req]
-                h_rn = hops_req[nearest]
-                # request travels requester -> nearest (tag probe)
+                s_near = stack_of[nearest]
+                # request travels requester -> nearest (tag probe); the
+                # response takes the same class (0 local, 1 intra, 2
+                # inter) back.
                 msgs += 1
-                if c_rn == 2:
+                if s_near != req_stack:
+                    c_rn = 2
+                    h_rn = hops_req[s_near]
+                    ow_rn = ow_req[s_near]
                     inter_hops += h_rn
                     inter_bits += _REQUEST_BITS * h_rn
                     intra += 2
                     intra_bits += 2 * _REQUEST_BITS
-                elif c_rn == 1:
+                elif nearest != requester:
+                    c_rn = 1
+                    ow_rn = intra_ns
                     intra += 1
                     intra_bits += _REQUEST_BITS
                 else:
+                    c_rn = 0
+                    ow_rn = 0.0
                     local += 1
                 lat = ow_rn
                 if dram_tag:
@@ -490,22 +514,23 @@ class MemorySystem:
                 else:
                     # miss: continue nearest -> home, read, return home
                     # -> requester; maybe install at the probed camp.
-                    cls_n = cls[nearest]
-                    hops_n = hops[nearest]
-                    c_nh = cls_n[home]
-                    h_nh = hops_n[home]
+                    # Neither hop is local: the nearest location is not
+                    # the home here, and a requester that is the home
+                    # reads itself on the direct path.
+                    s_home = stack_of[home]
+                    nh_inter = s_near != s_home
                     msgs += 1
-                    if c_nh == 2:
+                    if nh_inter:
+                        h_nh = hops[s_near][s_home]
                         inter_hops += h_nh
                         inter_bits += _REQUEST_BITS * h_nh
                         intra += 2
                         intra_bits += 2 * _REQUEST_BITS
-                    elif c_nh == 1:
+                        lat += ow[s_near][s_home]
+                    else:
                         intra += 1
                         intra_bits += _REQUEST_BITS
-                    else:
-                        local += 1
-                    lat += ow[nearest][home]
+                        lat += intra_ns
                     reads += 1
                     arrival = now + lat
                     free_at = free[home]
@@ -519,19 +544,17 @@ class MemorySystem:
                     lat += delay
                     lat += dram_ns[home]
                     msgs += 1
-                    c = cls_req[home]  # home -> requester, symmetric
-                    if c == 2:
-                        h = hops_req[home]
+                    if s_home != req_stack:  # home -> requester
+                        h = hops_req[s_home]
                         inter_hops += h
                         inter_bits += line_bits * h
                         intra += 2
                         intra_bits += 2 * line_bits
-                    elif c == 1:
+                        lat += ow_req[s_home]
+                    else:
                         intra += 1
                         intra_bits += line_bits
-                    else:
-                        local += 1
-                    lat += ow_req[home]
+                        lat += intra_ns
                     # Inlined sparse install: the bypass draw comes
                     # first (as in insert()), then empty-way / random
                     # victim selection with the same RNG calls.
@@ -566,16 +589,14 @@ class MemorySystem:
                         # home -> nearest fill; the write itself is
                         # buffered (non-critical), so no clock advance.
                         msgs += 1
-                        if c_nh == 2:
+                        if nh_inter:
                             inter_hops += h_nh
                             inter_bits += line_bits * h_nh
                             intra += 2
                             intra_bits += 2 * line_bits
-                        elif c_nh == 1:
+                        else:
                             intra += 1
                             intra_bits += line_bits
-                        else:
-                            local += 1
                         if sram_style:
                             data_acc += 1
                         else:
@@ -613,14 +634,14 @@ class MemorySystem:
             else:
                 writes = 1
                 msgs += 1
-                c = cls_req[home]
-                if c == 2:
-                    h = hops_req[home]
+                s_home = stack_of[home]
+                if s_home != req_stack:
+                    h = hops_req[s_home]
                     inter_hops += h
                     inter_bits += line_bits * h
                     intra += 2
                     intra_bits += 2 * line_bits
-                elif c == 1:
+                elif home != requester:
                     intra += 1
                     intra_bits += line_bits
                 else:

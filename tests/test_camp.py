@@ -169,6 +169,18 @@ class TestNearestLocation:
                 b = getattr(scalar, store)[want[3]]
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    def test_prime_lines_stores_repeated_lines_once(self):
+        """A batch that names a line twice fills one slot row for it:
+        the same entries and slot count as the batch without the
+        repeat."""
+        repeated, unique = make_mapper(), make_mapper()
+        cost = Interconnect(repeated.topology, NocConfig(),
+                            MemoryConfig()).cost_matrix
+        repeated.prime_lines([5, 42, 42, 7], cost)
+        unique.prime_lines([5, 42, 7], cost)
+        assert repeated._slots_used == unique._slots_used == 3
+        assert repeated._nearest_cache == unique._nearest_cache
+
     def test_requester_in_home_group_gets_home(self, mapper):
         """Within the home's group the only allowed location is the
         home, so nearby requesters usually go straight there."""

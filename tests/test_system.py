@@ -43,6 +43,33 @@ class TestBuildSystem:
         system = build_system("O", experiment_config().scaled(2, 2))
         assert len(system.units) == 32
 
+    def test_no_unit_pair_tables_after_a_run(self):
+        """After an O/pr run on a 4x4 mesh, no attribute of the
+        topology, the interconnect or the memory system is an (N, N)
+        array or an N-long list of N-long lists: the NoC keeps (S, S)
+        stack tables, and the cost matrix (with its views) is the only
+        unit-pair table."""
+        system = build_system("O", experiment_config().scaled(4, 4))
+        system.run(repro.make_workload("pr"))
+        n = system.config.num_units
+        cost = system.interconnect._cost
+
+        def unit_pair_table(value) -> bool:
+            if isinstance(value, tuple):
+                return any(unit_pair_table(v) for v in value)
+            if isinstance(value, np.ndarray):
+                return (value.shape == (n, n)
+                        and not np.shares_memory(value, cost))
+            return (isinstance(value, list) and len(value) == n
+                    and all(isinstance(row, list) and len(row) == n
+                            for row in value))
+
+        for obj in (system.topology, system.interconnect,
+                    system.memory_system):
+            tables = [name for name, value in vars(obj).items()
+                      if unit_pair_table(value)]
+            assert tables == [], type(obj).__name__
+
 
 class TestEnergyIntegration:
     def test_components_all_positive_for_real_run(self):

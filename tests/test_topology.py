@@ -87,7 +87,7 @@ class TestDistances:
             assert topo.hops_between(int(a), int(b)) == topo.hops_between(int(b), int(a))
 
     def test_max_hops_is_diameter(self, topo):
-        assert topo.inter_hops.max() == topo.diameter == 6
+        assert topo.mesh_hops.max() == topo.diameter == 6
 
     def test_hop_matrix_matches_manhattan(self, topo):
         a, b = 0, 127
@@ -104,7 +104,7 @@ class TestDistances:
 
     def test_matrices_read_only(self, topo):
         with pytest.raises(ValueError):
-            topo.inter_hops[0, 0] = 99
+            topo.mesh_hops[0, 0] = 99
 
 
 class TestGroupValidation:
@@ -128,9 +128,11 @@ class TestGroupValidation:
     ups=st.sampled_from([2, 4, 8]),
 )
 def test_property_hop_matrix_is_a_metric(rows, cols, ups):
-    """Triangle inequality and identity hold on arbitrary meshes."""
+    """Triangle inequality and identity hold on arbitrary meshes, unit
+    by unit (the stack table expanded over the unit-to-stack map)."""
     topo = Topology(TopologyConfig(rows, cols, ups), num_groups=1)
-    hops = topo.inter_hops
+    sou = topo.stack_of_unit
+    hops = topo.mesh_hops[np.ix_(sou, sou)]
     n = topo.num_units
     assert (np.diag(hops) == 0).all()
     assert (hops == hops.T).all()
