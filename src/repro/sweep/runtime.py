@@ -120,7 +120,7 @@ class ProcessMemos:
     exact identity run keys use).  Workload generation is seeded from
     the factory kwargs alone, so the same token always materializes
     the same object.  The machine itself is always built cold: its
-    derived tables (NoC fast tables, camp home/nearest tables, the
+    derived tables (NoC stack tables, camp home/nearest tables, the
     memory system's per-line memo) live and die with one run.
     """
 
