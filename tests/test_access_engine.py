@@ -8,8 +8,9 @@ installs with their RNG draws, DRAM service clocks, float
 accumulations — in per-line order, on healthy, faulted and link-metered
 machines alike.  These tests pin its output: each point of the 2x2
 matrix (every design on every workload), every design on a pr point
-under a random fault schedule, and B, O and C on a pr point under the
-partition schedule must reproduce its SHA-256 digest of the sorted-key
+under a random fault schedule, B, O and C on a pr point under the
+partition schedule, and C and O on a 3x5 pr point, healthy and faulted,
+must reproduce its SHA-256 digest of the sorted-key
 ``result_to_dict`` JSON in ``tests/golden/exact_digests.json``, with
 and without telemetry.  The same file pins the stream of
 placement-decision records of two designs, healthy and faulted, and
@@ -142,6 +143,22 @@ def test_faulted_placement_bit_identical(design, base_config, workloads):
     result = _faulted(design, base_config, workloads)
     assert result.resilience is not None
     assert _digest(_canonical(result)) == GOLDEN[f"faults/pr/{design}"]
+
+
+@pytest.mark.parametrize("design", ["C", "O"])
+def test_mesh3x5_bit_identical(design, workloads):
+    """The small pr point on a 3x5 mesh, healthy and under the random
+    schedule's shape.  On 2x2 every camp group is one stack, so a
+    camp's stack always equals the requester's; here 120 units form
+    four groups of 30 that span stacks, so a camp miss continues to
+    the home from another stack than the requester's."""
+    config = experiment_config().scaled(3, 5)
+    result = repro.simulate(design, workloads["pr"], config=config)
+    assert _digest(_canonical(result)) == GOLDEN[f"mesh3x5/pr/{design}"]
+    result = _faulted(design, config, workloads)
+    assert result.resilience is not None
+    assert _digest(_canonical(result)) == \
+        GOLDEN[f"faults/3x5/pr/{design}"]
 
 
 @pytest.mark.parametrize("design", ["B", "O", "C"])
