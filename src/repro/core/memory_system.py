@@ -71,7 +71,6 @@ class MemorySystem:
         self.units = units
         self.camp_mapper = camp_mapper
         self.style = config.cache.style
-        self._cost = interconnect.cost_matrix
         self._service_ns = config.memory.service_ns
         self.traffic = TrafficMeter()
         self.dram_stats = DramStats()
@@ -89,17 +88,23 @@ class MemorySystem:
         self._dram_free_ns = [0.0] * config.num_units
         # Total queuing delay observed (diagnostics / tests).
         self.total_queue_delay_ns = 0.0
+        if self.style is not CacheStyle.NONE and camp_mapper is None:
+            raise ValueError("a camp mapper is required when caching is on")
         # Fused-kernel per-line memo: line -> (home unit, location
-        # tuple, nearest location per requester stack, row slot), the
-        # camp mapper's own entries; (home, None, None, None) for
-        # CacheStyle.NONE.
-        # Valid for one (camp-mapping epoch, link-fault epoch) pair.
-        self._line_memo: dict = {}
-        self._memo_epoch: tuple = (-1, -1)
+        # tuple, nearest location per requester stack, row slot).  With
+        # a cache it is the camp mapper's own memo dict, cleared by the
+        # mapper whenever the mapping or the distances change; without
+        # one, (home, None, None, None) entries that never go stale
+        # (homes never move).
+        self._line_memo: dict = (
+            {} if self.style is CacheStyle.NONE
+            else camp_mapper._nearest_cache
+        )
         # [source stack][destination stack] one-way inter-stack latency
         # and mesh hops, as nested lists (list indexing beats ndarray
-        # item access in the kernel); refreshed with the line memo.
+        # item access in the kernel), for one link-fault epoch.
         self._stack_rows: tuple = ([], [])
+        self._rows_epoch = -1
         self._stack_of_unit = interconnect.topology.stack_of_unit.tolist()
         # Per-requester (L1, prefetch) batch-state tuples, filled on
         # first use: the containers are cleared in place at barriers
@@ -119,8 +124,6 @@ class MemorySystem:
                 cls(config.cache, config.memory, rng)
                 for _ in range(config.num_units)
             ]
-        if self.style is not CacheStyle.NONE and camp_mapper is None:
-            raise ValueError("a camp mapper is required when caching is on")
         # The fused kernel may inline the cache probe and
         # install when replacement is RANDOM: on_touch is then a no-op
         # and the use-stamps are never read, so the inlined flow keeps
@@ -207,12 +210,11 @@ class MemorySystem:
         """Ensure every line's (home, locations, nearest, slot) memo
         entry exists.
 
-        Memo validity is tied to the camp-mapping epoch and the link-
-        fault epoch; both are checked by the caller.  With a cache the
-        entries are the camp mapper's own, filled array-at-a-time by
-        :meth:`CampMapper.prime_lines`; without one, homes come from
-        the scalar :meth:`MemoryMap.home_of_line` (a batch holds few
-        missing lines, where an array round trip costs more).
+        With a cache the memo is the camp mapper's, filled
+        array-at-a-time by :meth:`CampMapper.prime_lines`; without one,
+        homes come from the scalar :meth:`MemoryMap.home_of_line` (a
+        batch holds few missing lines, where an array round trip costs
+        more).
         """
         memo = self._line_memo
         missing = [ln for ln in line_list if ln not in memo]
@@ -223,11 +225,7 @@ class MemorySystem:
             for ln in missing:
                 memo[ln] = (home_of_line(ln), None, None, None)
             return
-        cm = self.camp_mapper
-        cm.prime_lines(missing, self._cost)
-        tables = cm._nearest_cache
-        for ln in missing:
-            memo[ln] = tables[ln]
+        self.camp_mapper.prime_lines(missing)
 
     # ------------------------------------------------------------------
     # read path
@@ -249,11 +247,12 @@ class MemorySystem:
         either a direct round trip to the home or, when the line's
         nearest allowed location is a camp, a tag probe there that hits
         or continues to the home, with a probabilistic install back at
-        the camp.  Camp resolution and NoC latencies come from
-        epoch-invalidated tables and stat counters flush once per batch,
-        while every *stateful* step (L1/prefetch/camp-cache probes and
-        inserts with their RNG draws, the per-unit DRAM service clocks,
-        and all float additions) runs in per-line order.
+        the camp.  Camp resolution comes from the camp mapper's memo,
+        NoC latencies from per-epoch stack rows, and stat counters
+        flush once per batch, while every *stateful* step
+        (L1/prefetch/camp-cache probes and inserts with their RNG
+        draws, the per-unit DRAM service clocks, and all float
+        additions) runs in per-line order.
 
         Faults enter through the same tables: a line whose home is dead
         or partitioned away times out (:meth:`_unreachable_penalty_ns`)
@@ -284,11 +283,8 @@ class MemorySystem:
         if not line_list and write_line < 0:
             return 0.0
         noc = self.interconnect
-        cm = self.camp_mapper
-        epoch = (cm.epoch if cm is not None else -1, noc.fault_epoch)
-        if epoch != self._memo_epoch:
-            self._line_memo.clear()
-            self._memo_epoch = epoch
+        if self._rows_epoch != noc.fault_epoch:
+            self._rows_epoch = noc.fault_epoch
             self._stack_rows = (
                 (noc.stack_mesh_ns + 2 * noc.noc.intra_hop_ns).tolist(),
                 noc.stack_hops.tolist(),

@@ -226,8 +226,7 @@ class SchedulerContext:
         for bucket in stale.values():
             for _, line_list in bucket.values():
                 lines.update(line_list)
-        cost = self.cost_matrix
-        cm.prime_lines(lines, cost)
+        cm.prime_lines(lines)
         n = self.num_units
         for size, bucket in stale.items():
             entries = list(bucket.values())
@@ -235,7 +234,7 @@ class SchedulerContext:
                 group = entries[part]
                 stacked = cm.distance_rows([
                     ln for _, line_list in group for ln in line_list
-                ], cost).reshape(len(group), size, n)
+                ]).reshape(len(group), size, n)
                 # Reducing the middle axis accumulates line by line, the
                 # same elementwise order as the per-hint (L, N) reduction.
                 rows = np.add.reduce(stacked, axis=1)
@@ -366,7 +365,7 @@ class SchedulerContext:
         # order, which is bit-identical to an `acc += row` loop (all
         # rows are non-negative, so a 0.0 start cannot flip a -0.0).
         row = np.add.reduce(
-            cm.distance_rows(self.hint_lines_list(task), self.cost_matrix),
+            cm.distance_rows(self.hint_lines_list(task)),
             axis=0,
         )
         task.hint._crow = (key, row)

@@ -136,7 +136,7 @@ class NdpSystem:
         data_cache_bytes = 0
         if has_cache:
             self.camp_mapper = CampMapper(
-                self.topology, self.memory_map, config.cache
+                self.interconnect, self.memory_map, config.cache
             )
             tag_bytes = self.camp_mapper.tag_storage_bytes()
             if config.cache.style is CacheStyle.SRAM:

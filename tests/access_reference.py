@@ -126,7 +126,8 @@ def nearest_location(ms, requester: int, line: int) -> int:
     """The line's living location with the least cost from
     ``requester``, the first in group order on a tie (``np.argmin``)."""
     locs = [int(u) for u in ms.camp_mapper.locations(line) if u >= 0]
-    return locs[int(np.argmin(ms._cost[requester, locs]))]
+    cost = ms.interconnect.cost_matrix
+    return locs[int(np.argmin(cost[requester, locs]))]
 
 
 def _cached_access(ms, requester: int, line: int, now_ns: float) -> float:

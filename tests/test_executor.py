@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.arch.ndp_unit import NdpUnit, build_units
-from repro.config import experiment_config
+from repro.config import NocConfig, experiment_config
 from repro.core.system import build_system
 from repro.runtime.executor import _interleave_by_spawner
 from repro.runtime.task import Task, TaskHint
@@ -311,17 +311,25 @@ class TestBatchPlacement:
     def compare(self, design, advance_clock, alive=None, telemetry=None):
         """Place 600 tasks with the executor and with the reference loop
         on twin machines; returns the reference's decision terms."""
-        ref = small_system(design)
-        new = build_system(design, experiment_config().scaled(2, 2),
-                           telemetry=telemetry)
         # Jittered costs do not sum exactly: a reduction taken in another
-        # order than the per-task one changes the result.
+        # order than the per-task one changes the result.  The jitter
+        # goes into the interconnect's stack table, which the cost
+        # matrix (rebuilt in place) and the camp tables read; a mesh hop
+        # cheaper than a crossbar hop lets a camp in another stack, at a
+        # jittered cost, be a unit's nearest location.
+        config = experiment_config().scaled(2, 2).with_(
+            noc=NocConfig(intra_hop_ns=1.6, inter_hop_ns=1.3))
+        ref = build_system(design, config)
+        new = build_system(design, config, telemetry=telemetry)
         jitter = np.random.default_rng(5).uniform(
-            0.9, 1.1, ref.scheduler.context.cost_matrix.shape)
+            0.9, 1.1, ref.interconnect.stack_mesh_ns.shape)
         for system in (ref, new):
-            ctx = system.scheduler.context
-            ctx.cost_matrix = ctx.cost_matrix * jitter
-            ctx.alive_mask = alive
+            noc = system.interconnect
+            noc._stack_ns = noc._stack_ns * jitter
+            noc._cost[...] = noc._build_cost_matrix()
+            if system.camp_mapper is not None:
+                system.camp_mapper.clear_cache()
+            system.scheduler.context.alive_mask = alive
         ref_tasks, new_tasks = self.tasks(ref, 600), self.tasks(new, 600)
         ref_pending, new_pending = {}, {}
         terms = []

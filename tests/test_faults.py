@@ -5,10 +5,12 @@ import pytest
 
 import repro
 from repro.arch.memory_map import MemoryMap
+from repro.arch.noc import Interconnect
 from repro.arch.topology import Topology
 from repro.config import (
     CacheConfig,
     MemoryConfig,
+    NocConfig,
     TopologyConfig,
     experiment_config,
 )
@@ -166,7 +168,8 @@ class TestCampRemap:
         cache = CacheConfig(num_camps=3)
         topo = Topology(cfg.topology, num_groups=cache.num_groups())
         memmap = MemoryMap(topo, MemoryConfig())
-        return topo, CampMapper(topo, memmap, cache)
+        noc = Interconnect(topo, NocConfig(), MemoryConfig())
+        return topo, CampMapper(noc, memmap, cache)
 
     def test_all_alive_mask_is_identity(self):
         topo, mapper = self._mapper()

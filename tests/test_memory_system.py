@@ -10,6 +10,7 @@ from repro.config import (CacheStyle, MemoryConfig, ReplacementPolicy,
 from repro.core.system import NdpSystem, build_system
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, ResilienceStats
 from tests import access_reference as reference
+from tests import camp_reference
 from tests.access_reference import PARTITION
 
 
@@ -193,15 +194,12 @@ def ms_caches(system):
 def _find_camp_probe(system):
     """A (line, requester, camp) where the nearest location is a camp."""
     mapper = system.camp_mapper
-    cost = system.interconnect.cost_matrix
     for unit in range(system.config.num_units):
         for idx in range(64):
             addr = unit * system.memory_map.unit_capacity + idx * 64
             line = system.memory_map.line_of(addr)
             for requester in range(system.config.num_units):
-                nearest, is_home = mapper.nearest_location(
-                    line, requester, cost
-                )
+                nearest, is_home = mapper.nearest_location(line, requester)
                 if not is_home:
                     return line, requester, nearest
     raise AssertionError("no camp-probing pair found")
@@ -237,7 +235,8 @@ class TestFaultState:
 class TestLineMemo:
     """Every access-kernel line memo entry is ``(home, location tuple,
     nearest list, row slot)`` with one nearest location per requester
-    stack: the camp mapper's own entry, shared rather than copied."""
+    stack; with a cache the memo is the camp mapper's own dict, shared
+    rather than copied."""
 
     @staticmethod
     def _lines(system, count=300):
@@ -251,14 +250,15 @@ class TestLineMemo:
     def _check(system, lines) -> dict:
         memo = system.memory_system._line_memo
         cm = system.camp_mapper
+        assert memo is cm._nearest_cache
         cost = system.interconnect.cost_matrix
         home_of_line = system.memory_map.home_of_line
         stacks = system.topology.num_stacks
         assert set(lines) <= memo.keys()
         for ln, entry in memo.items():
-            assert entry is cm._nearest_tables(ln, cost)
+            assert entry[:3] == camp_reference.nearest_tables(
+                cm, ln, cost)[:3]
             assert entry[0] == home_of_line(ln)
-            assert entry[1] == tuple(cm.locations(ln).tolist())
             assert len(entry[2]) == stacks
         return dict(memo)
 
@@ -280,7 +280,7 @@ class TestLineMemo:
 
         alive = np.ones(system.config.num_units, dtype=bool)
         alive[[1, 9]] = False
-        cm.set_alive_mask(alive)  # per-line table path
+        cm.set_alive_mask(alive)  # the remapped array fill
         ms.access_many(2, lines, 0.0)
         masked = self._check(system, lines)
         assert masked != healthy
@@ -518,7 +518,6 @@ def test_reachable_home_has_reachable_nearest_camp(design):
     system.fault_controller.on_phase_start(2, 0.0, lambda dead: 0)
     noc = system.interconnect
     alive = system.fault_controller.alive
-    cost = noc.cost_matrix
     units = system.config.num_units
     probes = cut_off = 0
     for home_unit in range(units):
@@ -530,7 +529,7 @@ def test_reachable_home_has_reachable_nearest_camp(design):
                     cut_off += 1
                     continue
                 nearest, is_home = system.camp_mapper.nearest_location(
-                    line, requester, cost)
+                    line, requester)
                 if is_home:
                     continue
                 probes += 1

@@ -33,7 +33,7 @@ def make_context(with_camps=False) -> SchedulerContext:
     topo = Topology(TopologyConfig(2, 2, 8), num_groups=groups)
     memmap = MemoryMap(topo, MemoryConfig())
     noc = Interconnect(topo, NocConfig(), MemoryConfig())
-    mapper = CampMapper(topo, memmap, cache) if with_camps else None
+    mapper = CampMapper(noc, memmap, cache) if with_camps else None
     return SchedulerContext(
         memory_map=memmap,
         cost_matrix=noc.cost_matrix,

@@ -26,13 +26,14 @@ from repro.runtime.workload_exchange import WorkloadExchange
 from tests.placement_reference import place, reference_decision, reference_unit
 
 
-def make_context(with_camps: bool = False) -> SchedulerContext:
+def make_context(with_camps: bool = False,
+                 noc_config: NocConfig = NocConfig()) -> SchedulerContext:
     cache = CacheConfig(num_camps=3)
     groups = cache.num_groups() if with_camps else 1
     topo = Topology(TopologyConfig(), num_groups=groups)
     memmap = MemoryMap(topo, MemoryConfig())
-    noc = Interconnect(topo, NocConfig(), MemoryConfig())
-    mapper = CampMapper(topo, memmap, cache) if with_camps else None
+    noc = Interconnect(topo, noc_config, MemoryConfig())
+    mapper = CampMapper(noc, memmap, cache) if with_camps else None
     return SchedulerContext(
         memory_map=memmap,
         cost_matrix=noc.cost_matrix,
@@ -406,10 +407,12 @@ class TestBatchContract:
 
     @staticmethod
     def skewed_context(with_camps: bool) -> SchedulerContext:
-        ctx = make_context(with_camps)
         # Thirds do not sum exactly in binary: a reduction taken in
-        # another order than the per-task one changes the result.
-        ctx.cost_matrix = ctx.cost_matrix / 3.0
+        # another order than the per-task one changes the result.  They
+        # go into the interconnect, which the home rows and the camp
+        # mapper's tables both read.
+        ctx = make_context(with_camps, NocConfig(intra_hop_ns=1.5 / 3.0,
+                                                 inter_hop_ns=10.0 / 3.0))
         # A skewed snapshot, so the hybrid load term is live.
         for unit in range(0, ctx.num_units, 5):
             ctx.exchange.on_enqueue(unit, 4000.0 + 37.0 * unit)
