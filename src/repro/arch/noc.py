@@ -306,18 +306,21 @@ class Interconnect:
             hops = topo.mesh_hops
             return hops, hops * self.noc.inter_hop_ns
         S = topo.num_stacks
-        hops = np.full((S, S), -1, dtype=np.int64)
-        mesh_ns = np.full((S, S), np.inf, dtype=np.float64)
-        alive_neighbors: List[List[int]] = [
+        # (neighbour, hop latency) over each stack's surviving links,
+        # in adjacency order; the heap loop runs on plain lists.
+        edges: List[List[Tuple[int, float]]] = [
             [
-                n for n in topo.adjacent_stacks(s)
+                (n, self._link_weight_ns(s, n))
+                for n in topo.adjacent_stacks(s)
                 if _norm_link((s, n)) not in self._dead_links
             ]
             for s in range(S)
         ]
+        inf = float("inf")
+        hops, mesh_ns = [], []
         for src in range(S):
-            dist = np.full(S, np.inf)
-            nhops = np.full(S, -1, dtype=np.int64)
+            dist = [inf] * S
+            nhops = [-1] * S
             dist[src] = 0.0
             nhops[src] = 0
             heap = [(0.0, src)]
@@ -325,15 +328,16 @@ class Interconnect:
                 d, here = heapq.heappop(heap)
                 if d > dist[here]:
                     continue
-                for nxt in alive_neighbors[here]:
-                    nd = d + self._link_weight_ns(here, nxt)
+                for nxt, weight in edges[here]:
+                    nd = d + weight
                     if nd < dist[nxt] - 1e-12:
                         dist[nxt] = nd
                         nhops[nxt] = nhops[here] + 1
                         heapq.heappush(heap, (nd, nxt))
-            hops[src] = nhops
-            mesh_ns[src] = dist
-        return hops, mesh_ns
+            hops.append(nhops)
+            mesh_ns.append(dist)
+        return (np.array(hops, dtype=np.int64),
+                np.array(mesh_ns, dtype=np.float64))
 
     def route_stacks(self, s_src: int, s_dst: int) -> Optional[Tuple[int, ...]]:
         """The stack sequence a message follows under the current faults
