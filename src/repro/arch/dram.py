@@ -35,22 +35,6 @@ class DramStats:
             + self.cache_reads + self.tag_accesses_in_dram
         )
 
-    def add_bulk(
-        self,
-        reads: int = 0,
-        cache_fills: int = 0,
-        cache_reads: int = 0,
-        tag_accesses_in_dram: int = 0,
-        writes: int = 0,
-    ) -> None:
-        """Fold a batch of pre-aggregated events in at once (the
-        fused access kernel's single flush per hint batch)."""
-        self.reads += reads
-        self.cache_fills += cache_fills
-        self.cache_reads += cache_reads
-        self.tag_accesses_in_dram += tag_accesses_in_dram
-        self.writes += writes
-
     def merge(self, other: "DramStats") -> None:
         self.reads += other.reads
         self.writes += other.writes
@@ -80,6 +64,9 @@ class DramChannel:
         #: per-unit latency multiplier while vault faults are active.
         self._latency_scale: Optional[np.ndarray] = None
         self._unit_latencies: Optional[List[float]] = None
+        #: bumped by every :meth:`set_unit_latency_scale`, so holders of
+        #: :meth:`unit_latencies` know to fetch it again.
+        self.epoch: int = 0
 
     # ------------------------------------------------------------------
     # timing
@@ -99,6 +86,7 @@ class DramChannel:
             scale = None
         self._latency_scale = scale
         self._unit_latencies = None
+        self.epoch += 1
 
     def access_latency_at(self, unit: int) -> float:
         """Latency of one random access served by ``unit``'s channel."""

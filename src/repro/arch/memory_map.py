@@ -27,12 +27,17 @@ class MemoryMap:
     """Address arithmetic for the flat NDP physical address space."""
 
     def __init__(self, topology: Topology, memory: MemoryConfig):
+        memory.validate()
         self.topology = topology
         self.memory = memory
         self.unit_capacity = memory.capacity_per_unit
         self.total_capacity = topology.num_units * self.unit_capacity
         self.line_bytes = memory.cacheline_bytes
         self._line_shift = self.line_bytes.bit_length() - 1
+        #: whole lines per unit (validate() requires a multiple), so a
+        #: line's home is ``line // lines_per_unit``: the address's home
+        #: without shifting the line back to a (multi-digit) address.
+        self.lines_per_unit = self.unit_capacity // self.line_bytes
 
     # ------------------------------------------------------------------
     # scalar helpers
@@ -71,7 +76,7 @@ class MemoryMap:
         return np.unique(lines)
 
     def home_of_line(self, line: int) -> int:
-        return (line << self._line_shift) // self.unit_capacity
+        return line // self.lines_per_unit
 
     def homes_of_lines(self, lines: np.ndarray) -> np.ndarray:
         return ((lines.astype(np.int64) << self._line_shift)

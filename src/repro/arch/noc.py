@@ -65,28 +65,6 @@ class TrafficMeter:
         self.intra_bits = 0
         self.messages = 0
 
-    def add_bulk(
-        self,
-        messages: int = 0,
-        local_accesses: int = 0,
-        intra_transfers: int = 0,
-        intra_bits: int = 0,
-        inter_hops: int = 0,
-        inter_bits: int = 0,
-    ) -> None:
-        """Fold a batch worth of pre-aggregated traffic into the meter.
-
-        Integer counters are order-insensitive, so the fused access
-        kernel accumulates a whole hint batch in Python ints and flushes
-        once — same totals as per-message :meth:`merge`/``+=`` booking.
-        """
-        self.messages += messages
-        self.local_accesses += local_accesses
-        self.intra_transfers += intra_transfers
-        self.intra_bits += intra_bits
-        self.inter_hops += inter_hops
-        self.inter_bits += inter_bits
-
 
 class LinkMeter:
     """Per-link traffic attribution for the telemetry heatmaps.

@@ -56,20 +56,6 @@ class SramStats:
     # pure-SRAM foil; priced per its own capacity, not the L1's.
     data_cache_accesses: int = 0
 
-    def add_bulk(
-        self,
-        l1_accesses: int = 0,
-        prefetch_accesses: int = 0,
-        tag_accesses: int = 0,
-        data_cache_accesses: int = 0,
-    ) -> None:
-        """Fold a batch of pre-aggregated probe counts in at once (the
-        fused access kernel's single flush per hint batch)."""
-        self.l1_accesses += l1_accesses
-        self.prefetch_accesses += prefetch_accesses
-        self.tag_accesses += tag_accesses
-        self.data_cache_accesses += data_cache_accesses
-
     def merge(self, other: "SramStats") -> None:
         self.l1_accesses += other.l1_accesses
         self.prefetch_accesses += other.prefetch_accesses

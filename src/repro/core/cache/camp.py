@@ -124,9 +124,11 @@ class CampMapper:
         self._by_unit = self._stack_cost_table()
         #: identity/version pair for externally memoized derived data
         #: (see _mapper_tokens).  ``epoch`` bumps whenever the mapping
-        #: changes (clear_cache / set_alive_mask).
+        #: changes (clear_cache / set_alive_mask); ``stamp`` is the
+        #: pair as one tuple.
         self.token: int = next(_mapper_tokens)
         self.epoch: int = 0
+        self.stamp: Tuple[int, int] = (self.token, self.epoch)
 
     # ------------------------------------------------------------------
     # scalar interface
@@ -147,18 +149,21 @@ class CampMapper:
         of the same group by linear probing from the hash slot, keeping
         the choice deterministic; a fully dead group contributes no camp
         (sentinel ``-1`` in :meth:`locations`).  Drops every memoized
-        table — the mapping changed — and re-reads the interconnect's
+        table — the mapping changed — re-reads the interconnect's
         distances, so the fault controller calls this after every link
-        change too.  Returns the number of memo entries dropped.
-        ``None`` (or an all-True mask) restores healthy mapping.
+        change too, and refills the dropped lines under the new mapping
+        in one batch, in their old order.  Returns the number of lines
+        remapped.  ``None`` (or an all-True mask) restores healthy
+        mapping.
         """
         if alive is not None and bool(np.all(alive)):
             alive = None
-        dropped = len(self._nearest_cache)
+        lines = list(self._nearest_cache)
         self._alive = alive
         self._camp_units = self._camp_unit_table()
         self.clear_cache()
-        return dropped
+        self.prime_lines(lines)
+        return len(lines)
 
     def _camp_unit_table(self) -> np.ndarray:
         """``[g, slot]``: the unit group ``g`` contributes for hash slot
@@ -393,3 +398,4 @@ class CampMapper:
         self._slots_used = 0
         self._by_unit = self._stack_cost_table()
         self.epoch += 1
+        self.stamp = (self.token, self.epoch)

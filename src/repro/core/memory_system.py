@@ -78,10 +78,6 @@ class MemorySystem:
         # Fault state, attached by the FaultController when active.
         self._alive: Optional[np.ndarray] = None
         self._resilience = None  # faults.ResilienceStats, duck-typed
-        # [requester stack][home] unreachable flags (see _blocked_rows),
-        # for one (set_fault_state call, link-fault epoch) pair.
-        self._blocked: Optional[List[List[bool]]] = None
-        self._blocked_epoch = -1
         # Per-unit DRAM channel service clock (absolute ns).  A plain
         # Python list: the clock is read/written once per DRAM event in
         # tight loops, where list indexing beats ndarray item access.
@@ -90,26 +86,20 @@ class MemorySystem:
         self.total_queue_delay_ns = 0.0
         if self.style is not CacheStyle.NONE and camp_mapper is None:
             raise ValueError("a camp mapper is required when caching is on")
-        # Fused-kernel per-line memo: line -> (home unit, location
-        # tuple, nearest location per requester stack, row slot).  With
-        # a cache it is the camp mapper's own memo dict, cleared by the
-        # mapper whenever the mapping or the distances change; without
-        # one, (home, None, None, None) entries that never go stale
-        # (homes never move).
-        self._line_memo: dict = (
-            {} if self.style is CacheStyle.NONE
+        # Fused-kernel per-line memo with a cache: the camp mapper's own
+        # memo dict, line -> (home unit, location tuple, nearest
+        # location per requester stack, row slot), cleared by the
+        # mapper whenever the mapping or the distances change.  Without
+        # a cache the kernel computes homes from line addresses and
+        # needs no memo.
+        self._line_memo: Optional[dict] = (
+            None if self.style is CacheStyle.NONE
             else camp_mapper._nearest_cache
         )
-        # [source stack][destination stack] one-way inter-stack latency
-        # and mesh hops, as nested lists (list indexing beats ndarray
-        # item access in the kernel), for one link-fault epoch.
-        self._stack_rows: tuple = ([], [])
-        self._rows_epoch = -1
-        self._stack_of_unit = interconnect.topology.stack_of_unit.tolist()
-        # Per-requester (L1, prefetch) batch-state tuples, filled on
-        # first use: the containers are cleared in place at barriers
-        # (never recreated), so the references stay valid for the run.
-        self._unit_state: List[Optional[tuple]] = [None] * config.num_units
+        # Kernel inputs (see _bind): the machine-wide rows, and one
+        # tuple per requester, filled on first use.
+        self._tables: Optional[tuple] = None
+        self._bound: List[Optional[tuple]] = [None] * config.num_units
 
         self.caches: List[Optional[TravellerCache]] = []
         if self.style is CacheStyle.NONE:
@@ -148,7 +138,8 @@ class MemorySystem:
         """
         self._alive = alive_mask
         self._resilience = stats
-        self._blocked = None
+        self._tables = None
+        self._bound = [None] * len(self._bound)
 
     def invalidate_units(self, units: Sequence[int]) -> int:
         """Bulk-invalidate the caches of failed units.
@@ -174,23 +165,16 @@ class MemorySystem:
 
         A home is blocked while it is dead or partitioned away from the
         requester's stack, and only while fault state is attached.
-        Rebuilt after :meth:`set_fault_state` and after link-fault
-        transitions.
         """
         noc = self.interconnect
-        if self._blocked is None or self._blocked_epoch != noc.fault_epoch:
-            n = self.config.num_units
-            topo = noc.topology
-            if self._resilience is None or (
-                    self._alive is None and not noc.has_link_faults):
-                self._blocked = [[False] * n] * topo.num_stacks
-            else:
-                blocked = noc.stack_hops[:, topo.stack_of_unit] < 0
-                if self._alive is not None:
-                    blocked |= ~self._alive
-                self._blocked = blocked.tolist()
-            self._blocked_epoch = noc.fault_epoch
-        return self._blocked
+        topo = noc.topology
+        if self._resilience is None or (
+                self._alive is None and not noc.has_link_faults):
+            return [[False] * self.config.num_units] * topo.num_stacks
+        blocked = noc.stack_hops[:, topo.stack_of_unit] < 0
+        if self._alive is not None:
+            blocked |= ~self._alive
+        return blocked.tolist()
 
     def _unreachable_penalty_ns(self) -> float:
         """Latency charged for an access that cannot be served.
@@ -206,26 +190,66 @@ class MemorySystem:
         )
         return 2.0 * diameter_ns + self.dram.access_latency_ns
 
-    def _prime_line_memo(self, line_list: List[int]) -> None:
-        """Ensure every line's (home, locations, nearest, slot) memo
-        entry exists.
+    def _bind(self, requester: int) -> tuple:
+        """The kernel's loop-invariant inputs for ``requester``.
 
-        With a cache the memo is the camp mapper's, filled
-        array-at-a-time by :meth:`CampMapper.prime_lines`; without one,
-        homes come from the scalar :meth:`MemoryMap.home_of_line` (a
-        batch holds few missing lines, where an array round trip costs
-        more).
+        One tuple, unpacked once per call: the key it was built for
+        (``noc.fault_epoch``, ``dram.epoch``, the link meter), then the
+        line memo and its camp mapper, the requester's L1 and prefetch
+        containers and stats, its stack's NoC rows and blocked-home
+        row, and the machine's latencies, geometry and counters.  The
+        kernel rebinds when the key no longer matches, and
+        :meth:`set_fault_state` drops every bound tuple.  The containers
+        are cleared in place at barriers (never recreated), so the
+        references stay valid for the run.
         """
-        memo = self._line_memo
-        missing = [ln for ln in line_list if ln not in memo]
-        if not missing:
-            return
-        if self.style is CacheStyle.NONE:
-            home_of_line = self.memory_map.home_of_line
-            for ln in missing:
-                memo[ln] = (home_of_line(ln), None, None, None)
-            return
-        self.camp_mapper.prime_lines(missing)
+        noc = self.interconnect
+        dram = self.dram
+        key = (noc.fault_epoch, dram.epoch, noc.link_meter)
+        tables = self._tables
+        if tables is None or tables[:3] != key:
+            # Machine-wide rows, shared by every requester bound under
+            # the same key.
+            tables = self._tables = key + (
+                (noc.stack_mesh_ns + 2 * noc.noc.intra_hop_ns).tolist(),
+                noc.stack_hops.tolist(),
+                self._blocked_rows(),
+                noc.topology.stack_of_unit.tolist(),
+                dram.unit_latencies(self.config.num_units),
+            )
+        ow, hops, blocked_rows, stack_of, dram_ns = tables[3:]
+        req_stack = stack_of[requester]
+        unit = self.units[requester]
+        no_cache = self.style is CacheStyle.NONE
+        dram_tag = self.style is CacheStyle.DRAM_TAG
+        # DRAM accesses one tag probe costs: a property of the shared
+        # cache config, the same at every unit.
+        tag_probes = (self.caches[0].tag_probe_dram_accesses()
+                      if dram_tag else 0)
+        c_nsets = c_assoc = bp = None
+        if self._inline_cache:
+            cache = self.caches[0]
+            c_nsets = cache.num_sets
+            c_assoc = cache.associativity
+            bp = cache._insertion.bypass_probability
+        meter = noc.link_meter
+        line_bits = self.config.memory.line_bits
+        bound = self._bound[requester] = key + (
+            self._line_memo, None if no_cache else self.camp_mapper,
+            self.memory_map.lines_per_unit,
+            *unit.l1.batch_state(), *unit.prefetch.batch_state(),
+            req_stack, blocked_rows[req_stack], ow, hops,
+            ow[req_stack], hops[req_stack], stack_of,
+            self.sram.l1_hit_ns, self.sram.tag_lookup_ns, dram_ns,
+            self._service_ns, self._dram_free_ns, noc.noc.intra_hop_ns,
+            self.caches, meter.record if meter is not None else None,
+            line_bits, _REQUEST_BITS + line_bits, no_cache,
+            self.style is CacheStyle.SRAM, dram_tag, tag_probes,
+            self._inline_cache,
+            c_nsets, c_assoc, bp, self._unreachable_penalty_ns(),
+            self.sram_stats, self.dram_stats, self.traffic,
+        )
+        return bound
 
     # ------------------------------------------------------------------
     # read path
@@ -238,6 +262,7 @@ class MemorySystem:
         spacing_ns: float = 0.0,
         cap_ns: float = 0.0,
         write_line: int = -1,
+        hint=None,
     ) -> float:
         """Resolve a whole hint batch of reads; return the summed latency.
 
@@ -273,85 +298,67 @@ class MemorySystem:
         demand reads, and move no service clock; their traffic and DRAM
         energy are still charged.  A store to an unreachable home is
         lost (counted, nothing moves).
+
+        ``hint`` is the :class:`~repro.runtime.task.TaskHint` the lines
+        came from, or ``None``.  A hint is stamped with the line memo's
+        (token, epoch) once its lines are in the memo, and a later call
+        with the stamp still current skips the memo check.
         """
-        if isinstance(lines, np.ndarray):
-            line_list = lines.tolist()
-        elif isinstance(lines, list):
-            line_list = lines  # already plain ints; read-only below
-        else:
-            line_list = [int(x) for x in lines]
-        if not line_list and write_line < 0:
-            return 0.0
+        if type(lines) is not list:
+            lines = (lines.tolist() if isinstance(lines, np.ndarray)
+                     else [int(x) for x in lines])
         noc = self.interconnect
-        if self._rows_epoch != noc.fault_epoch:
-            self._rows_epoch = noc.fault_epoch
-            self._stack_rows = (
-                (noc.stack_mesh_ns + 2 * noc.noc.intra_hop_ns).tolist(),
-                noc.stack_hops.tolist(),
-            )
-        self._prime_line_memo(line_list)
-        stack_of = self._stack_of_unit
-        req_stack = stack_of[requester]
-        blocked = self._blocked_rows()[req_stack]
+        bound = self._bound[requester]
+        if (bound is None or bound[0] != noc.fault_epoch
+                or bound[1] != self.dram.epoch
+                or bound[2] is not noc.link_meter):
+            bound = self._bind(requester)
+        (_, _, _, memo, cm, lines_per_unit,
+         l1_sets, l1_nsets, l1_assoc, l1_stats, pf_fifo, pf_cap, pf_stats,
+         req_stack, blocked, ow, hops, ow_req, hops_req, stack_of,
+         hit_ns, tag_ns, dram_ns, service, free, intra_ns,
+         caches, record, line_bits, rt_bits, no_cache, sram_style, dram_tag,
+         tag_probes, inline_cache, c_nsets, c_assoc, bp, penalty_ns,
+         sram_stats, dram_stats, traffic) = bound
+        # A message is inter-stack when the stacks differ (ow/hops row
+        # entries), intra-stack when only the units differ (one
+        # crossbar hop), local otherwise.
+        if cm is not None:
+            # A hint stamped with the memo's current (token, epoch) has
+            # all of its lines in the memo: the memo only loses lines in
+            # CampMapper.clear_cache, which moves the stamp on.
+            stamp = cm.stamp
+            if hint is None or getattr(hint, "_mstamp", None) != stamp:
+                if not all(map(memo.__contains__, lines)):
+                    cm.prime_lines(lines)
+                if hint is not None:
+                    hint._mstamp = stamp
 
-        ustate = self._unit_state[requester]
-        if ustate is None:
-            unit = self.units[requester]
-            ustate = self._unit_state[requester] = (
-                unit.l1.batch_state() + unit.prefetch.batch_state()
-            )
-        l1_sets, l1_nsets, l1_assoc, l1_stats, pf_fifo, pf_cap, pf_stats = (
-            ustate
-        )
-        hit_ns = self.sram.l1_hit_ns
-        tag_ns = self.sram.tag_lookup_ns
-        dram_ns = self.dram.unit_latencies(self.config.num_units)
-        service = self._service_ns
-        free = self._dram_free_ns
-        # A message is inter-stack when the stacks differ (row entries
-        # below), intra-stack when only the units differ (one crossbar
-        # hop), local otherwise.
-        ow, hops = self._stack_rows
-        ow_req = ow[req_stack]
-        hops_req = hops[req_stack]
-        intra_ns = noc.noc.intra_hop_ns
-        caches = self.caches
-        memo = self._line_memo
-        meter = noc.link_meter
-        record = meter.record if meter is not None else None
-        line_bits = self.config.memory.line_bits
-        rt_bits = _REQUEST_BITS + line_bits
-        no_cache = self.style is CacheStyle.NONE
-        sram_style = self.style is CacheStyle.SRAM
-        dram_tag = self.style is CacheStyle.DRAM_TAG
-        inline_cache = self._inline_cache
-        if inline_cache:
-            c_nsets = caches[0].num_sets
-            c_assoc = caches[0].associativity
-            bp = caches[0]._insertion.bypass_probability
-
-        # Batch-local accumulators, flushed once below.  Counters are
+        # Batch-local counters, flushed once below.  Counters are
         # order-insensitive ints; the queue-delay float keeps its exact
-        # per-line += order.
-        l1_acc = l1_hits = pf_acc = pf_hits = pf_evicts = unreachable = 0
-        tag_acc = data_acc = 0
-        reads = fills = cache_reads = tag_dram = 0
-        msgs = local = intra = intra_bits = inter_hops = inter_bits = 0
+        # per-line += order.  Probe and DRAM counts are derived at the
+        # flush from the branch counts (L1 and FIFO hits, unreachable
+        # lines, camp hits, misses and installs).
+        l1_hits = pf_hits = pf_evicts = unreachable = 0
+        c_hits = c_misses = installs = local = 0
+        msgs = intra = intra_bits = inter_hops = inter_bits = 0
         tqd = self.total_queue_delay_ns
 
         stall = 0.0
         # Issue-spread: with zero spacing (the default service model)
-        # every line issues at now_ns and the per-line min() collapses.
+        # every line issues at now_ns and the per-line minimum
+        # collapses.  ``cap_ns if cap_ns < off else off`` is
+        # ``min(off, cap_ns)`` without the builtin call.
         spread = spacing_ns != 0.0 or cap_ns < 0.0
         now = now_ns
         i = 0
-        for line in line_list:
+        for line in lines:
             if spread:
-                now = now_ns + min(i * spacing_ns, cap_ns)
+                off = i * spacing_ns
+                now = now_ns + (cap_ns if cap_ns < off else off)
                 i += 1
             # Fused L1 + prefetch front-end (inlined lookup/insert with
             # identical hashing, LRU refresh, and FIFO eviction order).
-            l1_acc += 1
             s_idx = line % l1_nsets
             l1_set = l1_sets.get(s_idx)
             if l1_set is not None and line in l1_set:
@@ -361,31 +368,29 @@ class MemorySystem:
                 l1_hits += 1
                 stall += hit_ns
                 continue
-            pf_acc += 1
             if line in pf_fifo:
                 pf_hits += 1
                 stall += hit_ns
                 continue
-            home, locs, near_row, _ = memo[line]
+            if no_cache:
+                home = nearest = line // lines_per_unit
+            else:
+                home, locs, near_row, _ = memo[line]
+                nearest = (requester if requester in locs
+                           else near_row[req_stack])
             if blocked[home]:
                 # The home vault is dead or partitioned away: the access
                 # times out.  Nothing is cached and no traffic moved.
                 unreachable += 1
-                stall += self._unreachable_penalty_ns()
+                stall += penalty_ns
                 continue
-            if no_cache:
-                nearest = home
-            elif requester in locs:
-                nearest = requester
-            else:
-                nearest = near_row[req_stack]
             if nearest == home:
                 if not no_cache:
                     caches[home].stats.home_direct += 1
                 # Direct: request + response transfers, one DRAM read
                 # at the home, round trip + queue + access.
-                msgs += 2
                 s_home = stack_of[home]
+                msgs += 2
                 if s_home != req_stack:
                     h = hops_req[s_home]
                     inter_hops += 2 * h
@@ -400,7 +405,6 @@ class MemorySystem:
                 else:
                     local += 2
                     owv = 0.0
-                reads += 1
                 arrival = now + owv
                 free_at = free[home]
                 delay = free_at - arrival
@@ -440,12 +444,10 @@ class MemorySystem:
                     local += 1
                 lat = ow_rn
                 if dram_tag:
-                    n = cache.tag_probe_dram_accesses()
-                    tag_dram += n
                     base = now + lat
                     probe = 0.0
                     tag_lat = dram_ns[nearest]
-                    for _ in range(n):
+                    for _ in range(tag_probes):
                         arrival = base + probe
                         free_at = free[nearest]
                         delay = free_at - arrival
@@ -459,7 +461,6 @@ class MemorySystem:
                         probe += tag_lat
                     lat += probe
                 else:
-                    tag_acc += 1
                     lat += tag_ns
                 # Inlined sparse probe (random replacement: no touch
                 # stamps to refresh, membership == first-match index).
@@ -476,11 +477,10 @@ class MemorySystem:
                 else:
                     cache_hit = cache.lookup(line)
                 if cache_hit:
+                    c_hits += 1
                     if sram_style:
-                        data_acc += 1
                         lat += hit_ns
                     elif not dram_tag:  # Traveller: data read in DRAM
-                        cache_reads += 1
                         arrival = now + lat
                         free_at = free[nearest]
                         delay = free_at - arrival
@@ -513,6 +513,7 @@ class MemorySystem:
                     # Neither hop is local: the nearest location is not
                     # the home here, and a requester that is the home
                     # reads itself on the direct path.
+                    c_misses += 1
                     s_home = stack_of[home]
                     nh_inter = s_near != s_home
                     msgs += 1
@@ -527,7 +528,6 @@ class MemorySystem:
                         intra += 1
                         intra_bits += _REQUEST_BITS
                         lat += intra_ns
-                    reads += 1
                     arrival = now + lat
                     free_at = free[home]
                     delay = free_at - arrival
@@ -584,6 +584,7 @@ class MemorySystem:
                     if installed:
                         # home -> nearest fill; the write itself is
                         # buffered (non-critical), so no clock advance.
+                        installs += 1
                         msgs += 1
                         if nh_inter:
                             inter_hops += h_nh
@@ -593,10 +594,6 @@ class MemorySystem:
                         else:
                             intra += 1
                             intra_bits += line_bits
-                        if sram_style:
-                            data_acc += 1
-                        else:
-                            fills += 1
                     if record is not None:
                         record(requester, nearest, _REQUEST_BITS)
                         record(nearest, home, _REQUEST_BITS)
@@ -619,9 +616,7 @@ class MemorySystem:
 
         writes = lost_writes = 0
         if write_line >= 0:
-            entry = memo.get(write_line)
-            home = (entry[0] if entry is not None
-                    else self.memory_map.home_of_line(write_line))
+            home = write_line // lines_per_unit
             if blocked[home]:
                 # Lost store: the home cannot be written right now.
                 # The write buffer absorbs it, so the task does not
@@ -649,32 +644,43 @@ class MemorySystem:
         if unreachable or lost_writes:
             self._resilience.unreachable_accesses += (
                 unreachable + lost_writes)
-        l1_stats.hits += l1_hits
-        l1_stats.misses += l1_acc - l1_hits
-        pf_stats.buffer_hits += pf_hits
-        pf_stats.evictions += pf_evicts
-        pf_stats.issued += pf_acc - pf_hits - unreachable
-        self.sram_stats.add_bulk(
-            l1_accesses=l1_acc,
-            prefetch_accesses=pf_acc,
-            tag_accesses=tag_acc,
-            data_cache_accesses=data_acc,
-        )
-        self.dram_stats.add_bulk(
-            reads=reads,
-            cache_fills=fills,
-            cache_reads=cache_reads,
-            tag_accesses_in_dram=tag_dram,
-            writes=writes,
-        )
-        self.traffic.add_bulk(
-            messages=msgs,
-            local_accesses=local,
-            intra_transfers=intra,
-            intra_bits=intra_bits,
-            inter_hops=inter_hops,
-            inter_bits=inter_bits,
-        )
+        # Every line that got past the L1 probed the FIFO; every one
+        # that got past the FIFO and reached its home read DRAM at the
+        # home (a direct read or a camp miss) or hit its camp.
+        count = len(lines)
+        pf_acc = count - l1_hits
+        issued = pf_acc - pf_hits - unreachable
+        if l1_hits:
+            l1_stats.hits += l1_hits
+        l1_stats.misses += pf_acc
+        if pf_hits:
+            pf_stats.buffer_hits += pf_hits
+        if pf_evicts:
+            pf_stats.evictions += pf_evicts
+        pf_stats.issued += issued
+        sram_stats.l1_accesses += count
+        sram_stats.prefetch_accesses += pf_acc
+        dram_stats.reads += issued - c_hits
+        dram_stats.writes += writes
+        if c_hits or c_misses:
+            if dram_tag:
+                dram_stats.tag_accesses_in_dram += (
+                    tag_probes * (c_hits + c_misses))
+            else:
+                sram_stats.tag_accesses += c_hits + c_misses
+            if sram_style:
+                sram_stats.data_cache_accesses += c_hits + installs
+            else:
+                dram_stats.cache_fills += installs
+                if not dram_tag:
+                    dram_stats.cache_reads += c_hits
+        traffic.messages += msgs
+        if local:
+            traffic.local_accesses += local
+        traffic.intra_transfers += intra
+        traffic.intra_bits += intra_bits
+        traffic.inter_hops += inter_hops
+        traffic.inter_bits += inter_bits
         return stall
 
     # ------------------------------------------------------------------

@@ -110,7 +110,7 @@ class SchedulerContext:
         hint = task.hint
         if self.camp_mapper is not None:
             cm = self.camp_mapper
-            key = (cm.token, cm.epoch)
+            key = cm.stamp
         else:
             key = self.cost_epoch
         cached = getattr(hint, "_wsum", None)
@@ -192,8 +192,10 @@ class SchedulerContext:
         :meth:`hint_homes` would memoize lazily (sorted distinct lines
         per hint, as ``MemoryMap.unique_lines`` returns them), then
         fills the camp tables of the batch in one ``prime_lines`` call
-        and the summed camp rows of :meth:`_camp_access_row`.  Pure
-        memo warming: every value is the one the lazy path computes.
+        and the summed camp rows of :meth:`_camp_access_row`, stamping
+        each hint as the access kernel does once its lines are in the
+        camp memo.  Pure memo warming: every value is the one the lazy
+        path computes.
         A lone task has nothing to share, so it is left to the lazy
         path.
         """
@@ -209,7 +211,7 @@ class SchedulerContext:
         cm = self.camp_mapper
         if cm is None:
             return
-        key = (cm.token, cm.epoch)
+        key = cm.stamp
         stale: Dict[int, dict] = {}
         for task in tasks:
             hint = task.hint
@@ -240,14 +242,23 @@ class SchedulerContext:
                 rows = np.add.reduce(stacked, axis=1)
                 for (hint, _), row in zip(group, rows):
                     hint._crow = (key, row)
+                    # Its lines are in the camp memo under this stamp,
+                    # so the access kernel skips its memo check.
+                    hint._mstamp = key
 
     def _first_touch(self, hints: List[TaskHint]) -> None:
         """Distinct sorted lines and their homes for many hints at once:
-        one sort over (hint, line) keys instead of one per hint."""
+        one sort over (hint, line) keys instead of one per hint; and
+        each hint's write line (:meth:`hint_write_line`)."""
         counts = [hint.addresses.size for hint in hints]
         addrs = np.concatenate([hint.addresses for hint in hints])
         lines = self.memory_map.lines(addrs)
         if lines.size:
+            sizes = np.array(counts)
+            write_lines = np.where(
+                sizes > 0,
+                lines.take(np.cumsum(sizes) - sizes, mode="clip"), -1,
+            ).tolist()
             low = int(lines.min())
             span = int(lines.max()) - low + 1
             if span * len(hints) >= 1 << 62:
@@ -261,14 +272,17 @@ class SchedulerContext:
             seg = keys // span
             lines = keys - seg * span + low
             counts = np.bincount(seg, minlength=len(hints)).tolist()
+        else:
+            write_lines = [-1] * len(hints)
         homes = self.memory_map.homes_of_lines(lines)
         line_list = lines.tolist()
         start = 0
-        for hint, count in zip(hints, counts):
+        for hint, count, write_line in zip(hints, counts, write_lines):
             end = start + count
             hint._lines = lines[start:end]
             hint._lines_list = line_list[start:end]
             hint._homes = homes[start:end]
+            hint._wline = write_line
             start = end
 
     def hint_lines(self, task: Task) -> np.ndarray:
@@ -296,6 +310,17 @@ class SchedulerContext:
         task.hint._lines_list = out
         return out
 
+    def hint_write_line(self, task: Task) -> int:
+        """Line of the hint's first address, where the task's output
+        write goes (``-1`` for an empty hint); memoized on the hint."""
+        cached = getattr(task.hint, "_wline", None)
+        if cached is not None:
+            return cached
+        addrs = task.hint.addresses
+        out = self.memory_map.line_of(int(addrs[0])) if addrs.size else -1
+        task.hint._wline = out
+        return out
+
     def hint_homes(self, task: Task) -> np.ndarray:
         """Home units of the task's hint lines (memoized on the hint,
         like :meth:`hint_lines` — the mapping is static for a run)."""
@@ -319,7 +344,7 @@ class SchedulerContext:
             return np.zeros(self.num_units, dtype=np.float64)
         if use_camps and self.camp_mapper is not None:
             cm = self.camp_mapper
-            key = (cm.token, cm.epoch)
+            key = cm.stamp
             cached = getattr(task.hint, "_cmean", None)
             if cached is not None and cached[0] == key:
                 return cached[1]
@@ -356,7 +381,7 @@ class SchedulerContext:
         array.
         """
         cm = self.camp_mapper
-        key = (cm.token, cm.epoch)
+        key = cm.stamp
         cached = getattr(task.hint, "_crow", None)
         if cached is not None and cached[0] == key:
             return cached[1]

@@ -419,7 +419,7 @@ class BulkSyncExecutor:
         record = self.telemetry.enabled
         task_span = self.telemetry.task_span
         hint_lines_list = ctx.hint_lines_list
-        line_of = ctx.memory_map.line_of
+        hint_write_line = ctx.hint_write_line
         access_many = memsys.access_many
         on_dequeue = self.exchange.on_dequeue
         advance = self.exchange.advance
@@ -450,10 +450,9 @@ class BulkSyncExecutor:
             # goes straight to the home, booked after the reads.
             now_ns = global_now / freq
             lines = hint_lines_list(task)
-            addrs = task.hint.addresses
             stall_ns = access_many(
                 uid, lines, now_ns, spacing, spread_cap,
-                line_of(int(addrs[0])) if len(addrs) else -1,
+                hint_write_line(task), task.hint,
             )
 
             stall_cycles = stall_ns * freq * hide_keep

@@ -323,6 +323,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             CampMapper(noc, memmap, CacheConfig(num_camps=3))
 
+    def test_remap_refills_the_memo_in_one_batch(self, mapper,
+                                                 monkeypatch):
+        """set_alive_mask refills every memoized line under the new
+        mask in one array fill, so later readers find them all."""
+        lines = list(range(3, 3 + 7 * 2048, 7))
+        mapper.prime_lines(lines)
+        fills = []
+        fill = mapper._prime_missing
+        monkeypatch.setattr(mapper, "_prime_missing",
+                            lambda missing: (fills.append(len(missing)),
+                                             fill(missing))[1])
+        alive = np.ones(mapper.topology.num_units, dtype=bool)
+        alive[[1, 9, 70]] = False
+        assert mapper.set_alive_mask(alive) == len(lines)
+        assert fills == [len(lines)]
+        assert list(mapper._nearest_cache) == lines
+        mapper.prime_lines(lines)  # a reader after the remap
+        assert fills == [len(lines)]
+        fresh = make_mapper()
+        fresh.set_alive_mask(alive)
+        fresh.prime_lines(lines)
+        for ln in lines:
+            assert mapper._nearest_cache[ln][:3] == \
+                fresh._nearest_cache[ln][:3]
+
     def test_clear_cache(self, mapper):
         mapper.locations(5)
         assert mapper._nearest_cache

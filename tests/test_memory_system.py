@@ -9,6 +9,7 @@ from repro.config import (CacheStyle, MemoryConfig, ReplacementPolicy,
                           default_config, experiment_config)
 from repro.core.system import NdpSystem, build_system
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, ResilienceStats
+from repro.runtime.task import TaskHint
 from tests import access_reference as reference
 from tests import camp_reference
 from tests.access_reference import PARTITION
@@ -288,13 +289,47 @@ class TestLineMemo:
                    or entry[0] in (1, 9)
                    for entry in masked.values() for i in (1, 2))
 
-    def test_cacheless_entries_are_homes(self):
+    def test_cacheless_kernel_reads_homes_from_addresses(self):
+        """Without a cache there is no line memo: every line reads its
+        home straight from its address."""
         system = make_system("B")
+        ms = system.memory_system
+        assert ms._line_memo is None
         lines = self._lines(system)
-        system.memory_system.access_many(0, lines, 0.0)
-        home_of_line = system.memory_map.home_of_line
-        assert system.memory_system._line_memo == {
-            ln: (home_of_line(ln), None, None, None) for ln in lines}
+        for requester in (0, 7):
+            ms.access_many(requester, lines, 0.0)
+        homes = [system.memory_map.home_of_line(ln) for ln in lines]
+        remote = sum(2 for h in homes if h != 0) + sum(
+            2 for h in homes if h != 7)
+        assert ms.dram_stats.reads == 2 * len(lines)
+        assert ms.traffic.messages == 4 * len(lines)
+        assert ms.traffic.messages - ms.traffic.local_accesses == remote
+
+    @pytest.mark.parametrize("design", ["C", "O"])
+    def test_stamped_hint_is_reprimed_after_clear_cache(self, design):
+        """A hint carries the camp memo's (token, epoch) stamp once its
+        lines are in the memo.  After clear_cache, or on another
+        machine, the stamp no longer matches, so the kernel fills the
+        lines again instead of reading a memo that lacks them."""
+        system = make_system(design)
+        ms, cm = system.memory_system, system.camp_mapper
+        lines = self._lines(system, 40)
+        hint = TaskHint(addresses=[ln * 64 for ln in lines])
+        ms.access_many(0, lines, 0.0, hint=hint)
+        assert hint._mstamp == cm.stamp
+        stale = cm.stamp
+        cm.clear_cache()
+        assert not ms._line_memo and cm.stamp != stale
+        ms.access_many(1, lines, 0.0, hint=hint)
+        assert set(lines) <= ms._line_memo.keys()
+        assert hint._mstamp == cm.stamp
+        self._check(system, lines)
+
+        other = make_system(design)
+        assert other.camp_mapper.stamp != cm.stamp
+        other.memory_system.access_many(2, lines, 0.0, hint=hint)
+        assert set(lines) <= other.memory_system._line_memo.keys()
+        assert hint._mstamp == other.camp_mapper.stamp
 
 
 #: :data:`PARTITION` plus a dead unit and a slow vault outside the
@@ -372,12 +407,13 @@ class TestFusedKernelOracle:
             state["link_flits"] = list(meter.link_flits.items())
         return state
 
-    @staticmethod
-    def drive(fused, oracle, writes=False, phases=()):
+    @classmethod
+    def drive(cls, fused, oracle, writes=False, phases=()):
         """160 random batches on both machines.  Every 40th step is a
         barrier, except the last, so the final state still holds live
         L1 sets and FIFOs; ``phases`` maps a step to the fault
-        timestamp whose events fire there."""
+        timestamp whose events fire there.  The states must match after
+        every call, so each call flushes all of its counters."""
         units = fused.config.num_units
         # A small line pool spread over every unit, so batches repeat
         # lines (L1, prefetch and camp hits), plus lines that all map
@@ -418,6 +454,7 @@ class TestFusedKernelOracle:
                 expected += reference.write(oracle.memory_system,
                                             requester, out, now)
             assert total == expected
+            assert cls.state(fused) == cls.state(oracle), step
             now += float(rng.integers(1, 200))
             if step % 40 == 39 and step < 159:
                 fused.memory_system.end_timestamp()

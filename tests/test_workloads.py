@@ -208,19 +208,30 @@ class TestElementHints:
     @pytest.mark.parametrize("name", sorted(REVISITING))
     def test_hints_do_not_outlive_a_run(self, name):
         """Hint memos keyed on the scheduler's cost epoch (which
-        restarts at 0 on every machine) must never carry over: one
+        restarts at 0 on every machine) must never carry over, and
+        neither may the access kernel's memo stamps (the camp mapper's
+        token and epoch, which a mid-run unit failure moves on): one
         instance run on several machines in a row gives exactly the
         results of fresh instances."""
+        from repro.faults import FaultEvent, FaultKind, FaultSchedule
         from repro.sweep.serialize import result_to_dict
 
         make, _ = REVISITING[name]
         base = experiment_config()
-        points = [("B", base.scaled(4, 4)), ("B", base.scaled(8, 8)),
-                  ("Sh", base.scaled(4, 4)), ("O", base.scaled(4, 4))]
+        remap = FaultSchedule(events=(
+            FaultEvent(FaultKind.UNIT_FAIL, unit=5, at_timestamp=1),))
+        points = [("B", base.scaled(4, 4), None),
+                  ("B", base.scaled(8, 8), None),
+                  ("Sh", base.scaled(4, 4), None),
+                  ("C", base.scaled(4, 4), None),
+                  ("O", base.scaled(4, 4), None),
+                  ("O", base.scaled(4, 4), remap)]
         reused = make()
-        for design, cfg in points:
-            again = result_to_dict(repro.simulate(design, reused, cfg))
-            fresh = result_to_dict(repro.simulate(design, make(), cfg))
+        for design, cfg, faults in points:
+            again = result_to_dict(repro.simulate(
+                design, reused, cfg, fault_schedule=faults))
+            fresh = result_to_dict(repro.simulate(
+                design, make(), cfg, fault_schedule=faults))
             assert json.dumps(again, sort_keys=True) == \
                 json.dumps(fresh, sort_keys=True), (design, cfg.topology)
 
