@@ -66,7 +66,9 @@ def main() -> None:
     ))
     print()
     print("hottest directed mesh links (XY-routed):")
-    for src, dst, flits in meter.hottest_links(top=5):
+    ranked = sorted(meter.link_flits.items(), key=lambda kv: kv[1],
+                    reverse=True)
+    for (src, dst), flits in ranked[:5]:
         print(f"  stack {src} -> stack {dst}: {flits:,} flits")
 
     # 3. queue-depth skew over time, from the sampled vector series

@@ -46,14 +46,14 @@ def main() -> None:
     for design in ("B", "Sl", "O"):
         workload = repro.make_workload("knn")
         system, spans, cycles = traced_run(design, workload)
-        cost = system.interconnect.cost_matrix
         spawners = np.array([e.args["spawner"] for e in spans])
         units = np.array([e.tid for e in spans])
+        moves = system.interconnect.unit_costs(spawners, units)
         stolen = np.array([e.args["stolen"] for e in spans])
         print(f"{design:7} {len(spans):6} "
               f"{np.mean(spawners != units):9.0%} "
               f"{np.mean(stolen):7.0%} "
-              f"{np.mean(cost[spawners, units]):14.1f}")
+              f"{np.mean(moves):14.1f}")
         distributions[design] = cycles
 
     print()

@@ -2,8 +2,9 @@
 
 Provides the three-way access classification used everywhere in the
 paper (local / intra-stack / inter-stack, Equation 2), the latency and
-energy of moving a cacheline between two NDP units, and the precomputed
-(N, N) *distance-cost matrix* the schedulers score against.
+energy of moving a cacheline between two NDP units, and the one place
+that prices a pair of units for scheduling: :meth:`Interconnect.unit_costs`
+over the (N, S) table :attr:`Interconnect.unit_stack_costs`.
 
 Hop accounting: Figure 8 reports remote accesses as the total number of
 inter-stack mesh hops.  :class:`TrafficMeter` counts the hops of every
@@ -141,13 +142,6 @@ class LinkMeter:
             m[a, b] = flits
         return m
 
-    def hottest_links(self, top: int = 8) -> List[Tuple[int, int, int]]:
-        """The ``top`` busiest directed mesh links as (src, dst, flits)."""
-        ranked = sorted(
-            self.link_flits.items(), key=lambda kv: kv[1], reverse=True
-        )
-        return [(a, b, flits) for (a, b), flits in ranked[:top]]
-
     def total_link_flits(self) -> int:
         return sum(self.link_flits.values())
 
@@ -159,8 +153,11 @@ class Interconnect:
     units share a stack, and whether they are the same unit (Equation
     2).  The model therefore holds one pair of (S, S) stack tables —
     :attr:`stack_hops` and :attr:`stack_mesh_ns` — and derives the rest
-    from them, the unit-to-stack map and unit identity: the (N, N)
-    scheduling cost matrix, reachability, hops, latencies and traffic.
+    from them, the unit-to-stack map and unit identity: reachability,
+    hops, latencies, traffic and the scheduling cost of a unit pair.
+    That cost is read only through :meth:`unit_costs` (and, per stack,
+    :attr:`unit_stack_costs`), which :meth:`set_link_faults` rebuilds,
+    so every reader sees the current links; no (N, N) table is built.
     """
 
     def __init__(self, topology: Topology, noc: NocConfig, memory: MemoryConfig):
@@ -174,27 +171,44 @@ class Interconnect:
         self._link_scale: Dict[Tuple[int, int], float] = {}
         self._stack_hops, self._stack_ns = self._solve_stack_tables()
         self._routes: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
-        self._cost = self._build_cost_matrix()
+        self._stack_of_unit = topology.stack_of_unit
+        self._unit_table = self._build_unit_table()
         #: bumped on every link-fault set/clear so engines holding
         #: derived per-line memos know to drop them.
         self.fault_epoch: int = 0
 
-    def _build_cost_matrix(self) -> np.ndarray:
-        """(N, N) scheduling distance costs (Equation 2 terms): the
-        stack pair's mesh cost between stacks, ``d_intra`` inside a
-        stack, ``d_local`` on the diagonal."""
-        sou = self.topology.stack_of_unit
-        cost = self._stack_ns[np.ix_(sou, sou)]
-        cost[sou[:, None] == sou[None, :]] = self.noc.d_intra
-        np.fill_diagonal(cost, self.noc.d_local)
-        return cost
+    def _build_unit_table(self) -> np.ndarray:
+        """``(N, S)`` contiguous: ``[u, s]`` is the scheduling cost
+        (Equation 2) from every unit of stack ``s`` other than ``u``
+        itself to unit ``u`` — the stack pair's mesh cost off ``u``'s
+        own stack, ``d_intra`` on it, or ``d_local`` when the stack has
+        no other unit.  Built from the current stack table."""
+        topo = self.topology
+        sou = self._stack_of_unit
+        table = self._stack_ns.T[sou]
+        table[np.arange(topo.num_units), sou] = (
+            self.noc.d_intra if topo.units_per_stack > 1 else self.noc.d_local)
+        return table
 
     @property
-    def cost_matrix(self) -> np.ndarray:
-        """Read-only (N, N) distance-cost matrix."""
-        v = self._cost.view()
+    def unit_stack_costs(self) -> np.ndarray:
+        """Read-only ``(N, S)`` table of :meth:`_build_unit_table`: the
+        cost from each stack's units (other than the target) to a unit,
+        under the current link faults; inf where a pair is unreachable."""
+        v = self._unit_table.view()
         v.flags.writeable = False
         return v
+
+    def unit_costs(self, src, dst) -> np.ndarray:
+        """Scheduling cost (Equation 2) from each ``src`` unit to each
+        ``dst`` unit, over broadcastable unit-id arrays (at least one of
+        them an array): ``d_local`` where ``src == dst``, else
+        ``unit_stack_costs[dst, stack of src]``.  A fresh array in the
+        broadcast shape, C-contiguous, so a reduction over it keeps
+        NumPy's summation order for that shape."""
+        costs = self._unit_table[dst, self._stack_of_unit[src]]
+        costs[np.equal(src, dst)] = self.noc.d_local
+        return costs
 
     @property
     def stack_hops(self) -> np.ndarray:
@@ -238,9 +252,9 @@ class Interconnect:
         ``dead_links`` are undirected adjacent stack pairs removed from
         the mesh; ``degraded`` maps surviving links to a per-hop latency
         multiplier.  Routes become minimal paths over the surviving
-        links (the hardware's fallback to non-XY detours); the
-        scheduling cost matrix is rebuilt *in place* so every
-        ``SchedulerContext`` holding a view sees the new distances.
+        links (the hardware's fallback to non-XY detours), and the
+        cost table behind :meth:`unit_costs` is rebuilt, so every later
+        scheduling read sees the new distances.
         Unreachable pairs get infinite cost / -1 hops — callers must
         check :meth:`is_reachable` before paying latency.  No dead and
         no degraded link restores the healthy mesh.
@@ -254,9 +268,7 @@ class Interconnect:
         self._stack_hops, self._stack_ns = self._solve_stack_tables()
         self._routes.clear()
         self.fault_epoch += 1
-        # In place: scheduler contexts hold read-only *views* of this
-        # array, so mutating the buffer updates every policy's scores.
-        self._cost[...] = self._build_cost_matrix()
+        self._unit_table = self._build_unit_table()
         if self.link_meter is not None:
             self.link_meter.router = (
                 self.route_stacks if self.has_link_faults else None)
@@ -381,7 +393,7 @@ class Interconnect:
 
     def distance_cost(self, src: int, dst: int) -> float:
         """Scheduling cost of the (src, dst) pair (Equation 2)."""
-        return float(self._cost[src, dst])
+        return float(self.unit_costs(src, [dst])[0])
 
     # ------------------------------------------------------------------
     # latency

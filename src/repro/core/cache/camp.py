@@ -120,8 +120,6 @@ class CampMapper:
         # (G, units per group): the unit each group's hash slot elects
         # (see _camp_unit_table).
         self._camp_units = self._camp_unit_table()
-        # (N + 1, S) stack-cost table (see _stack_cost_table).
-        self._by_unit = self._stack_cost_table()
         #: identity/version pair for externally memoized derived data
         #: (see _mapper_tokens).  ``epoch`` bumps whenever the mapping
         #: changes (clear_cache / set_alive_mask); ``stamp`` is the
@@ -214,29 +212,6 @@ class CampMapper:
         """Cache-set index: the low address bits, as in a normal cache."""
         return line % self.num_sets
 
-    def _stack_cost_table(self) -> np.ndarray:
-        """``(N + 1, S)`` contiguous: ``[l, s]`` is the cost from every
-        unit of stack ``s`` other than ``l`` itself to unit ``l``; row
-        ``N`` is +inf, the cost of a dead group's ``-1`` location.
-
-        Equation 2 prices a pair of units by their stacks alone, plus
-        whether they share a stack (``d_intra``): the interconnect's
-        inter-stack cost off the unit's own stack, ``d_intra`` on it, or
-        ``d_local`` when the stack has no other unit.  Built from the
-        interconnect's current stack table on every :meth:`clear_cache`.
-        """
-        noc = self.interconnect
-        topo = self.topology
-        sou = topo.stack_of_unit
-        n = topo.num_units
-        table = np.empty((n + 1, topo.num_stacks))
-        table[:n] = noc.stack_mesh_ns.T[sou]
-        table[np.arange(n), sou] = (noc.noc.d_intra
-                                    if topo.units_per_stack > 1
-                                    else noc.noc.d_local)
-        table[n] = np.inf
-        return table
-
     def _store_rows(self, dist: np.ndarray, locs: np.ndarray) -> int:
         """Append rows to the slot store (doubling it when full);
         return the first new slot."""
@@ -310,7 +285,7 @@ class CampMapper:
         # Slices of a few thousand lines bound the (groups, lines,
         # stacks) temporaries; the tables do not depend on the slicing.
         step = max(1, _PRIME_ELEMENTS // (self.num_groups
-                                          * self._by_unit.shape[1]))
+                                          * self.topology.num_stacks))
         for start in range(0, len(missing), step):
             self._prime_missing(missing[start:start + step])
 
@@ -323,7 +298,8 @@ class CampMapper:
         the pick is the first minimum, in group order, of the cost over
         the live locations (``np.argmin``'s rule); a line whose live
         locations all cost inf from a stack (cut off by link faults)
-        picks its first live one.
+        picks its first live one.  The costs are the interconnect's
+        current ``unit_stack_costs`` rows of the locations.
         """
         cache = self._nearest_cache
         arr = np.asarray(missing, dtype=np.int64)
@@ -339,15 +315,17 @@ class CampMapper:
             locs[:, g] = units.take((h % upg).astype(np.int64))
         # The home's group contributes the home itself, not a camp.
         locs[rows, home_groups] = homes
-        # costs[g, b, s] = by_unit[locs[b, g], s]: one contiguous
-        # (line, stack) plane per group; a dead group's -1 reads the
-        # +inf row.  The first minimum over the few groups is unrolled
-        # (np.argmin's tie rule: only a strictly smaller cost moves the
-        # pick), starting from the first live location; argmin along a
-        # short axis would pay per-row overhead.
-        costs = self._by_unit[locs.T]                    # (G, B, S)
-        dist = costs[0].copy()
+        # costs[g, b, s] = unit_stack_costs[locs[b, g], s]: one
+        # contiguous (line, stack) plane per group; a dead group's -1
+        # would read unit N - 1's row, so it is set to +inf.  The first
+        # minimum over the few groups is unrolled (np.argmin's tie rule:
+        # only a strictly smaller cost moves the pick), starting from
+        # the first live location; argmin along a short axis would pay
+        # per-row overhead.
         live = locs >= 0
+        costs = self.interconnect.unit_stack_costs[locs.T]  # (G, B, S)
+        costs[~live.T] = np.inf
+        dist = costs[0].copy()
         first = locs[rows, live.argmax(axis=1)]
         nearest = np.repeat(first[:, None], dist.shape[1], axis=1)
         for g in range(1, self.num_groups):
@@ -392,10 +370,9 @@ class CampMapper:
 
     def clear_cache(self) -> None:
         """Drop the memoized per-line tables (in place: the access
-        kernel holds the dict) and re-read the interconnect's
-        distances."""
+        kernel holds the dict); lines filled afterwards read the
+        interconnect's current distances."""
         self._nearest_cache.clear()
         self._slots_used = 0
-        self._by_unit = self._stack_cost_table()
         self.epoch += 1
         self.stamp = (self.token, self.epoch)

@@ -3,9 +3,10 @@
 Every policy answers one question: *on which NDP unit should this task
 execute?*  Policies receive a :class:`SchedulerContext` bundling the
 system-level information the paper's hardware scheduler has access to:
-the distance-cost matrix, the address->home mapping, the camp mapper
-(when a Traveller Cache is configured), and the stale workload snapshot
-from the periodic exchange.
+the interconnect, whose :meth:`~repro.arch.noc.Interconnect.unit_costs`
+prices every unit pair (Equation 2), the address->home mapping, the
+camp mapper (when a Traveller Cache is configured), and the stale
+workload snapshot from the periodic exchange.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.memory_map import MemoryMap
+from repro.arch.noc import Interconnect
 from repro.core.cache.camp import CampMapper
 from repro.runtime.task import Task, TaskHint
 from repro.runtime.workload_exchange import WorkloadExchange
@@ -36,10 +38,15 @@ def gather_slices(count: int, per_item: int) -> Iterator[slice]:
 
 @dataclass
 class SchedulerContext:
-    """Everything a scheduling policy may look at."""
+    """Everything a scheduling policy may look at.
+
+    Distances are read through ``interconnect.unit_costs`` on every
+    use, so a context sees the interconnect's current link faults; the
+    ``cost_epoch`` keys the memos that bake those distances in.
+    """
 
     memory_map: MemoryMap
-    cost_matrix: np.ndarray              # (N, N) distance costs
+    interconnect: Interconnect
     exchange: WorkloadExchange
     camp_mapper: Optional[CampMapper] = None
     # Weight B of Equation 1; only the hybrid policy reads it.
@@ -57,14 +64,14 @@ class SchedulerContext:
     # Fault state: boolean per-unit liveness, None while every unit is
     # healthy.  Policies must never place a task on a dead unit.
     alive_mask: Optional[np.ndarray] = None
-    # Bumped by the fault controller whenever the shared cost matrix
-    # (or the liveness state it reflects) may have changed in place;
-    # keys every scoring memo that bakes in cost-matrix values.
+    # Bumped by the fault controller whenever the link faults (and so
+    # the interconnect's distances) or the liveness state may have
+    # changed; keys every scoring memo that bakes in distances.
     cost_epoch: int = 0
 
     @property
     def num_units(self) -> int:
-        return self.cost_matrix.shape[0]
+        return self.interconnect.topology.num_units
 
     def is_alive(self, unit: int) -> bool:
         return self.alive_mask is None or bool(self.alive_mask[unit])
@@ -81,7 +88,9 @@ class SchedulerContext:
         if self.alive_mask is None or self.alive_mask[unit]:
             return unit
         costs = np.where(
-            self.alive_mask, self.cost_matrix[unit], np.inf
+            self.alive_mask,
+            self.interconnect.unit_costs(unit, np.arange(self.num_units)),
+            np.inf,
         )
         best = int(np.argmin(costs))
         if not np.isfinite(costs[best]):
@@ -122,7 +131,8 @@ class SchedulerContext:
                 access_ns = float(self._camp_access_row(task)[unit])
             else:
                 homes = self.hint_homes(task)
-                access_ns = float(self.cost_matrix[unit, homes].sum())
+                access_ns = float(
+                    self.interconnect.unit_costs(unit, homes).sum())
             access_ns += self.dram_latency_ns * len(lines)
             stall_cycles = (
                 access_ns * self.frequency_ghz
@@ -172,7 +182,7 @@ class SchedulerContext:
             at = np.array([units[i] for i in idx], dtype=np.int64)
             homes = np.array([self.hint_homes(tasks[i]) for i in idx])
             access_ns = np.add.reduce(
-                self.cost_matrix[at[:, None], homes], axis=1
+                self.interconnect.unit_costs(at[:, None], homes), axis=1
             ) + self.dram_latency_ns * size
             stalls = (
                 access_ns * self.frequency_ghz
@@ -343,14 +353,7 @@ class SchedulerContext:
         if lines.size == 0:
             return np.zeros(self.num_units, dtype=np.float64)
         if use_camps and self.camp_mapper is not None:
-            cm = self.camp_mapper
-            key = cm.stamp
-            cached = getattr(task.hint, "_cmean", None)
-            if cached is not None and cached[0] == key:
-                return cached[1]
-            row = self._camp_access_row(task) / len(lines)
-            task.hint._cmean = (key, row)
-            return row
+            return self._camp_access_row(task) / len(lines)
         # The window-rescheduling passes re-score the same hint
         # repeatedly between exchanges; store the result row on the hint.
         hint = task.hint
@@ -359,10 +362,10 @@ class SchedulerContext:
         if cached is not None and cached[0] == key:
             return cached[1]
         homes = self.hint_homes(task)
-        # take() gathers the (N, L) array `[:, homes]` builds, and
-        # add.reduce/L is the mean without the wrapper.
-        row = np.add.reduce(
-            self.cost_matrix.take(homes, axis=1), axis=1
+        # The (N, L) costs from every unit to each home; add.reduce/L
+        # is the mean without the wrapper.
+        row = np.add.reduce(self.interconnect.unit_costs(
+            np.arange(self.num_units)[:, None], homes[None, :]), axis=1
         ) / homes.shape[0]
         hint._hmean = (key, row)
         return row
@@ -432,10 +435,10 @@ class Scheduler(abc.ABC):
         """The unit that should execute each task, in task order.
 
         Every decision is scored against the current exchange snapshot
-        and reads only the task's hint and spawner, the cost matrix,
-        the camp tables and the alive mask, never the other tasks, so a
-        batch of any size (one task included) decides each task as it
-        would be decided alone.  No pick may be a dead unit.
+        and reads only the task's hint and spawner, the interconnect's
+        unit costs, the camp tables and the alive mask, never the other
+        tasks, so a batch of any size (one task included) decides each
+        task as it would be decided alone.  No pick may be a dead unit.
         """
 
     def record_decision(self, task: Task, chosen: int, cost_mem: float,

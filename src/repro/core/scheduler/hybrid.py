@@ -139,16 +139,15 @@ class HybridScheduler(Scheduler):
         # the arithmetic on a batch of one.
         best = np.minimum.reduce(live, axis=1, keepdims=True)
         near = live <= best + self.tie_tolerance_ns
-        # Capped, a near unit cut off from the spawner by a mesh
-        # partition still ranks before every unit that is not near.
-        from_spawner = np.where(
-            near,
-            np.minimum(
-                ctx.cost_matrix.take([t.spawner_unit for t in tasks], axis=0),
-                _FAR,
-            ),
-            np.inf,
-        )
+        # Only near units are priced; capped, one cut off from the
+        # spawner by a mesh partition still ranks before every unit
+        # that is not near.
+        rows, cols = near.nonzero()
+        spawners = np.array([t.spawner_unit for t in tasks])
+        from_spawner = np.empty(near.shape)
+        from_spawner.fill(np.inf)
+        from_spawner[rows, cols] = np.minimum(
+            ctx.interconnect.unit_costs(spawners.take(rows), cols), _FAR)
         units = from_spawner.argmin(axis=1).tolist()
         if alive is not None:
             for j in np.flatnonzero(~np.isfinite(best)).tolist():

@@ -45,8 +45,8 @@ class LowestDistanceScheduler(Scheduler):
         """Hint-less tasks stay at their spawner; the others are decided
         together, one line-count bucket at a time (:meth:`_decide`).
 
-        On a healthy machine a decision is a pure function of the cost
-        matrix and the hint, so it is memoized on the hint per cost
+        On a healthy machine a decision is a pure function of the unit
+        costs and the hint, so it is memoized on the hint per cost
         epoch (workloads reusing hint objects then place each hint once
         per epoch).  Under an alive mask the candidates are the live
         data homes, or every live unit when all of them are dead, and
@@ -102,9 +102,8 @@ class LowestDistanceScheduler(Scheduler):
         size = entries[0][1].size
         homes = np.array([homes for _, homes, _ in entries])
         padded = np.array([c + c[:1] * (width - len(c)) for c in cands])
-        dists = np.add.reduce(
-            ctx.cost_matrix[padded[:, :, None], homes[:, None, :]], axis=2
-        ) / size
+        dists = np.add.reduce(ctx.interconnect.unit_costs(
+            padded[:, :, None], homes[:, None, :]), axis=2) / size
         home_unit = ctx.memory_map.home_unit
         tolerance = self.tie_tolerance_ns
         memoize = ctx.alive_mask is None

@@ -164,7 +164,7 @@ class NdpSystem:
 
         context = SchedulerContext(
             memory_map=self.memory_map,
-            cost_matrix=self.interconnect.cost_matrix,
+            interconnect=self.interconnect,
             exchange=self.exchange,
             camp_mapper=self.camp_mapper,
             hybrid_weight=config.scheduler.hybrid_weight(

@@ -9,7 +9,7 @@ bulk-synchronous phase boundary; the controller
    per pending event per phase, in schedule order, from a dedicated
    seeded stream (bit-reproducible, independent of the system RNG);
 3. *synchronizes* the machine: scheduler alive mask, NoC link faults +
-   rerouting + cost matrix, DRAM vault multipliers, camp remapping,
+   rerouting + scheduling costs, DRAM vault multipliers, camp remapping,
    Traveller-cache invalidation of dead units, memory-system
    reachability state;
 4. asks the executor to re-place every task stranded on a newly dead
@@ -229,7 +229,8 @@ class FaultController:
         all_alive = bool(self.alive.all())
         mask = None if all_alive else self.alive
 
-        # NoC: reroute + rebuild the shared cost matrix in place.
+        # NoC: reroute + rebuild the stack tables and the unit cost
+        # table that every scheduling read goes through.
         if self._dead_links or self._degraded:
             self.interconnect.set_link_faults(
                 self._dead_links, self._degraded
@@ -244,8 +245,8 @@ class FaultController:
         )
 
         # Schedulers: candidate masking via the shared context.  The
-        # epoch bump drops every scoring memo that baked in values from
-        # the (just rebuilt) cost matrix or the old liveness state.
+        # epoch bump drops every scoring memo that baked in the old
+        # distances or the old liveness state.
         self.context.alive_mask = mask
         self.context.cost_epoch += 1
 

@@ -23,8 +23,8 @@ stress points):
     turns a permanent failure into a transient one.
 ``LINK_FAIL``
     One mesh link (an adjacent stack pair) goes down; the NoC reroutes
-    minimally over the surviving links and the scheduling cost matrix
-    follows.
+    minimally over the surviving links and the scheduling costs
+    (``Interconnect.unit_costs``) follow.
 ``LINK_DEGRADE``
     The link survives but each traversal costs ``factor``x the healthy
     per-hop latency (routing may detour around it when profitable).

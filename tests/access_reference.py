@@ -30,6 +30,7 @@ from repro.config import CacheStyle
 from repro.core.cache.dram_tag_cache import DramTagCache
 from repro.core.memory_system import _REQUEST_BITS
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from tests.cost_reference import unit_cost_matrix
 
 PARTITION = FaultSchedule(events=(
     FaultEvent(FaultKind.LINK_FAIL, link=(0, 1), at_timestamp=1),
@@ -126,7 +127,7 @@ def nearest_location(ms, requester: int, line: int) -> int:
     """The line's living location with the least cost from
     ``requester``, the first in group order on a tie (``np.argmin``)."""
     locs = [int(u) for u in ms.camp_mapper.locations(line) if u >= 0]
-    cost = ms.interconnect.cost_matrix
+    cost = unit_cost_matrix(ms.interconnect)
     return locs[int(np.argmin(cost[requester, locs]))]
 
 

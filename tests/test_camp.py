@@ -17,6 +17,7 @@ from repro.config import (
 )
 from repro.core.cache.camp import CampMapper
 from tests import camp_reference
+from tests.cost_reference import unit_cost_matrix
 
 
 def make_mapper(camp_mapping=CampMapping.SKEWED, num_camps=3,
@@ -126,7 +127,7 @@ class TestSetAndTags:
 
 class TestNearestLocation:
     def test_nearest_is_argmin_of_cost(self, mapper):
-        cost = mapper.interconnect.cost_matrix
+        cost = unit_cost_matrix(mapper.interconnect)
         for line in [3, 77, 100_000]:
             for requester in [0, 31, 127]:
                 unit, is_home = mapper.nearest_location(line, requester)
@@ -171,7 +172,7 @@ class TestStackTables:
         each unit; return how many requesters that are not a location
         sit in a stack with one and still pick another location."""
         topo = mapper.topology
-        cost = mapper.interconnect.cost_matrix
+        cost = unit_cost_matrix(mapper.interconnect)
         stack_of = topo.stack_of_unit
         per_unit = mapper.memory_map.unit_capacity // 64
         lines = [u * per_unit + k for u in range(topo.num_units)
@@ -223,35 +224,6 @@ class TestStackTables:
                              noc=_slow_crossbar())
         assert self.check(mapper) > 0
 
-    def test_stack_cost_table_built_once_per_epoch(self, mapper):
-        """The (N + 1, S) table is built once per epoch from the
-        interconnect's stack table, so a link-fault transition reaches
-        it through the remap that follows it."""
-        noc = mapper.interconnect
-        topo = mapper.topology
-        table = mapper._by_unit
-        assert table.shape == (topo.num_units + 1, topo.num_stacks)
-        assert table.flags.c_contiguous
-        assert np.all(np.isinf(table[-1]))
-        mapper.prime_lines(range(500))
-        assert mapper._by_unit is table
-        noc.set_link_faults([(0, 1)], {(1, 5): 2.0})
-        assert mapper._by_unit is table
-        mapper.set_alive_mask(None)  # the fault controller's remap
-        rebuilt = mapper._by_unit
-        assert rebuilt is not table
-        # Off its own stack a unit's entry is the cost from any unit of
-        # the stack; on it, the crossbar's.
-        cost = noc.cost_matrix
-        for s in range(topo.num_stacks):
-            unit = int(topo.units_in_stack(s)[0])
-            off_stack = topo.stack_of_unit != s
-            assert np.array_equal(rebuilt[:-1, s][off_stack],
-                                  cost[unit][off_stack])
-            assert np.all(rebuilt[:-1, s][~off_stack]
-                          == noc.noc.d_intra)
-        assert not np.array_equal(rebuilt, table)
-
 
 class TestCampReference:
     """:meth:`CampMapper.prime_lines` stores, for every line, exactly
@@ -301,7 +273,7 @@ class TestCampReference:
             # The fault controller's order: links first, then the remap.
             noc.set_link_faults(dead_links, degraded)
             mapper.set_alive_mask(alive)
-            cost = noc.cost_matrix
+            cost = unit_cost_matrix(noc)
             mapper.prime_lines(lines)
             for line in lines:
                 got = mapper._nearest_cache[line]

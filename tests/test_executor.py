@@ -313,8 +313,9 @@ class TestBatchPlacement:
         on twin machines; returns the reference's decision terms."""
         # Jittered costs do not sum exactly: a reduction taken in another
         # order than the per-task one changes the result.  The jitter
-        # goes into the interconnect's stack table, which the cost
-        # matrix (rebuilt in place) and the camp tables read; a mesh hop
+        # goes into the interconnect's stack table, and from there into
+        # its unit cost table (rebuilt as set_link_faults rebuilds it),
+        # which every placement score and camp table reads; a mesh hop
         # cheaper than a crossbar hop lets a camp in another stack, at a
         # jittered cost, be a unit's nearest location.
         config = experiment_config().scaled(2, 2).with_(
@@ -326,7 +327,7 @@ class TestBatchPlacement:
         for system in (ref, new):
             noc = system.interconnect
             noc._stack_ns = noc._stack_ns * jitter
-            noc._cost[...] = noc._build_cost_matrix()
+            noc._unit_table = noc._build_unit_table()
             if system.camp_mapper is not None:
                 system.camp_mapper.clear_cache()
             system.scheduler.context.alive_mask = alive

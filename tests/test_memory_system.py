@@ -13,6 +13,7 @@ from repro.runtime.task import TaskHint
 from tests import access_reference as reference
 from tests import camp_reference
 from tests.access_reference import PARTITION
+from tests.cost_reference import unit_cost_matrix
 
 
 def slow_crossbar_config():
@@ -252,7 +253,7 @@ class TestLineMemo:
         memo = system.memory_system._line_memo
         cm = system.camp_mapper
         assert memo is cm._nearest_cache
-        cost = system.interconnect.cost_matrix
+        cost = unit_cost_matrix(system.interconnect)
         home_of_line = system.memory_map.home_of_line
         stacks = system.topology.num_stacks
         assert set(lines) <= memo.keys()

@@ -7,9 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.arch.memory_map import MemoryMap
 from repro.arch.noc import AccessClass, Interconnect, TrafficMeter
 from repro.arch.topology import Topology
 from repro.config import MemoryConfig, NocConfig, TopologyConfig
+from repro.core.scheduler.base import SchedulerContext
+from repro.runtime.task import Task, TaskHint
+from repro.runtime.workload_exchange import WorkloadExchange
+from tests.cost_reference import unit_cost_matrix
 
 
 @pytest.fixture
@@ -47,12 +52,16 @@ class TestCostMatrix:
         assert noc.distance_cost(*inter) == cfg.d_inter * hops
 
     def test_cost_matrix_symmetry(self, noc):
-        m = noc.cost_matrix
+        """The all-pairs costs (the accessor's (N, N) broadcast) are
+        symmetric on a healthy mesh and match the textbook matrix."""
+        units = np.arange(noc.topology.num_units)
+        m = noc.unit_costs(units[:, None], units[None, :])
         assert np.allclose(m, m.T)
+        assert np.array_equal(m, unit_cost_matrix(noc))
 
     def test_read_only(self, noc):
         with pytest.raises(ValueError):
-            noc.cost_matrix[0, 0] = 1.0
+            noc.unit_stack_costs[0, 0] = 1.0
 
 
 class TestLatency:
@@ -160,15 +169,65 @@ class TestLinkFaults:
             2 * noc.noc.intra_hop_ns + 3 * noc.noc.inter_hop_ns
         )
 
-    def test_cost_matrix_views_update_in_place(self, noc):
-        view = noc.cost_matrix  # what a SchedulerContext holds
-        u0 = self._stack_units(noc, 0)[0]
-        u1 = self._stack_units(noc, 1)[0]
-        healthy_cost = float(view[u0, u1])
-        noc.set_link_faults([(0, 1)])
-        assert float(view[u0, u1]) > healthy_cost
+    def test_unit_stack_table_follows_link_faults(self, noc):
+        """``set_link_faults`` rebuilds the (N, S) table: off its own
+        stack a unit's entry is the cost from any unit of the stack, on
+        it the crossbar's; clearing the faults restores the healthy
+        table."""
+        topo = noc.topology
+        healthy = noc.unit_stack_costs.copy()
+        assert healthy.shape == (topo.num_units, topo.num_stacks)
+        noc.set_link_faults([(0, 1)], {(1, 5): 2.0})
+        table = noc.unit_stack_costs
+        assert table.flags.c_contiguous
+        assert not np.array_equal(table, healthy)
+        cost = unit_cost_matrix(noc)
+        for s in range(topo.num_stacks):
+            unit = int(topo.units_in_stack(s)[0])
+            off_stack = topo.stack_of_unit != s
+            assert np.array_equal(table[off_stack, s],
+                                  cost[unit][off_stack])
+            assert np.all(table[~off_stack, s] == noc.noc.d_intra)
         noc.clear_link_faults()
-        assert float(view[u0, u1]) == healthy_cost
+        assert np.array_equal(noc.unit_stack_costs, healthy)
+
+    def test_earlier_context_scores_new_distances(self, noc):
+        """A scheduler context built on the healthy mesh scores with the
+        current link faults' distances after the fault controller's
+        epoch bump, and with the healthy ones again once they clear:
+        in ``nearest_alive``, a home-based ``task_workload`` miss and
+        ``mem_cost_vector``."""
+        topo = noc.topology
+        ctx = SchedulerContext(memory_map=MemoryMap(topo, MemoryConfig()),
+                               interconnect=noc,
+                               exchange=WorkloadExchange(topo, 250))
+        stack0 = self._stack_units(noc, 0)
+        u0 = stack0[0]
+        home = self._stack_units(noc, 1)[0]
+        ctx.alive_mask = np.ones(topo.num_units, dtype=bool)
+        ctx.alive_mask[stack0] = False
+        task = Task(func=lambda c: None, timestamp=0, compute_cycles=10.0,
+                    hint=TaskHint(addresses=np.array(
+                        [home * ctx.memory_map.unit_capacity])),
+                    spawner_unit=u0)
+
+        def scores():
+            cost = unit_cost_matrix(noc)
+            stall = ((cost[u0, home] + ctx.dram_latency_ns)
+                     * ctx.frequency_ghz * (1.0 - ctx.prefetch_hide_fraction))
+            assert ctx.task_workload(task, u0) == 10.0 + stall
+            assert np.array_equal(ctx.mem_cost_vector(task, False),
+                                  cost[:, home])
+            return ctx.nearest_alive(u0)
+
+        healthy = scores()
+        assert topo.stack_of(healthy) == 1
+        for faults in ([(0, 1)], []):
+            noc.set_link_faults(faults)
+            ctx.cost_epoch += 1
+            assert topo.stack_of(scores()) == (
+                topo.config.mesh_cols if faults else 1)
+        assert scores() == healthy
 
     def test_isolated_stack_is_unreachable(self, noc):
         # stack 0 (corner) only connects through (0, 1) and (0, 4).
@@ -262,7 +321,8 @@ def _noc_states(noc):
 
 def _scalar_api_digest(noc) -> str:
     """SHA-256 over every unit pair's one-way latency, effective hops
-    and reachability, then the cost matrix bytes."""
+    and reachability, then the bytes of the all-pairs cost matrix that
+    ``unit_costs`` broadcasts to."""
     n = noc.topology.num_units
     pairs = [(a, b) for a in range(n) for b in range(n)]
     h = hashlib.sha256()
@@ -272,7 +332,8 @@ def _scalar_api_digest(noc) -> str:
                       dtype=np.int64).tobytes())
     h.update(np.array([noc.is_reachable(a, b) for a, b in pairs],
                       dtype=bool).tobytes())
-    h.update(np.ascontiguousarray(noc.cost_matrix).tobytes())
+    units = np.arange(n)
+    h.update(noc.unit_costs(units[:, None], units[None, :]).tobytes())
     return h.hexdigest()
 
 
@@ -288,7 +349,7 @@ def noc_api_digests(mesh: str) -> dict:
 @pytest.mark.parametrize("mesh", sorted(PINNED_MESHES))
 def test_scalar_api_pinned_pair_by_pair(mesh):
     """Every unit pair's ``one_way_latency_ns``, ``effective_hops`` and
-    ``is_reachable``, and the cost matrix, match frozen digests in each
+    ``is_reachable``, and ``unit_costs``, match frozen digests in each
     link-fault state — a wrong table entry fails here even when no
     simulated point reads it."""
     digests = noc_api_digests(mesh)

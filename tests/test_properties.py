@@ -24,6 +24,7 @@ from repro.core.scheduler.lowest_distance import LowestDistanceScheduler
 from repro.core.system import build_system
 from repro.runtime.task import Task, TaskHint
 from repro.runtime.workload_exchange import WorkloadExchange
+from tests.cost_reference import unit_cost_matrix
 from tests.placement_reference import place
 
 
@@ -36,7 +37,7 @@ def make_context(with_camps=False) -> SchedulerContext:
     mapper = CampMapper(noc, memmap, cache) if with_camps else None
     return SchedulerContext(
         memory_map=memmap,
-        cost_matrix=noc.cost_matrix,
+        interconnect=noc,
         exchange=WorkloadExchange(topo, 250),
         camp_mapper=mapper,
         hybrid_weight=30.0,
@@ -109,7 +110,8 @@ def test_property_workload_estimate_bounds(hints, unit):
     w = ctx.task_workload(t, unit)
     lines = len({(u, off) for u, off in hints})
     assert w >= 50.0
-    worst_per_line = (ctx.cost_matrix.max() + ctx.dram_latency_ns)
+    worst_per_line = (unit_cost_matrix(ctx.interconnect).max()
+                      + ctx.dram_latency_ns)
     assert w <= 50.0 + lines * worst_per_line * ctx.frequency_ghz + 1e-9
 
 

@@ -23,6 +23,7 @@ from repro.core.scheduler.work_stealing import (
 )
 from repro.runtime.task import Task, TaskHint
 from repro.runtime.workload_exchange import WorkloadExchange
+from tests.cost_reference import unit_cost_matrix
 from tests.placement_reference import place, reference_decision, reference_unit
 
 
@@ -36,7 +37,7 @@ def make_context(with_camps: bool = False,
     mapper = CampMapper(noc, memmap, cache) if with_camps else None
     return SchedulerContext(
         memory_map=memmap,
-        cost_matrix=noc.cost_matrix,
+        interconnect=noc,
         exchange=WorkloadExchange(topo, 250),
         camp_mapper=mapper,
         hybrid_weight=30.0,
@@ -126,7 +127,7 @@ class TestHybrid:
         chosen = place(sched, t)
         assert chosen != 3
         # ...but it stays nearby (same stack beats far idle units).
-        assert ctx.cost_matrix[3, chosen] <= 30.0
+        assert unit_cost_matrix(ctx.interconnect)[3, chosen] <= 30.0
 
     def test_idle_unit_attracts_within_weight_budget(self):
         """An idle unit within B of the data location wins (Section 5.2's
@@ -286,9 +287,9 @@ class TestAliveMasking:
         repl = ctx.nearest_alive(5)
         assert repl != 5 and ctx.is_alive(repl)
         # the replacement is the cheapest alive unit by NoC cost
-        costs = ctx.cost_matrix[5].copy()
+        costs = unit_cost_matrix(ctx.interconnect)[5]
         costs[5] = np.inf
-        assert ctx.cost_matrix[5, repl] == costs.min()
+        assert costs[repl] == costs.min()
 
     def test_nearest_alive_raises_when_all_dead(self):
         ctx = make_context()
@@ -521,13 +522,19 @@ class TestBatchContract:
         partition) still gets a near unit: the lowest id, as in the
         reference."""
         ctx = make_context()
-        ctx.cost_matrix = ctx.cost_matrix.copy()
-        ctx.cost_matrix[0, 1:] = np.inf
+        noc = ctx.interconnect
+        cols = noc.topology.config.mesh_cols
+        spawner = int(noc.topology.units_in_stack(0)[0])
+        # Cut stack 0 off: its units reach no other stack.
+        noc.set_link_faults([(0, 1), (0, cols)])
+        ctx.cost_epoch += 1
         sched = HybridScheduler(ctx)
-        task = task_with_addrs(ctx, [unit_addr(ctx, 77)], spawner=0)
+        task = task_with_addrs(ctx, [unit_addr(ctx, 77)], spawner=spawner)
         [unit] = sched.choose_units_batch([task])
         assert unit == reference_unit(sched, task)
-        assert ctx.cost_matrix[unit, 77] <= sched.tie_tolerance_ns
+        cost = unit_cost_matrix(noc)
+        assert np.isinf(cost[spawner, unit])
+        assert cost[unit, 77] <= sched.tie_tolerance_ns
 
     def test_base_scheduler_requires_batch(self):
         """``choose_units_batch`` is the one placement decision: a policy

@@ -16,6 +16,7 @@ from repro.config import (
 )
 from repro.core.host import HostConfig, HostModel
 from repro.core.system import DESIGN_POINTS, NdpSystem, build_system
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 
 
 class TestBuildSystem:
@@ -44,31 +45,41 @@ class TestBuildSystem:
         assert len(system.units) == 32
 
     def test_no_unit_pair_tables_after_a_run(self):
-        """After an O/pr run on a 4x4 mesh, no attribute of the
-        topology, the interconnect or the memory system is an (N, N)
-        array or an N-long list of N-long lists: the NoC keeps (S, S)
-        stack tables, and the cost matrix (with its views) is the only
-        unit-pair table."""
-        system = build_system("O", experiment_config().scaled(4, 4))
-        system.run(repro.make_workload("pr"))
-        n = system.config.num_units
-        cost = system.interconnect._cost
+        """After pr runs on a 4x4 mesh (O, Sl, and O with a dead and a
+        degraded link), no attribute of the topology, the interconnect,
+        the memory system, the scheduler, its context or the camp
+        mapper is an (N, N) array or an N-long list of N-long lists:
+        every unit pair is priced through ``Interconnect.unit_costs``."""
+        link_faults = FaultSchedule(events=(
+            FaultEvent(FaultKind.LINK_FAIL, link=(0, 1), at_timestamp=1),
+            FaultEvent(FaultKind.LINK_DEGRADE, link=(1, 2), at_timestamp=1,
+                       factor=3.0),
+        ))
+        config = experiment_config().scaled(4, 4)
+        n = config.num_units
 
         def unit_pair_table(value) -> bool:
             if isinstance(value, tuple):
                 return any(unit_pair_table(v) for v in value)
             if isinstance(value, np.ndarray):
-                return (value.shape == (n, n)
-                        and not np.shares_memory(value, cost))
+                return value.shape == (n, n)
             return (isinstance(value, list) and len(value) == n
                     and all(isinstance(row, list) and len(row) == n
                             for row in value))
 
-        for obj in (system.topology, system.interconnect,
-                    system.memory_system):
-            tables = [name for name, value in vars(obj).items()
-                      if unit_pair_table(value)]
-            assert tables == [], type(obj).__name__
+        for design, schedule in (("O", None), ("Sl", None),
+                                 ("O", link_faults)):
+            system = build_system(design, config, fault_schedule=schedule)
+            system.run(repro.make_workload("pr"))
+            assert system.interconnect.has_link_faults == bool(schedule)
+            for obj in (system.topology, system.interconnect,
+                        system.memory_system, system.scheduler,
+                        system.scheduler.context, system.camp_mapper):
+                if obj is None:
+                    continue
+                tables = [name for name, value in vars(obj).items()
+                          if unit_pair_table(value)]
+                assert tables == [], (design, type(obj).__name__)
 
 
 class TestEnergyIntegration:
